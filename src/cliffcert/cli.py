@@ -138,6 +138,8 @@ def _alpha_type(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad Renyi order {text!r}") from exc
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError("Renyi order must be a number, got NaN")
     return value
 
 
@@ -265,13 +267,14 @@ def _suite_rotors(cfg, gens, seed_seq) -> list[dict]:
         lift_res = max(lift_res, conjugation_residual(lift(t, gens), t, gens))
 
     rng = np.random.default_rng(s_refl)
-    stack = gens.dense_extended
+    g0 = gens.actions[0]
+    g0_dense = pauli.scatter([1.0], [g0])
     pseudo_res = 0.0
     for _ in range(count):
         t = _random_orthogonal(rng, 2 * cfg.n, det_sign=-1)
         u = lift(t, gens)
         pseudo_res = max(pseudo_res, float(np.max(np.abs(
-            u @ stack[0] @ u.conj().T + stack[0]))))
+            pauli.apply(g0, u, "right") @ u.conj().T + g0_dense))))
 
     rng = np.random.default_rng(s_euler)
     euler_res = 0.0

@@ -66,8 +66,21 @@ class GeneratorSet:
         return [self.gamma0, *self.gammas]
 
     @cached_property
+    def actions(self) -> tuple[pauli.Action, ...]:
+        """Basis-action tables of the extended set, extended order.
+
+        The kernel paths (:func:`pauli.apply`, :func:`pauli.expect`,
+        :func:`pauli.scatter`) read these instead of dense matrices.
+        """
+        return tuple(pauli.action(g) for g in self.extended_list())
+
+    @cached_property
     def dense_extended(self) -> np.ndarray:
-        """Stack of dense observables, shape ``(2n+1, d, d)``, extended order."""
+        """Stack of dense observables, shape ``(2n+1, d, d)``, extended order.
+
+        Kronecker-rendered oracle for tests and the dense cross-check in
+        ``verify``; the library's hot paths use :attr:`actions`.
+        """
         if self.n > DENSE_GUARD:
             raise DomainError(f"dense work limited to n <= {DENSE_GUARD}")
         stack = np.stack([pauli.to_dense(g) for g in self.extended_list()])

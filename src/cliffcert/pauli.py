@@ -7,8 +7,17 @@ integer phase exponent, and denotes the operator
 
 with qubit 0 the leftmost tensor factor.  Products, commutation checks and
 Hermiticity tests reduce to bit arithmetic modulo small integers and are
-therefore exact at any ``n``; :func:`to_dense` is the only floating-point
-surface and is guarded to small qubit counts.
+therefore exact at any ``n``.
+
+Acting on the computational basis (qubit 0 the most significant bit of the
+index), the string ``i**p X**x Z**z`` sends basis index ``c`` to
+``c ^ xmask`` with the phase ``i**p (-1)**popcount(c & zmask)``
+(Aaronson-Gottesman, arXiv:quant-ph/0406196).  :func:`action` tabulates
+that rule; :func:`apply`, :func:`expect` and :func:`scatter` use it to
+multiply, trace against and render strings in O(d) per row instead of
+through dense ``d x d`` matrices.  :func:`to_dense` is the Kronecker oracle
+the kernel is tested against.  Every floating-point surface is guarded to
+small qubit counts.
 
 Phase convention: ``Y`` is stored as ``x=1, z=1, phase=1`` so that its
 dense rendering is the standard Pauli Y matrix (``Y = i X Z``).  A string
@@ -19,10 +28,11 @@ qubits carrying both an X and a Z bit.
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, ParseError
+from .errors import CapacityError, DimensionMismatchError, DomainError, ParseError
 from .tolerances import DENSE_GUARD
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # exact powers of i
@@ -193,3 +203,102 @@ def to_dense(p: PauliString, guard: int = DENSE_GUARD) -> np.ndarray:
     for a, b in zip(p.x, p.z):
         m = np.kron(m, _XZ_FACTOR[(int(a), int(b))])
     return m
+
+
+class Action(NamedTuple):
+    """Bit-rule form of a string on ``d = 2**n`` basis states.
+
+    Column ``c`` of the operator holds ``phase[c]`` in row ``perm[c]``:
+    ``P|c> = phase[c] |perm[c]>`` with ``perm[c] = c ^ xmask``.  The
+    permutation is an involution.
+    """
+
+    perm: np.ndarray
+    phase: np.ndarray
+
+
+def action(p: PauliString) -> Action:
+    """Tabulate the basis action of ``p`` in O(n d) bit operations."""
+    if p.n > DENSE_GUARD:
+        raise CapacityError(f"basis action limited to n <= {DENSE_GUARD}, got n = {p.n}")
+    c = np.arange(2**p.n)
+    xmask = 0
+    parity = np.zeros_like(c)
+    for q in range(p.n):
+        shift = p.n - 1 - q
+        xmask |= int(p.x[q]) << shift
+        if p.z[q]:
+            parity ^= (c >> shift) & 1
+    act = Action(c ^ xmask, _I_POW[p.phase] * (1 - 2 * parity))
+    # GeneratorSet caches these tables and hands them to every caller.
+    for table in act:
+        table.setflags(write=False)
+    return act
+
+
+def _as_action(p) -> Action:
+    return p if isinstance(p, Action) else action(p)
+
+
+def _check_side(m: np.ndarray, d: int, axis: int) -> None:
+    if m.ndim < 2 or m.shape[axis] != d:
+        raise DimensionMismatchError(f"operand of shape {m.shape} does not act on dimension {d}")
+
+
+def apply(p, m, side: str = "left") -> np.ndarray:
+    """``P @ M`` (``side="left"``) or ``M @ P`` (``"right"``) in O(d**2).
+
+    ``p`` is a :class:`PauliString` or its :class:`Action`; ``m`` has shape
+    ``(..., d, d)``.  Each output entry is one input entry times a phase,
+    so no rounding beyond that one product enters.
+    """
+    act = _as_action(p)
+    d = act.perm.shape[0]
+    m = np.asarray(m, dtype=complex)
+    if side == "left":
+        _check_side(m, d, -2)
+        out = m[..., act.perm, :]
+        out *= act.phase[act.perm, None]
+    elif side == "right":
+        _check_side(m, d, -1)
+        out = m[..., act.perm]
+        out *= act.phase
+    else:
+        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    return out
+
+
+def expect(p, m) -> np.ndarray:
+    """``Tr(M P)`` for stacked ``(..., d, d)`` input in O(d) per matrix.
+
+    Only the ``d`` entries ``M[r, perm[r]]`` meet a nonzero entry of P.
+    Returns a complex array of the leading shape.
+    """
+    act = _as_action(p)
+    d = act.perm.shape[0]
+    m = np.asarray(m)
+    _check_side(m, d, -1)
+    _check_side(m, d, -2)
+    return m[..., np.arange(d), act.perm] @ act.phase
+
+
+def scatter(coeffs, ops) -> np.ndarray:
+    """Dense ``sum_k coeffs[..., k] P_k`` written entry by entry, O(K d) per matrix.
+
+    ``ops`` lists K strings or actions on one qubit count; ``coeffs`` has
+    shape ``(..., K)`` and may be real or complex.  Strings are tabulated
+    one at a time, so a long list never holds all K tables.
+    """
+    coeffs = np.asarray(coeffs)
+    if not ops or coeffs.shape[-1:] != (len(ops),):
+        raise DimensionMismatchError(
+            f"coefficients of shape {coeffs.shape} do not match {len(ops)} strings")
+    d = _as_action(ops[0]).perm.shape[0]
+    cols = np.arange(d)
+    out = np.zeros(coeffs.shape[:-1] + (d, d), dtype=complex)
+    for k, p in enumerate(ops):
+        act = _as_action(p)
+        if act.perm.shape[0] != d:
+            raise DimensionMismatchError("strings act on different qubit counts")
+        out[..., act.perm, cols] += coeffs[..., k, None] * act.phase
+    return out

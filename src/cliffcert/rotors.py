@@ -16,13 +16,19 @@ the rotor
 
     U = cos(theta/2) 1 + sin(theta/2) G_k G_j,
 
-which fixes every other observable including the pseudoscalar.  Rotations
-that involve the pseudoscalar are lifted by conjugating the (1,2)-plane
-rotor with a generator-permutation unitary built from pair swaps
-(G_a + G_b)/sqrt(2); the direct rotor formula also applies there and the
-two constructions agree as channels.  The axis reflection lifts to
-U = G_0 G_1, which flips G_1 together with G_0 - under a 2n-generator lift
-the pseudoscalar therefore picks up the factor det T.
+which fixes every other observable including the pseudoscalar.  The same
+rotor lifts rotations that involve the pseudoscalar: its derivation uses
+only that G_j and G_k are anti-commuting Hermitian involutions that
+anti-commute with every other observable, which holds on the whole
+extended set.  The axis reflection lifts to U = G_0 G_1, which flips G_1
+together with G_0 - under a 2n-generator lift the pseudoscalar therefore
+picks up the factor det T.
+
+A plane rotor is a sum of two signed Pauli strings, a flip is one, and a
+rotor built by the axis reduction is a sum of at most 2n+2.  The lift
+therefore multiplies its factors in with the basis-action kernel of
+:mod:`pauli` (O(d**2) per angle), and dense rotors are rendered by
+scatter, never through products of dense observables.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import numpy as np
 from . import pauli
 from .clifford import GeneratorSet
 from .errors import DimensionMismatchError, DomainError, OrientationError
+from .pauli import PauliString
 from .states import DensityMatrix, extended_expectations
 from .tolerances import ORTHOGONALITY
 
@@ -129,67 +136,24 @@ def recompose(fact: EulerFactorization) -> np.ndarray:
 
 
 def _rotor_direct(gens: GeneratorSet, j: int, k: int, theta: float) -> np.ndarray:
-    """cos(theta/2) 1 + sin(theta/2) G_k G_j on extended indices."""
+    """cos(theta/2) 1 + sin(theta/2) G_k G_j on extended indices.
+
+    Kronecker-rendered reference that the tests hold :func:`plane_rotor` to.
+    """
     gj = pauli.to_dense(gens.extended(j))
     gk = pauli.to_dense(gens.extended(k))
     eye = np.eye(gj.shape[0], dtype=complex)
     return math.cos(theta / 2.0) * eye + math.sin(theta / 2.0) * (gk @ gj)
 
 
-def _swap_unitary(gens: GeneratorSet, a: int, b: int) -> np.ndarray:
-    """(G_a + G_b)/sqrt(2): swaps the pair, negates the rest of the family."""
-    return (pauli.to_dense(gens.extended(a)) + pauli.to_dense(gens.extended(b))) / math.sqrt(2.0)
-
-
-def _permutation_unitary(gens: GeneratorSet, swaps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compose pair swaps; track the induced signed permutation exactly.
-
-    Returns ``(V, sign, perm)`` with ``V G_i V^H = sign[i] * G_perm[i]`` on
-    extended indices.
-    """
-    size = gens.extended_size
-    d = 2**gens.n
-    v = np.eye(d, dtype=complex)
-    sign = np.ones(size, dtype=int)
-    perm = np.arange(size)
-    for a, b in swaps:
-        v = _swap_unitary(gens, a, b) @ v
-        for i in range(size):
-            if perm[i] == a:
-                perm[i] = b
-            elif perm[i] == b:
-                perm[i] = a
-            else:
-                sign[i] = -sign[i]
-    return v, sign, perm
-
-
-def _rotor_pseudoscalar(gens: GeneratorSet, k: int, theta: float) -> np.ndarray:
-    """Lift of the rotation moving the pseudoscalar toward generator k.
-
-    Maps the family (G_0, G_k, ...) onto plain generators with a
-    permutation unitary, applies the (1,2)-plane rotor there, and maps
-    back; the tracked signs fix the rotation's orientation.
-    """
-    if k == 1:
-        swaps = [(1, 0), (2, 1)]
-    elif k == 2:
-        swaps = [(1, 0)]
-    else:
-        swaps = [(1, 0), (2, k)]
-    v, sign, perm = _permutation_unitary(gens, swaps)
-    if perm[1] != 0 or perm[2] != k:
-        raise DomainError("internal error: swap chain missed its targets")
-    orientation = sign[1] * sign[2]
-    core = _rotor_direct(gens, 1, 2, orientation * theta)
-    return v @ core @ v.conj().T
-
-
-def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float) -> np.ndarray:
+def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float,
+                u: np.ndarray | None = None) -> np.ndarray:
     """Unitary sending G_j to cos(theta) G_j + sin(theta) G_k by conjugation.
 
     ``j`` and ``k`` are extended indices (0 = pseudoscalar); every other
-    observable in the extended set is fixed.
+    observable in the extended set is fixed.  Returns ``u @ R`` for the
+    rotor ``R = cos(theta/2) 1 + sin(theta/2) G_k G_j``, in O(d**2) for a
+    ``d x d`` left factor ``u`` (the identity by default).
     """
     size = gens.extended_size
     if j == k:
@@ -197,18 +161,24 @@ def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float) -> np.ndarray:
     for idx in (j, k):
         if not 0 <= idx < size:
             raise DomainError(f"extended index {idx} out of range 0..{size - 1}")
-    if j == 0:
-        return _rotor_pseudoscalar(gens, k, theta)
-    if k == 0:
-        return _rotor_pseudoscalar(gens, j, -theta)
-    return _rotor_direct(gens, j, k, theta)
+    if u is None:
+        u = np.eye(2**gens.n, dtype=complex)
+    bivector = pauli.mul(gens.extended(k), gens.extended(j))
+    out = pauli.apply(bivector, u, "right")
+    out *= math.sin(theta / 2.0)
+    out += math.cos(theta / 2.0) * u
+    return out
 
 
 def flip_unitary(gens: GeneratorSet, j: int) -> np.ndarray:
     """G_0 G_j: conjugation negates G_j and G_0, fixing all other generators."""
     if not 1 <= j <= 2 * gens.n:
         raise DomainError(f"generator index {j} out of range 1..{2 * gens.n}")
-    return pauli.to_dense(pauli.mul(gens.gamma0, gens.gammas[j - 1]))
+    return pauli.scatter([1.0], [_flip_string(gens, j)])
+
+
+def _flip_string(gens: GeneratorSet, j: int) -> PauliString:
+    return pauli.mul(gens.gamma0, gens.gammas[j - 1])
 
 
 def lift(t, gens: GeneratorSet) -> np.ndarray:
@@ -217,7 +187,8 @@ def lift(t, gens: GeneratorSet) -> np.ndarray:
     ``t`` of size 2n acts on the generators (any determinant; the
     pseudoscalar picks up det T).  Size 2n+1 acts on the extended set and
     must be special-orthogonal.  Built as the product of the lifted
-    Euler-angle factors.
+    Euler-angle factors, each multiplied in by :func:`plane_rotor` in
+    O(d**2).
     """
     trans = _as_transform(t)
     n = gens.n
@@ -229,13 +200,13 @@ def lift(t, gens: GeneratorSet) -> np.ndarray:
             raise OrientationError("extended-set lift requires determinant +1")
         for j, k, theta in fact.angles:
             if theta != 0.0:
-                u = u @ plane_rotor(gens, j - 1, k - 1, theta)
+                u = plane_rotor(gens, j - 1, k - 1, theta, u)
     elif trans.size == 2 * n:
         if fact.reflection_flag < 0:
             u = flip_unitary(gens, 1)
         for j, k, theta in fact.angles:
             if theta != 0.0:
-                u = u @ plane_rotor(gens, j, k, theta)
+                u = plane_rotor(gens, j, k, theta, u)
     else:
         raise DimensionMismatchError(
             f"transform size {trans.size} matches neither 2n={2 * n} nor 2n+1={2 * n + 1}"
@@ -248,13 +219,18 @@ def _vector_rotor(gens: GeneratorSet, coeffs: np.ndarray, axis: int) -> np.ndarr
 
     ``coeffs`` holds extended coefficients of a unit vector g_hat in the
     observable span; m_hat is the normalized midpoint (g_hat + G_axis).
-    Requires 1 + <g_hat, G_axis> bounded away from zero.
+    Requires 1 + <g_hat, G_axis> bounded away from zero.  Expanded as
+    ``((1 + c_axis) 1 + sum_{k != axis} c_k G_axis G_k) / sqrt(2(1 + c_axis))``
+    and rendered by scatter.
     """
-    stack = gens.dense_extended
-    g_hat = np.einsum("k,kij->ij", coeffs, stack)
-    denom = 2.0 * (1.0 + coeffs[axis])
-    m_hat = (g_hat + stack[axis]) / math.sqrt(denom)
-    return stack[axis] @ m_hat
+    g_axis = gens.extended(axis)
+    ops = [PauliString.identity(gens.n)]
+    weights = [1.0 + coeffs[axis]]
+    for k in np.flatnonzero(coeffs):
+        if k != axis:
+            ops.append(pauli.mul(g_axis, gens.extended(int(k))))
+            weights.append(coeffs[k])
+    return pauli.scatter(np.array(weights) / math.sqrt(2.0 * (1.0 + coeffs[axis])), ops)
 
 
 def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatrix, np.ndarray, float]:
@@ -300,9 +276,7 @@ def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatri
 
         # Exchange the pseudoscalar with G_2 (90-degree rotation in their
         # plane), then rotate the remaining (G_1, G_2) weight onto G_1.
-        stack = gens.dense_extended
-        n_hat = (stack[0] + stack[2]) / math.sqrt(2.0)
-        r_ex = stack[2] @ n_hat
+        r_ex = _vector_rotor(gens, np.eye(gens.extended_size)[0], axis=2)
         u = r_ex @ u
         work = r_ex @ work @ r_ex.conj().T
         g = extended_expectations(work, gens)
@@ -316,9 +290,10 @@ def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatri
             u = r_fin @ u
             work = r_fin @ work @ r_fin.conj().T
 
+    # F_j = G_0 G_j is anti-Hermitian, so F_j W F_j^H = -F_j W F_j.
     for j in range(2, 2 * n + 1):
-        f = flip_unitary(gens, j)
-        work = 0.5 * (work + f @ work @ f.conj().T)
+        f = pauli.action(_flip_string(gens, j))
+        work = 0.5 * (work - pauli.apply(f, pauli.apply(f, work, "left"), "right"))
 
     rho_hat = DensityMatrix.from_matrix(work)
     return rho_hat, u, ell
@@ -333,19 +308,16 @@ def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
     """
     trans = _as_transform(t)
     n = gens.n
-    stack = gens.dense_extended
+    acts = gens.actions
     uh = u.conj().T
-    worst = 0.0
+
+    def residual(j: int, coeffs, ops) -> float:
+        target = pauli.scatter(coeffs, ops)
+        return float(np.max(np.abs(pauli.apply(acts[j], u, "right") @ uh - target)))
+
     if trans.size == 2 * n + 1:
-        for j in range(trans.size):
-            target = np.einsum("i,iab->ab", trans.mat[:, j], stack)
-            worst = max(worst, float(np.max(np.abs(u @ stack[j] @ uh - target))))
-    elif trans.size == 2 * n:
-        for j in range(1, 2 * n + 1):
-            target = np.einsum("i,iab->ab", trans.mat[:, j - 1], stack[1:])
-            worst = max(worst, float(np.max(np.abs(u @ stack[j] @ uh - target))))
-        target0 = trans.det_sign * stack[0]
-        worst = max(worst, float(np.max(np.abs(u @ stack[0] @ uh - target0))))
-    else:
-        raise DimensionMismatchError("transform size matches neither 2n nor 2n+1")
-    return worst
+        return max(residual(j, trans.mat[:, j], acts) for j in range(trans.size))
+    if trans.size == 2 * n:
+        worst = max(residual(j, trans.mat[:, j - 1], acts[1:]) for j in range(1, 2 * n + 1))
+        return max(worst, residual(0, [trans.det_sign], acts[:1]))
+    raise DimensionMismatchError("transform size matches neither 2n nor 2n+1")

@@ -54,6 +54,8 @@ class DensityMatrix:
             raise ValidationError(f"matrix side {d} is not a power of two >= 2")
         if n > DENSE_GUARD:
             raise ValidationError(f"dense states limited to n <= {DENSE_GUARD}")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("matrix has a non-finite entry")
         herm_res = np.max(np.abs(m - m.conj().T))
         if herm_res > tol_herm:
             raise ValidationError(f"not Hermitian: residual {herm_res:.3e}")
@@ -103,11 +105,9 @@ class GradedExpansion:
         return self.coeffs[tuple(indices)]
 
     def reconstruct(self, gens: GeneratorSet) -> np.ndarray:
-        d = 2**self.n
-        out = np.zeros((d, d), dtype=complex)
-        for elem in graded_basis(gens):
-            out += self.coeffs[elem.indices] * pauli.to_dense(elem.string)
-        return out / d
+        basis = graded_basis(gens)
+        coeffs = np.array([self.coeffs[elem.indices] for elem in basis])
+        return pauli.scatter(coeffs, [elem.string for elem in basis]) / 2**self.n
 
 
 def expand(rho: DensityMatrix, gens: GeneratorSet) -> GradedExpansion:
@@ -118,7 +118,7 @@ def expand(rho: DensityMatrix, gens: GeneratorSet) -> GradedExpansion:
     """
     coeffs: dict[tuple[int, ...], float] = {}
     for elem in graded_basis(gens):
-        val = np.trace(rho.mat @ pauli.to_dense(elem.string))
+        val = pauli.expect(elem.string, rho.mat)
         if abs(val.imag) > HERMITICITY:
             raise ValidationError(f"coefficient for {elem.indices} not real: {val}")
         coeffs[elem.indices] = float(val.real)
@@ -131,17 +131,18 @@ def extended_expectations(mats: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     ``mats`` has shape ``(..., d, d)``; the result appends one axis of
     length 2n+1 in extended order (pseudoscalar first).
     """
-    stack = gens.dense_extended
-    return np.real(np.einsum("...ij,kji->...k", np.asarray(mats, dtype=complex), stack))
+    mats = np.asarray(mats)
+    return np.stack([pauli.expect(act, mats).real for act in gens.actions], axis=-1)
 
 
 def matrix_from_expectations(g: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     """Dense ``(1/d)(1 + sum_j g_j G_j)`` for stacked coefficient rows."""
-    g = np.asarray(g, dtype=float)
-    stack = gens.dense_extended
-    d = stack.shape[-1]
-    eye = np.eye(d, dtype=complex)
-    return (eye + np.einsum("...k,kij->...ij", g, stack)) / d
+    out = pauli.scatter(np.asarray(g, dtype=float), gens.actions)
+    d = out.shape[-1]
+    diag = np.arange(d)
+    out[..., diag, diag] += 1.0
+    out /= d
+    return out
 
 
 def project_bloch(rho: DensityMatrix, gens: GeneratorSet) -> DensityMatrix:
@@ -206,7 +207,7 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         return np.einsum("si,sj->sij", psi, psi.conj())
     gin = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
-    w = np.einsum("sij,skj->sik", gin, gin.conj())
+    w = gin @ gin.conj().swapaxes(-1, -2)
     traces = np.trace(w, axis1=1, axis2=2).real
     return w / traces[:, None, None]
 
@@ -241,13 +242,26 @@ def from_document(text: str) -> DensityMatrix:
         entries = doc["matrix"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"malformed density-matrix document: {exc}") from exc
+    # Everything is checked before the d x d buffer is allocated.
+    if not (isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= DENSE_GUARD):
+        raise ParseError(f"n must be an integer in 1..{DENSE_GUARD}, got {n!r}")
     d = 2**n
-    mat = np.empty((d, d), dtype=complex)
-    if len(entries) != d:
-        raise ParseError(f"expected {d} rows, got {len(entries)}")
+    if not isinstance(entries, list) or len(entries) != d:
+        raise ParseError(f"expected a list of {d} rows")
     for i, row in enumerate(entries):
-        if len(row) != d:
-            raise ParseError(f"row {i} has {len(row)} entries, expected {d}")
-        for j, (re, im) in enumerate(row):
-            mat[i, j] = complex(re, im)
+        if not isinstance(row, list) or len(row) != d:
+            raise ParseError(f"row {i} is not a list of {d} entries")
+        for j, cell in enumerate(row):
+            if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_number, cell))):
+                raise ParseError(f"entry ({i}, {j}) is not a [re, im] pair of numbers: {cell!r}")
+    try:
+        pairs = np.array(entries, dtype=float)
+    except OverflowError as exc:
+        raise ParseError(f"matrix entry out of float range: {exc}") from exc
+    # (d, d, 2) floats viewed as (d, d) complex: one buffer, no temporaries.
+    mat = pairs.view(complex)[..., 0]
     return DensityMatrix.from_matrix(mat)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)

@@ -97,7 +97,7 @@ def observable_entropy(rho: DensityMatrix, g: PauliString, alpha) -> float:
     """
     if not g.is_hermitian or not pauli.mul(g, g).is_identity:
         raise DomainError("observable must be a Hermitian involutory string")
-    val = float(np.trace(rho.mat @ pauli.to_dense(g)).real)
+    val = float(pauli.expect(g, rho.mat).real)
     return float(entropy_of_expectations(np.array([val]), alpha)[0])
 
 

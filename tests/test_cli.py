@@ -100,6 +100,10 @@ class TestMinimize:
     def test_bad_alpha(self):
         assert main(["minimize", "--n", "1", "--K", "2", "--alpha", "fast"]) == 2
 
+    @pytest.mark.parametrize("command", [["minimize", "--K", "2"], ["sweep", "--k-min", "1", "--k-max", "2"]])
+    def test_nan_alpha_is_usage_error(self, command):
+        assert main(command + ["--n", "1", "--alpha", "nan", "--samples", "100"]) == 2
+
 
 class TestSweep:
     def test_shannon_closed_form_column(self, capsys):

@@ -11,12 +11,19 @@ from cliffcert import (
     ParseError,
     PauliString,
     anticommutes,
+    euler_decompose,
+    extended_expectations,
     from_label,
+    jordan_wigner,
+    lift,
+    matrix_from_expectations,
     mul,
     to_dense,
     to_label,
 )
-from cliffcert.pauli import symplectic_inner
+from cliffcert.pauli import action, apply, expect, scatter, symplectic_inner
+from cliffcert.rotors import _rotor_direct
+from cliffcert.tolerances import DENSE_GUARD
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -183,6 +190,9 @@ class TestDense:
         big = PauliString.identity(15)
         with pytest.raises(CapacityError):
             to_dense(big)
+        with pytest.raises(CapacityError):
+            action(big)
+        assert action(PauliString.identity(DENSE_GUARD)).perm.shape == (2**DENSE_GUARD,)
 
 
 class TestValue:
@@ -197,3 +207,78 @@ class TestValue:
             p.phase = 3
         with pytest.raises(ValueError):
             p.x[0] = 0
+
+
+def complex_normal(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_orthogonal(rng, size, det_sign):
+    q, r = np.linalg.qr(rng.standard_normal((size, size)))
+    q = q * np.sign(np.diag(r))
+    if np.sign(np.linalg.det(q)) != det_sign:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestActionKernel:
+    """The basis-action kernel against Kronecker-rendered dense oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(strings(max_n=5), seeds)
+    def test_apply_and_expect_match_dense(self, p, seed):
+        dense = to_dense(p)
+        m = complex_normal(np.random.default_rng(seed), (2, 3) + dense.shape)
+        # one nonzero per row and column: the products are exact
+        assert np.array_equal(apply(p, m, "left"), dense @ m)
+        assert np.array_equal(apply(p, m, "right"), m @ dense)
+        assert np.array_equal(scatter([1.0], [p]), dense)
+        traces = np.trace(m @ dense, axis1=-2, axis2=-1)
+        assert np.max(np.abs(expect(p, m) - traces)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), seeds)
+    def test_generator_set_paths_match_einsum_oracle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        gens = jordan_wigner(n)
+        stack = gens.dense_extended
+        mats = complex_normal(rng, (3, 2**n, 2**n))
+        oracle = np.real(np.einsum("...ij,kji->...k", mats, stack))
+        assert np.max(np.abs(extended_expectations(mats, gens) - oracle)) <= 1e-12
+        g = rng.standard_normal((3, 2 * n + 1))
+        rebuilt = (np.eye(2**n) + np.einsum("...k,kij->...ij", g, stack)) / 2**n
+        assert np.max(np.abs(matrix_from_expectations(g, gens) - rebuilt)) <= 1e-15
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds, st.sampled_from([(7, 1), (6, 1), (6, -1)]))
+    def test_lift_matches_dense_rotor_product(self, seed, shape):
+        # 7 = 2n+1 rotates planes through the pseudoscalar (extended index 0)
+        size, det_sign = shape
+        gens = jordan_wigner(3)
+        t = random_orthogonal(np.random.default_rng(seed), size, det_sign)
+        fact = euler_decompose(t)
+        shift = 1 if size == 7 else 0
+        oracle = np.eye(8, dtype=complex)
+        if fact.reflection_flag < 0:
+            oracle = to_dense(mul(gens.gamma0, gens.gammas[0]))
+        for j, k, theta in fact.angles:
+            if theta != 0.0:
+                oracle = oracle @ _rotor_direct(gens, j - shift, k - shift, theta)
+        u = lift(t, gens)
+        overlap = np.vdot(oracle, u)
+        phase = overlap / abs(overlap)
+        assert np.max(np.abs(u - phase * oracle)) <= 1e-12
+
+    def test_rejects_mismatched_operands(self):
+        p = from_label("XZ")
+        with pytest.raises(DimensionMismatchError):
+            apply(p, np.eye(8), "left")
+        with pytest.raises(DimensionMismatchError):
+            expect(p, np.eye(2))
+        with pytest.raises(DimensionMismatchError):
+            scatter([1.0, 2.0], [p])
+        with pytest.raises(ValueError):
+            apply(p, np.eye(4), "middle")

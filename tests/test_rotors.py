@@ -115,15 +115,15 @@ class TestPlaneRotor:
                 assert np.max(np.abs(u @ di @ u.conj().T - di)) <= 1e-12
 
     def test_pseudoscalar_routes_agree(self):
-        # permutation-conjugated rotor vs the direct bivector formula
+        # kernel-built rotor vs the dense bivector formula
         gens = jordan_wigner(2)
         theta = 0.9
         for k in range(1, 5):
-            via_swaps = plane_rotor(gens, 0, k, theta)
+            kernel = plane_rotor(gens, 0, k, theta)
             direct = _rotor_direct(gens, 0, k, theta)
             for i in range(5):
                 d = to_dense(gens.extended(i))
-                a = via_swaps @ d @ via_swaps.conj().T
+                a = kernel @ d @ kernel.conj().T
                 b = direct @ d @ direct.conj().T
                 assert np.max(np.abs(a - b)) <= 1e-12
 

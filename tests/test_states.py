@@ -1,5 +1,8 @@
 """State expansion, the positivity projection, and the expectation ball."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +60,13 @@ class TestValidation:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValidationError):
             DensityMatrix.from_matrix(np.eye(3, dtype=complex) / 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[1, 0] = bad
+        with pytest.raises(ValidationError):
+            DensityMatrix.from_matrix(m)
 
     def test_accepts_tiny_negative_noise(self):
         rho = DensityMatrix.from_matrix(np.diag([1.0 + 1e-12, -1e-12]).astype(complex))
@@ -272,3 +282,31 @@ class TestDocuments:
             from_document("not json")
         with pytest.raises(ParseError):
             from_document('{"n": 1, "matrix": [[[1,0]]]}')
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, 0, 15, True, "2", None])
+    def test_bad_qubit_count(self, n):
+        with pytest.raises(ParseError):
+            from_document(json.dumps({"n": n, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}))
+
+    @pytest.mark.parametrize("cell", ["10", [1, 0, 0], [1], ["1", "0"], [True, 0], None])
+    def test_bad_cell(self, cell):
+        rows = [[cell, [0, 0]], [[0, 0], [0.5, 0]]]
+        with pytest.raises(ParseError):
+            from_document(json.dumps({"n": 1, "matrix": rows}))
+
+    @pytest.mark.parametrize("matrix", [[[[1, 0]]], {"0": []}, [[[0.5, 0], [0, 0]], 3]])
+    def test_bad_rows(self, matrix):
+        with pytest.raises(ParseError):
+            from_document(json.dumps({"n": 1, "matrix": matrix}))
+
+    def test_row_count_checked_before_allocating(self):
+        # a 2**10 x 2**10 complex buffer would take 16 MiB
+        text = json.dumps({"n": 10, "matrix": [[[1, 0]]]})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError):
+                from_document(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

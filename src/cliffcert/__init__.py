@@ -72,6 +72,7 @@ from .uncertainty import (
     entropy_average,
     entropy_of_expectations,
     find_minimizer,
+    find_minimizers,
     has_closed_form,
     maassen_uffink_bound,
     observable_entropy,

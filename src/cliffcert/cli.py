@@ -37,7 +37,7 @@ from .states import (
     random_state_batch,
 )
 from .tolerances import CONCAVITY, LIFT, OPTIMIZATION, PSD, RECONSTRUCTION
-from .uncertainty import bias_entropy, concavity_profile, find_minimizer
+from .uncertainty import bias_entropy, concavity_profile, find_minimizer, find_minimizers
 
 THREADS_ENV = "CLIFFCERT_THREADS"
 _CHUNK = 256
@@ -369,10 +369,10 @@ def cmd_sweep(cfg: RunConfig):
     gens = jordan_wigner(cfg.n)
     rows = []
     worst_violation = 0.0
-    for k in range(cfg.k_min, cfg.k_max + 1):
-        report = find_minimizer(gens, k, cfg.alpha, cfg.samples, cfg.seed)
+    ks = range(cfg.k_min, cfg.k_max + 1)
+    for report in find_minimizers(gens, ks, cfg.alpha, cfg.samples, cfg.seed):
         rows.append({
-            "K": k,
+            "K": report.K,
             "alpha": "inf" if math.isinf(cfg.alpha) else cfg.alpha,
             "closed_form": report.closed_form_bound,
             "numeric_min": report.numeric_min,

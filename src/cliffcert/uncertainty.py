@@ -18,6 +18,7 @@ All entropies are in bits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,16 @@ from .tolerances import ORTHOGONALITY, PSD, TRACE
 
 _LN2 = math.log(2.0)
 _SHANNON_EPS = 1e-12  # alpha within this of 1 is treated as Shannon
+# Rows of the unit-ball search built and scored at once: the search's working
+# set beyond its draws is a few arrays of this many rows, whatever the budget.
+_BALL_CHUNK = 8192
+
+
+def _check_order(alpha) -> float:
+    """The Renyi order as a float: a positive real or ``inf``; NaN is rejected."""
+    if not isinstance(alpha, numbers.Real) or not alpha > 0.0:
+        raise DomainError(f"Renyi order must be positive, got {alpha!r}")
+    return float(alpha)
 
 
 def _is_shannon(alpha) -> bool:
@@ -53,6 +64,7 @@ def renyi_entropy(p, alpha) -> float:
     Entries may dip to ``-PSD`` (clamped to zero) and the sum may drift
     from 1 by ``TRACE``; anything worse is rejected.
     """
+    alpha = _check_order(alpha)
     probs = np.asarray(p, dtype=float)
     if np.any(probs < -PSD):
         raise DomainError(f"negative probability beyond tolerance: {probs.min():.3e}")
@@ -62,9 +74,6 @@ def renyi_entropy(p, alpha) -> float:
     probs = np.clip(probs, 0.0, None) / total
     if math.isinf(alpha):
         return float(-np.log2(probs.max()))
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise DomainError("Renyi order must be positive")
     if _is_shannon(alpha):
         return float(-np.sum(_xlog2x(probs)))
     return float(np.log2(np.sum(probs**alpha)) / (1.0 - alpha))
@@ -72,12 +81,10 @@ def renyi_entropy(p, alpha) -> float:
 
 def entropy_of_expectations(g, alpha) -> np.ndarray:
     """Vectorized two-outcome entropy for observables with expectations ``g``."""
+    alpha = _check_order(alpha)
     g = np.clip(np.asarray(g, dtype=float), -1.0, 1.0)
     if math.isinf(alpha):
         return -np.log2((1.0 + np.abs(g)) / 2.0)
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise DomainError("Renyi order must be positive")
     if _is_shannon(alpha):
         p = (1.0 + g) / 2.0
         q = (1.0 - g) / 2.0
@@ -183,6 +190,45 @@ def _projected_descent(g0, alpha, max_iter: int = 1000) -> tuple[np.ndarray, flo
     return g, f
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(a, axis=1)`` bit for bit, faster on short rows.
+
+    numpy adds fewer than eight elements in sequence, so a short row sums
+    to the same bits column by column, without the reduction's per-row
+    cost; from eight elements on numpy adds pairwise, so longer rows go
+    through the reduction itself.
+    """
+    if a.shape[1] >= 8:
+        return np.add.reduce(a, axis=1)
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def _search_ball(seed, K: int, budget: int, alpha) -> np.ndarray:
+    """The best of ``budget`` uniform points of the unit K-ball, first on ties.
+
+    Directions and then radii are drawn whole; the points are built and
+    scored ``_BALL_CHUNK`` rows at a time, with the same arithmetic as on
+    the whole array, so the result does not depend on the chunk size.
+    """
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((budget, K))
+    uniform = rng.random(budget)
+    best = best_val = None
+    for start in range(0, budget, _BALL_CHUNK):
+        d = dirs[start:start + _BALL_CHUNK]
+        norms = np.sqrt(_row_sums(d * d))
+        norms[norms == 0.0] = 1.0
+        points = d * (uniform[start:start + _BALL_CHUNK] ** (1.0 / K) / norms)[:, None]
+        vals = _row_sums(entropy_of_expectations(points, alpha)) / K
+        i = int(np.argmin(vals))
+        if best is None or vals[i] < best_val:
+            best, best_val = points[i].copy(), vals[i]
+    return best
+
+
 @dataclass(frozen=True)
 class EntropyReport:
     """Result of one entropy-average minimization."""
@@ -224,55 +270,71 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
     against the same refinement started from the best of a batch of
     Hilbert-Schmidt random states.  The reported minimum is re-evaluated
     by building the minimizing state and measuring it densely.
+
+    The ball is searched in chunks of ``_BALL_CHUNK`` points, so memory
+    beyond the ``budget x K`` draws stays a few chunk-sized arrays; the
+    result does not depend on the chunk size.  This is the one-K case of
+    :func:`find_minimizers`, which a sweep uses to draw the cross-check
+    batch once for all its K.
+    """
+    return find_minimizers(gens, [K], alpha, budget, seed)[0]
+
+
+def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> list[EntropyReport]:
+    """:func:`find_minimizer` for each K in ``ks``, with one cross-check batch.
+
+    The Hilbert-Schmidt batch and its expectations depend only on the seed
+    and the budget, so they are drawn once and sliced to each K; every
+    report equals the one :func:`find_minimizer` gives for its K.
     """
     size = 2 * gens.n + 1
-    if not 1 <= K <= size:
-        raise DomainError(f"K must lie in 1..{size}, got {K}")
-    if budget < 1:
-        raise DomainError("sample budget must be at least 1")
-    if not math.isinf(alpha) and float(alpha) <= 0.0:
-        raise DomainError("Renyi order must be positive")
+    ks = list(ks)
+    for K in ks:
+        if not 1 <= K <= size:
+            raise DomainError(f"K must lie in 1..{size}, got {K}")
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+        raise DomainError(f"sample budget must be an integer of at least 1, got {budget!r}")
+    budget = int(budget)
+    alpha = _check_order(alpha)
 
     seed_ball, seed_states = np.random.SeedSequence(seed).spawn(2)
-    rng = np.random.default_rng(seed_ball)
-    dirs = rng.standard_normal((budget, K))
-    norms = np.linalg.norm(dirs, axis=1)
-    norms[norms == 0.0] = 1.0
-    radii = rng.random(budget) ** (1.0 / K)
-    ball = dirs * (radii / norms)[:, None]
-    g_ball, _ = _projected_descent(ball[int(np.argmin(_ball_objective(ball, alpha)))], alpha)
+    state_count = min(2000, budget)
+    state_gs = extended_expectations(
+        random_state_batch(gens.n, state_count, seed_states, "mixed-hs"), gens)
 
-    state_count = int(min(2000, budget))
-    mats = random_state_batch(gens.n, state_count, seed_states, "mixed-hs")
-    gs = extended_expectations(mats, gens)[:, :K]
-    g_state, f_state = _projected_descent(gs[int(np.argmin(_ball_objective(gs, alpha)))], alpha)
+    reports = []
+    for K in ks:
+        g_ball, _ = _projected_descent(_search_ball(seed_ball, K, budget, alpha), alpha)
+        gs = state_gs[:, :K]
+        g_state, f_state = _projected_descent(gs[int(np.argmin(_ball_objective(gs, alpha)))], alpha)
 
-    padded = np.zeros(size)
-    padded[:K] = g_ball
-    argmin_g = GVector(gens.n, padded)
-    rho_min = from_gvector(argmin_g, gens)
-    numeric_min = entropy_average(rho_min, gens, K, alpha)
+        padded = np.zeros(size)
+        padded[:K] = g_ball
+        argmin_g = GVector(gens.n, padded)
+        rho_min = from_gvector(argmin_g, gens)
+        numeric_min = entropy_average(rho_min, gens, K, alpha)
 
-    if has_closed_form(alpha):
-        bound = closed_form_min(K, alpha)
-        kind = closed_form_kind(alpha)
-        gap = numeric_min - bound
-    else:
-        bound, kind, gap = None, None, None
+        if has_closed_form(alpha):
+            bound = closed_form_min(K, alpha)
+            kind = closed_form_kind(alpha)
+            gap = numeric_min - bound
+        else:
+            bound, kind, gap = None, None, None
 
-    return EntropyReport(
-        n=gens.n,
-        K=K,
-        alpha=float(alpha),
-        closed_form_bound=bound,
-        bound_kind=kind,
-        numeric_min=numeric_min,
-        argmin_g=argmin_g,
-        samples=budget,
-        seed=seed,
-        gap=gap,
-        cross_check_min=float(f_state),
-    )
+        reports.append(EntropyReport(
+            n=gens.n,
+            K=K,
+            alpha=alpha,
+            closed_form_bound=bound,
+            bound_kind=kind,
+            numeric_min=numeric_min,
+            argmin_g=argmin_g,
+            samples=budget,
+            seed=seed,
+            gap=gap,
+            cross_check_min=float(f_state),
+        ))
+    return reports
 
 
 def bias_entropy(t) -> np.ndarray | float:

@@ -33,16 +33,22 @@ class TestVerify:
     def test_deterministic_reports(self, tmp_path):
         # identical invocations must agree byte-for-byte apart from wall time
         out = tmp_path / "report.json"
-        argv = ["verify", "--n", "2", "--samples", "80", "--seed", "7",
-                "--format", "json", "--out", str(out)]
-        assert main(argv) == 0
-        first = out.read_text()
-        assert main(argv) == 0
-        second = out.read_text()
-        doc1, doc2 = json.loads(first), json.loads(second)
-        doc1.pop("wall_time_ms")
-        doc2.pop("wall_time_ms")
-        assert json.dumps(doc1) == json.dumps(doc2)
+        for command in (
+            ["verify", "--n", "2", "--samples", "80", "--seed", "7"],
+            ["minimize", "--n", "2", "--K", "5", "--alpha", "inf", "--samples", "3000",
+             "--seed", "7"],
+            ["sweep", "--n", "2", "--k-min", "1", "--k-max", "5", "--alpha", "1",
+             "--samples", "3000", "--seed", "7"],
+        ):
+            argv = command + ["--format", "json", "--out", str(out)]
+            assert main(argv) == 0
+            first = out.read_text()
+            assert main(argv) == 0
+            second = out.read_text()
+            doc1, doc2 = json.loads(first), json.loads(second)
+            doc1.pop("wall_time_ms")
+            doc2.pop("wall_time_ms")
+            assert json.dumps(doc1) == json.dumps(doc2)
 
     def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
         out = tmp_path / "report.json"

@@ -1,10 +1,14 @@
 """Entropies, closed-form bounds, the minimizer, and concavity."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cliffcert import uncertainty
+from cliffcert.cli import main
 from cliffcert import (
     DensityMatrix,
     DomainError,
@@ -17,8 +21,10 @@ from cliffcert import (
     concavity_profile,
     eigenprojectors,
     entropy_average,
+    entropy_of_expectations,
     extended_expectations,
     find_minimizer,
+    find_minimizers,
     from_gvector,
     from_label,
     jordan_wigner,
@@ -220,6 +226,111 @@ class TestMinimizer:
         bound = 1.0 - math.log2(1.0 + 1.0 / k)
         assert np.all(avg_h2 >= jensen - 1e-12)
         assert np.all(jensen >= bound - 1e-12)
+
+
+# Library calls that take a Renyi order, for the order-validation tests.
+ORDER_CALLS = {
+    "renyi_entropy": lambda a: renyi_entropy([0.5, 0.5], a),
+    "entropy_of_expectations": lambda a: entropy_of_expectations(np.array([0.3, -0.2]), a),
+    "find_minimizer": lambda a: find_minimizer(jordan_wigner(1), 3, a, budget=50, seed=0),
+}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("alpha", [math.nan, -math.inf, "2"])
+    @pytest.mark.parametrize("call", sorted(ORDER_CALLS))
+    def test_bad_order_is_domain_error(self, call, alpha):
+        with pytest.raises(DomainError):
+            ORDER_CALLS[call](alpha)
+
+    @pytest.mark.parametrize("budget", [True, 2.5, -3])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        with pytest.raises(DomainError):
+            find_minimizer(jordan_wigner(1), 3, 1, budget=budget, seed=0)
+
+    def test_numpy_integer_budget(self):
+        rep = find_minimizer(jordan_wigner(1), 3, 1, budget=np.int64(40), seed=0)
+        assert json.loads(json.dumps(rep.to_dict()))["samples"] == 40
+
+    def test_every_k_checked(self):
+        with pytest.raises(DomainError):
+            find_minimizers(jordan_wigner(1), [1, 2, 4], 1, budget=50, seed=0)
+
+
+def whole_array_ball_best(seed, K, budget, alpha):
+    """The unit-ball search on the whole ``budget x K`` array, kept as the oracle."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((budget, K))
+    norms = np.linalg.norm(dirs, axis=1)
+    norms[norms == 0.0] = 1.0
+    radii = rng.random(budget) ** (1.0 / K)
+    ball = dirs * (radii / norms)[:, None]
+    return ball[int(np.argmin(entropy_of_expectations(ball, alpha).mean(axis=-1)))]
+
+
+ORDERS = [1, 2, math.inf, 3.0]
+
+
+class TestChunkedBallSearch:
+    @pytest.mark.parametrize("K", range(1, 14))
+    def test_row_sums_are_the_reduction(self, K):
+        rng = np.random.default_rng(K)
+        a = rng.standard_normal((1000, K)) * 10.0 ** rng.integers(-8, 9, (1000, K))
+        assert uncertainty._row_sums(a).tobytes() == np.add.reduce(a, axis=1).tobytes()
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    @pytest.mark.parametrize("K", [1, 7, 8, 13])
+    def test_reports_do_not_depend_on_chunk(self, monkeypatch, K, alpha):
+        gens = jordan_wigner(max(1, K // 2))
+        budget = 301
+        reports = []
+        for chunk in (1, 5, 8192, budget + 1):
+            monkeypatch.setattr(uncertainty, "_BALL_CHUNK", chunk)
+            reports.append(find_minimizer(gens, K, alpha, budget, seed=17).to_dict())
+        assert all(rep == reports[0] for rep in reports[1:])
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    @pytest.mark.parametrize("K", [1, 2, 7, 8, 13])
+    def test_equals_whole_array_search(self, K, alpha):
+        budget = 2 * uncertainty._BALL_CHUNK + 123
+        seed = np.random.SeedSequence(5)
+        got = uncertainty._search_ball(seed, K, budget, alpha)
+        assert got.tobytes() == whole_array_ball_best(seed, K, budget, alpha).tobytes()
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_sweep_equals_independent_calls(self, alpha):
+        gens = jordan_wigner(2)
+        ks = range(1, 6)
+        swept = [rep.to_dict() for rep in find_minimizers(gens, ks, alpha, budget=700, seed=9)]
+        assert swept == [find_minimizer(gens, k, alpha, 700, 9).to_dict() for k in ks]
+
+    def test_cli_sweep_rows_equal_find_minimizer(self, capsys):
+        argv = ["sweep", "--n", "2", "--k-min", "1", "--k-max", "5", "--alpha", "2",
+                "--samples", "700", "--seed", "9", "--format", "json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert [row["K"] for row in rows] == [1, 2, 3, 4, 5]
+        for row in rows:
+            rep = find_minimizer(jordan_wigner(2), row["K"], 2, 700, 9)
+            assert (row["closed_form"], row["numeric_min"], row["gap"]) == (
+                rep.closed_form_bound, rep.numeric_min, rep.gap)
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_memory_is_draws_plus_chunks(self, alpha):
+        budget, K = 200000, 7
+        draws = budget * K * 8 + budget * 8  # directions and uniform radii
+        chunk = uncertainty._BALL_CHUNK * K * 8  # one (chunk, K) float array
+        # The Shannon entropy holds about ten (chunk, K) temporaries at once;
+        # the whole-array search held about ten (budget, K) arrays.
+        bound = draws + 12 * chunk
+        assert bound < 2 * budget * K * 8
+        tracemalloc.start()
+        try:
+            uncertainty._search_ball(np.random.SeedSequence(1), K, budget, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestConcavity:

@@ -19,6 +19,8 @@ involutory for every grade (reversing m mutually anti-commuting factors
 costs (-1)**(m(m-1)/2), so this phase squares to exactly that sign).  The
 4**n elements, ordered by grade then lexicographically by index set, form
 an orthogonal basis for the d x d matrices under the trace inner product.
+:func:`graded_basis` computes all of them at once by bit arithmetic on the
+generators' symplectic rows, with no chain of products.
 """
 
 from __future__ import annotations
@@ -140,17 +142,38 @@ def graded_basis(gens: GeneratorSet) -> list[GradedBasisElement]:
 
     Grade 0 is the identity; grade 2n equals the pseudoscalar under the
     shared phase convention.  Distinct elements are trace-orthogonal.
+
+    Built in bulk from the generators' bit rows and a 0/1 membership
+    matrix S (``member``) with one row per index set: ``x = S X mod 2``, ``z = S Z mod 2``
+    and, since reordering ``Z**z_a X**x_b`` costs ``(-1)**popcount(z_a & x_b)``,
+    ``phase = S p + 2 sum_{a<b in S} popcount(z_a & x_b) + m(m-1)/2 (mod 4)``,
+    which is the ordered product ``G_{s_1} ... G_{s_m}`` with its grade phase.
+    With one grade-phase unit per pair ``a < b``, that is the quadratic form
+    ``s^T W s (mod 4)`` of each membership row ``s``, where W (``form``) holds
+    ``p_a`` on the diagonal and ``1 + 2 popcount(z_a & x_b)`` above it.
     """
     n = gens.n
-    out = []
-    for m in range(0, 2 * n + 1):
-        for subset in combinations(range(1, 2 * n + 1), m):
-            prod = PauliString.identity(n)
-            for i in subset:
-                prod = pauli.mul(prod, gens.gammas[i - 1])
-            elem = prod.phase_shifted(m * (m - 1) // 2)
-            out.append(GradedBasisElement(subset, m, elem))
-    return out
+    size = 2 * n
+    gx = np.array([g.x for g in gens.gammas], dtype=np.uint8)
+    gz = np.array([g.z for g in gens.gammas], dtype=np.uint8)
+    gp = np.array([g.phase for g in gens.gammas], dtype=np.uint8)
+    subsets = []
+    member = np.zeros((4**n, size), dtype=np.uint8)
+    for m in range(size + 1):
+        sets = list(combinations(range(1, size + 1), m))
+        rows = np.arange(len(subsets), len(subsets) + len(sets))
+        member[rows[:, None], np.array(sets, dtype=np.intp).reshape(len(sets), m) - 1] = 1
+        subsets += sets
+    x = (member @ gx) & 1
+    z = (member @ gz) & 1
+    # entries below 4 keep member @ form (at most 3 * 2n) inside uint8
+    form = np.triu(2 * (gz @ gx.T) + 1, 1) & 3
+    form[np.diag_indices(size)] = gp
+    phase = ((member @ form) * member).sum(axis=1) & 3
+    return [
+        GradedBasisElement(s, len(s), PauliString(n, x[r], z[r], int(phase[r])))
+        for r, s in enumerate(subsets)
+    ]
 
 
 def eigenprojectors(g: PauliString) -> tuple[np.ndarray, np.ndarray]:

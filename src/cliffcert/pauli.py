@@ -52,10 +52,10 @@ _XZ_FACTOR = {
 
 
 def _as_bits(bits, n: int) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8).copy()
+    arr = np.array(bits, dtype=np.uint8)
     if arr.shape != (n,):
         raise DimensionMismatchError(f"bit vector has shape {arr.shape}, expected ({n},)")
-    if np.any(arr > 1):
+    if (arr > 1).any():
         raise ParseError("bit vectors must contain only 0 and 1")
     arr.setflags(write=False)
     return arr

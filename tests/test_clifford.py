@@ -7,6 +7,7 @@ import pytest
 
 from cliffcert import (
     DomainError,
+    GeneratorSet,
     PauliString,
     anticommutes,
     eigenprojectors,
@@ -21,6 +22,19 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def sequential_graded_basis(gens):
+    """Reference construction: each element as a chain of ``mul`` products."""
+    n = gens.n
+    out = []
+    for m in range(2 * n + 1):
+        for subset in combinations(range(1, 2 * n + 1), m):
+            prod = PauliString.identity(n)
+            for i in subset:
+                prod = mul(prod, gens.gammas[i - 1])
+            out.append((subset, m, prod.phase_shifted(m * (m - 1) // 2)))
+    return out
 
 
 class TestJordanWigner:
@@ -113,6 +127,24 @@ class TestGradedBasis:
         for e in graded_basis(jordan_wigner(n)):
             assert e.string.is_hermitian
             assert mul(e.string, e.string) == PauliString.identity(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("order", ["jordan-wigner", "reversed"])
+    def test_equals_sequential_products(self, n, order):
+        gens = jordan_wigner(n)
+        if order == "reversed":
+            # in Jordan-Wigner order no later generator's X meets an earlier
+            # one's Z; reversed, the reordering signs are exercised
+            gens = GeneratorSet(n, gens.gammas[::-1], gens.gamma0)
+        basis = graded_basis(gens)
+        expected = sequential_graded_basis(gens)
+        assert len(basis) == len(expected) == 4**n
+        for got, (indices, grade, string) in zip(basis, expected):
+            assert (got.indices, got.grade) == (indices, grade)
+            assert got.string.phase == string.phase
+            assert got.string.x.dtype == string.x.dtype == np.uint8
+            assert np.array_equal(got.string.x, string.x)
+            assert np.array_equal(got.string.z, string.z)
 
     def test_trace_orthogonality(self):
         basis = graded_basis(jordan_wigner(2))

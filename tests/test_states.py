@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from cliffcert import (
     BallViolationError,
     DensityMatrix,
+    DimensionMismatchError,
     DomainError,
+    GradedExpansion,
     GVector,
     ParseError,
     ValidationError,
@@ -20,6 +22,7 @@ from cliffcert import (
     extended_expectations,
     from_document,
     from_gvector,
+    graded_basis,
     gvector,
     jordan_wigner,
     project_bloch,
@@ -27,6 +30,8 @@ from cliffcert import (
     random_state_batch,
     to_document,
 )
+from cliffcert.pauli import expect, scatter
+from cliffcert.tolerances import RECONSTRUCTION
 
 I2 = np.eye(2, dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -112,6 +117,73 @@ class TestExpand:
         rho = random_state(n, seed=17 + n)
         exp = expand(rho, gens)
         assert np.max(np.abs(exp.reconstruct(gens) - rho.mat)) <= 1e-12
+
+
+def expand_by_expectations(rho, gens):
+    """Reference expansion: one ``Tr(rho E)`` per basis string."""
+    return {e.indices: expect(e.string, rho.mat) for e in graded_basis(gens)}
+
+
+def reconstruct_by_scatter(exp, gens):
+    """Reference reconstruction: the dense sum of all 4**n strings."""
+    basis = graded_basis(gens)
+    coeffs = np.array([exp.coeffs[e.indices] for e in basis])
+    return scatter(coeffs, [e.string for e in basis]) / 2**gens.n
+
+
+class TestTransforms:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from(["mixed-hs", "pure-haar"]))
+    def test_expand_matches_expectations(self, n, seed, ensemble):
+        gens = jordan_wigner(n)
+        rho = random_state(n, seed, ensemble)
+        exp = expand(rho, gens)
+        ref = expand_by_expectations(rho, gens)
+        assert list(exp.coeffs) == list(ref)
+        for indices, val in ref.items():
+            assert abs(val.imag) <= 1e-14
+            assert abs(exp.coeffs[indices] - val.real) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_reconstruct_matches_scatter(self, n, seed):
+        # arbitrary real coefficients, not only those of a state
+        gens = jordan_wigner(n)
+        vals = np.random.default_rng(seed).uniform(-1.0, 1.0, 4**n)
+        exp = GradedExpansion(n, {e.indices: float(v) for e, v in zip(graded_basis(gens), vals)})
+        got = exp.reconstruct(gens)
+        assert got.shape == (2**n, 2**n)
+        assert np.max(np.abs(got - reconstruct_by_scatter(exp, gens))) <= 1e-14
+
+    def test_round_trip_n7(self):
+        gens = jordan_wigner(7)
+        rho = random_state(7, seed=3)
+        assert np.max(np.abs(expand(rho, gens).reconstruct(gens) - rho.mat)) <= RECONSTRUCTION
+
+    def test_anti_hermitian_part_rejected(self):
+        # built directly, so from_matrix's Hermiticity check never ran
+        rho = DensityMatrix(1, np.eye(2, dtype=complex) / 2 + 0.1j * X)
+        with pytest.raises(ValidationError, match=r"\(1,\)"):
+            expand(rho, jordan_wigner(1))
+
+    def test_expand_rejects_other_qubit_count(self):
+        with pytest.raises(DimensionMismatchError):
+            expand(mixed(2), jordan_wigner(1))
+        with pytest.raises(DimensionMismatchError):
+            expand(mixed(1), jordan_wigner(2))
+
+    def test_reconstruct_rejects_other_qubit_count(self):
+        exp = expand(mixed(2), jordan_wigner(2))
+        with pytest.raises(DimensionMismatchError):
+            exp.reconstruct(jordan_wigner(1))
+        with pytest.raises(DimensionMismatchError):
+            exp.reconstruct(jordan_wigner(3))
+
+    @pytest.mark.parametrize("indices", [(2, 1), (9,), (1, 1), (0,), (1, 2, 3, 4, 5)])
+    def test_coeff_outside_basis(self, indices):
+        exp = expand(mixed(2), jordan_wigner(2))
+        with pytest.raises(DomainError, match="distinct ascending indices in 1..4"):
+            exp.coeff(indices)
 
 
 class TestProjection:

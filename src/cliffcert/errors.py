@@ -10,7 +10,7 @@ class DimensionMismatchError(CliffcertError, ValueError):
 
 
 class CapacityError(CliffcertError, ValueError):
-    """Dense rendering requested above the supported qubit guard."""
+    """A size above the supported qubit guard or the minimizer's memory budget."""
 
 
 class ParseError(CliffcertError, ValueError):

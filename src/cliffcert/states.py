@@ -132,10 +132,15 @@ class GradedExpansion:
             raise DimensionMismatchError(
                 f"expansion is for n={self.n}, generators for n={gens.n}")
         basis = graded_basis(gens)
+        try:
+            coeffs = np.array([self.coeffs[e.indices] for e in basis])
+        except KeyError as exc:
+            raise ValidationError(
+                f"expansion has no coefficient for index set {exc.args[0]}") from None
         xmask, zmask, phase = _masks(basis, self.n)
         d = 2**self.n
         grid = np.zeros((d, d), dtype=complex)
-        grid[xmask, zmask] = _I_POW[phase] * np.array([self.coeffs[e.indices] for e in basis])
+        grid[xmask, zmask] = _I_POW[phase] * coeffs
         cols = np.arange(d)
         out = np.empty((d, d), dtype=complex)
         out[cols ^ cols[:, None], cols] = _walsh_hadamard(grid)
@@ -256,6 +261,38 @@ def from_gvector(g: GVector, gens: GeneratorSet, *, tol_psd: float = PSD) -> Den
 
 
 _ENSEMBLES = ("pure-haar", "mixed-hs")
+# Bytes of one chunk of Hilbert-Schmidt states.  A chunk is a power of two of
+# at least 16 states: the BLAS matrix-vector kernels behind
+# extended_expectations work on blocks of rows, so with one BLAS thread chunks
+# of that size put each row in the block kernel it meets in one whole-batch call.
+_HS_CHUNK_BYTES = 2**21
+
+
+def _hs_chunk_states(n: int) -> int:
+    """States per Hilbert-Schmidt chunk: as many as fit in ``_HS_CHUNK_BYTES``, at least 16."""
+    return max(16, _HS_CHUNK_BYTES // (16 * 4**n))
+
+
+def _hs_chunks(n: int, count: int, seed):
+    """Hilbert-Schmidt random states a chunk at a time: yields ``(start, states)``.
+
+    The real and then the imaginary parts of all ``count`` square Ginibre
+    matrices G are drawn whole, in the stream order of one
+    ``(count, d, d)`` draw each; G, ``G G^H`` and its division by the trace
+    are formed one chunk at a time.  Each of those is a per-state
+    operation, so every state is bit for bit the one a whole-batch
+    construction gives, and no ``(count, d, d)`` complex stack is held.
+    """
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    real = rng.standard_normal((count, d, d))
+    imag = rng.standard_normal((count, d, d))
+    step = _hs_chunk_states(n)
+    for start in range(0, count, step):
+        gin = real[start:start + step] + 1j * imag[start:start + step]
+        w = gin @ gin.conj().swapaxes(-1, -2)
+        w /= np.trace(w, axis1=1, axis2=2).real[:, None, None]
+        yield start, w
 
 
 def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> np.ndarray:
@@ -263,22 +300,23 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
 
     ``pure-haar`` draws Haar-random pure states; ``mixed-hs`` draws from
     the Hilbert-Schmidt measure (square Ginibre matrix G, normalized
-    G G^H).  Deterministic given the seed.
+    G G^H), built a chunk of states at a time into the output.
+    Deterministic given the seed.
     """
     if ensemble not in _ENSEMBLES:
         raise DomainError(f"unknown ensemble {ensemble!r}; choose from {_ENSEMBLES}")
     if n > DENSE_GUARD:
         raise DomainError(f"dense sampling limited to n <= {DENSE_GUARD}")
-    rng = np.random.default_rng(seed)
     d = 2**n
     if ensemble == "pure-haar":
+        rng = np.random.default_rng(seed)
         psi = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         return np.einsum("si,sj->sij", psi, psi.conj())
-    gin = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
-    w = gin @ gin.conj().swapaxes(-1, -2)
-    traces = np.trace(w, axis1=1, axis2=2).real
-    return w / traces[:, None, None]
+    out = np.empty((count, d, d), dtype=complex)
+    for start, states in _hs_chunks(n, count, seed):
+        out[start:start + len(states)] = states
+    return out
 
 
 def random_state(n: int, seed, ensemble: str = "mixed-hs") -> DensityMatrix:

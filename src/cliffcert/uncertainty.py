@@ -25,16 +25,18 @@ import numpy as np
 
 from . import pauli
 from .clifford import GeneratorSet
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .pauli import PauliString
 from .states import (
     DensityMatrix,
     GVector,
+    _hs_chunk_states,
+    _hs_chunks,
     extended_expectations,
     from_gvector,
-    random_state_batch,
+    random_state_batch,  # noqa: F401  re-exported: perfbench's tracer test reads it here
 )
-from .tolerances import ORTHOGONALITY, PSD, TRACE
+from .tolerances import MEMORY_BUDGET, ORTHOGONALITY, PSD, TRACE
 
 _LN2 = math.log(2.0)
 _SHANNON_EPS = 1e-12  # alpha within this of 1 is treated as Shannon
@@ -55,7 +57,10 @@ def _is_shannon(alpha) -> bool:
 
 
 def _xlog2x(p: np.ndarray) -> np.ndarray:
-    return np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+    """``p log2 p`` with ``0 log2 0 = 0``, in one output array."""
+    pos = p > 0.0
+    out = np.log2(p, out=np.zeros(np.shape(p)), where=pos)
+    return np.multiply(p, out, out=out, where=pos)
 
 
 def renyi_entropy(p, alpha) -> float:
@@ -81,8 +86,12 @@ def renyi_entropy(p, alpha) -> float:
 
 def entropy_of_expectations(g, alpha) -> np.ndarray:
     """Vectorized two-outcome entropy for observables with expectations ``g``."""
-    alpha = _check_order(alpha)
-    g = np.clip(np.asarray(g, dtype=float), -1.0, 1.0)
+    return _terms(np.asarray(g, dtype=float), _check_order(alpha))
+
+
+def _terms(g: np.ndarray, alpha: float) -> np.ndarray:
+    """:func:`entropy_of_expectations` for a float array and a checked order."""
+    g = np.clip(g, -1.0, 1.0)
     if math.isinf(alpha):
         return -np.log2((1.0 + np.abs(g)) / 2.0)
     if _is_shannon(alpha):
@@ -145,7 +154,8 @@ def closed_form_min(K: int, alpha) -> float:
 
 def _ball_objective(g, alpha) -> np.ndarray:
     """Average entropy as a function of a (stack of) expectation vector(s)."""
-    return entropy_of_expectations(g, alpha).mean(axis=-1)
+    t = _terms(g, alpha)
+    return np.add.reduce(t, axis=-1) / t.shape[-1]
 
 
 def _objective_gradient(g: np.ndarray, alpha) -> np.ndarray:
@@ -165,7 +175,7 @@ def _objective_gradient(g: np.ndarray, alpha) -> np.ndarray:
 
 
 def _project_ball(g: np.ndarray) -> np.ndarray:
-    nrm = float(np.linalg.norm(g))
+    nrm = math.sqrt(g.dot(g))
     return g / nrm if nrm > 1.0 else g
 
 
@@ -206,27 +216,74 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _search_ball(seed, K: int, budget: int, alpha) -> np.ndarray:
-    """The best of ``budget`` uniform points of the unit K-ball, first on ties.
+def _ball_draws(seed, ks, budget: int):
+    """Directions of the unit-ball search for each distinct K of ``ks``, and their radii.
 
-    Directions and then radii are drawn whole; the points are built and
-    scored ``_BALL_CHUNK`` rows at a time, with the same arithmetic as on
-    the whole array, so the result does not depend on the chunk size.
+    Yields ``(K, dirs, rng)`` in ascending K: ``dirs`` equals a fresh
+    ``default_rng(seed)``'s ``standard_normal((budget, K))``, and ``rng``
+    stands where that generator stands after it, so ``rng.random(budget)``
+    draws the radii.  Those directions are the first ``budget*K`` normals
+    of one stream, so the stream is drawn once, ``max(ks)`` segments of
+    ``budget`` normals, and each K's directions are a view of it.  The
+    ziggurat takes a variable number of words per normal, so the generator
+    state after each K's segment is saved, not computed.  Only the saved
+    states are held; the radii are left to the caller, one K at a time.
     """
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((budget, K))
-    uniform = rng.random(budget)
+    top = max(ks)
+    stream = np.empty(budget * top)
+    saved = {}
+    for k in range(1, top + 1):
+        rng.standard_normal(out=stream[(k - 1) * budget:k * budget])
+        if k in ks:
+            saved[k] = rng.bit_generator.state
+    for K, state in saved.items():
+        rng.bit_generator.state = state
+        yield K, stream[:budget * K].reshape(budget, K), rng
+
+
+def _best_in_ball(dirs: np.ndarray, uniform: np.ndarray, alpha: float) -> np.ndarray:
+    """The best of the points ``dirs_i uniform_i**(1/K) / |dirs_i|``, first on ties.
+
+    The points are built and scored ``_BALL_CHUNK`` rows at a time, with the
+    same arithmetic as on the whole array, so the result does not depend on
+    the chunk size.  ``alpha`` must already be checked.
+    """
+    budget, K = dirs.shape
     best = best_val = None
     for start in range(0, budget, _BALL_CHUNK):
         d = dirs[start:start + _BALL_CHUNK]
         norms = np.sqrt(_row_sums(d * d))
         norms[norms == 0.0] = 1.0
         points = d * (uniform[start:start + _BALL_CHUNK] ** (1.0 / K) / norms)[:, None]
-        vals = _row_sums(entropy_of_expectations(points, alpha)) / K
+        vals = _row_sums(_terms(points, alpha)) / K
         i = int(np.argmin(vals))
         if best is None or vals[i] < best_val:
             best, best_val = points[i].copy(), vals[i]
     return best
+
+
+def _search_ball(seed, K: int, budget: int, alpha) -> np.ndarray:
+    """The best of ``budget`` uniform points of the unit K-ball, first on ties.
+
+    The one-K case of the search :func:`find_minimizers` runs for a sweep.
+    """
+    [(_, dirs, rng)] = _ball_draws(seed, {K}, budget)
+    return _best_in_ball(dirs, rng.random(budget), _check_order(alpha))
+
+
+def _cross_check_rows(gens: GeneratorSet, count: int, seed) -> np.ndarray:
+    """Extended expectations of ``count`` Hilbert-Schmidt states, shape ``(count, 2n+1)``.
+
+    The states are built and measured a chunk at a time.  With one BLAS
+    thread the rows are bit for bit those of one :func:`extended_expectations`
+    call on ``random_state_batch(n, count, seed)``; with several, that call's
+    own rows depend on how BLAS splits them among its threads.
+    """
+    rows = np.empty((count, 2 * gens.n + 1))
+    for start, states in _hs_chunks(gens.n, count, seed):
+        rows[start:start + len(states)] = extended_expectations(states, gens)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -274,18 +331,26 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
     The ball is searched in chunks of ``_BALL_CHUNK`` points, so memory
     beyond the ``budget x K`` draws stays a few chunk-sized arrays; the
     result does not depend on the chunk size.  This is the one-K case of
-    :func:`find_minimizers`, which a sweep uses to draw the cross-check
-    batch once for all its K.
+    :func:`find_minimizers`.
     """
     return find_minimizers(gens, [K], alpha, budget, seed)[0]
 
 
 def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> list[EntropyReport]:
-    """:func:`find_minimizer` for each K in ``ks``, with one cross-check batch.
+    """:func:`find_minimizer` for each K in ``ks``, each random stream drawn once.
 
-    The Hilbert-Schmidt batch and its expectations depend only on the seed
-    and the budget, so they are drawn once and sliced to each K; every
-    report equals the one :func:`find_minimizer` gives for its K.
+    The ball directions of every K are views of one stream of
+    ``budget * max(ks)`` normals, and the radii of each K come from the
+    generator state saved after its directions, so each K sees the points
+    a search of its own would draw.  The cross-check's Ginibre matrices are
+    drawn once, and its states are built and measured a chunk at a time,
+    keeping only their ``2n+1`` expectations, which each K slices.  Every
+    report equals the one :func:`find_minimizer` gives for its K, in the
+    order of ``ks``; an empty ``ks`` draws nothing.
+
+    Raises :class:`CapacityError`, before anything is drawn, when the
+    cross-check or the ball search would hold more than ``MEMORY_BUDGET``
+    bytes of random draws and the chunk built from them.
     """
     size = 2 * gens.n + 1
     ks = list(ks)
@@ -296,15 +361,28 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
         raise DomainError(f"sample budget must be an integer of at least 1, got {budget!r}")
     budget = int(budget)
     alpha = _check_order(alpha)
+    if not ks:
+        return []
+    state_count = min(2000, budget)
+    d2 = 4**gens.n
+    # The Ginibre draw (real and imaginary parts) plus one chunk's G, its
+    # conjugate and G G^H; the direction stream plus one K's radii.
+    chunk = min(state_count, _hs_chunk_states(gens.n))
+    for what, nbytes in (("Hilbert-Schmidt cross-check", (2 * state_count + 6 * chunk) * d2 * 8),
+                         ("unit-ball search", budget * (max(ks) + 1) * 8)):
+        if nbytes > MEMORY_BUDGET:
+            raise CapacityError(
+                f"{what} needs {nbytes / 2**30:.1f} GiB, above the "
+                f"{MEMORY_BUDGET / 2**30:.0f} GiB memory budget")
 
     seed_ball, seed_states = np.random.SeedSequence(seed).spawn(2)
-    state_count = min(2000, budget)
-    state_gs = extended_expectations(
-        random_state_batch(gens.n, state_count, seed_states, "mixed-hs"), gens)
+    best = {K: _best_in_ball(dirs, rng.random(budget), alpha)
+            for K, dirs, rng in _ball_draws(seed_ball, set(ks), budget)}
+    state_gs = _cross_check_rows(gens, state_count, seed_states)
 
     reports = []
     for K in ks:
-        g_ball, _ = _projected_descent(_search_ball(seed_ball, K, budget, alpha), alpha)
+        g_ball, _ = _projected_descent(best[K], alpha)
         gs = state_gs[:, :K]
         g_state, f_state = _projected_descent(gs[int(np.argmin(_ball_objective(gs, alpha)))], alpha)
 

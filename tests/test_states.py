@@ -30,6 +30,7 @@ from cliffcert import (
     random_state_batch,
     to_document,
 )
+from cliffcert import states
 from cliffcert.pauli import expect, scatter
 from cliffcert.tolerances import RECONSTRUCTION
 
@@ -179,6 +180,15 @@ class TestTransforms:
         with pytest.raises(DimensionMismatchError):
             exp.reconstruct(jordan_wigner(3))
 
+    def test_reconstruct_names_missing_index_set(self):
+        with pytest.raises(ValidationError, match=r"index set \(\)"):
+            GradedExpansion(1, {}).reconstruct(jordan_wigner(1))
+        coeffs = dict(expand(mixed(2), jordan_wigner(2)).coeffs)
+        del coeffs[(1, 3)], coeffs[(2,)]
+        # grades ascend in the basis, so (2,) is the first missing
+        with pytest.raises(ValidationError, match=r"index set \(2,\)"):
+            GradedExpansion(2, coeffs).reconstruct(jordan_wigner(2))
+
     @pytest.mark.parametrize("indices", [(2, 1), (9,), (1, 1), (0,), (1, 2, 3, 4, 5)])
     def test_coeff_outside_basis(self, indices):
         exp = expand(mixed(2), jordan_wigner(2))
@@ -311,7 +321,24 @@ class TestFromGVector:
         assert np.max(np.abs(again.mat - rho.mat)) <= 1e-8
 
 
+def whole_hs_batch(n, count, seed):
+    """The Hilbert-Schmidt batch built on whole (count, d, d) arrays, kept as the oracle."""
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    gin = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    w = gin @ gin.conj().swapaxes(-1, -2)
+    return w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
+
+
 class TestSampling:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_mixed_hs_equals_whole_batch(self, n):
+        chunk = states._hs_chunk_states(n)
+        for count in (5, chunk, 2 * chunk + 5):
+            starts = [start for start, _ in states._hs_chunks(n, count, 3)]
+            assert starts == list(range(0, count, chunk))
+            assert np.array_equal(random_state_batch(n, count, 3), whole_hs_batch(n, count, 3))
+
     def test_pure_states_are_rank_one(self):
         mats = random_state_batch(2, 20, seed=2, ensemble="pure-haar")
         eigs = np.linalg.eigvalsh(mats)

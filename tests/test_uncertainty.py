@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cliffcert import uncertainty
+from cliffcert import states, uncertainty
 from cliffcert.cli import main
 from cliffcert import (
+    CapacityError,
     DensityMatrix,
     DomainError,
     GVector,
@@ -331,6 +335,112 @@ class TestChunkedBallSearch:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+def where_xlog2x(p):
+    """The two-``np.where`` form of ``p log2 p``, kept as the oracle."""
+    return np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+
+
+# Run with one BLAS thread: with several, one extended_expectations call on a
+# whole batch splits its rows among the threads, and its bits depend on the split.
+CROSS_CHECK_ROWS_SCRIPT = """
+import numpy as np
+from cliffcert import extended_expectations, jordan_wigner, random_state_batch
+from cliffcert import states, uncertainty
+for n in range(1, 7):
+    gens = jordan_wigner(n)
+    chunk = states._hs_chunk_states(n)
+    for count in (5, chunk, 2 * chunk + 5):
+        rows = uncertainty._cross_check_rows(gens, count, 11)
+        whole = extended_expectations(random_state_batch(n, count, 11), gens)
+        assert np.array_equal(rows, whole), (n, count)
+print("ok")
+"""
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def forbid_draws(monkeypatch):
+    """Make any random draw of the minimizer fail the test."""
+    def no_draw(*args):
+        raise AssertionError("the minimizer drew")
+
+    monkeypatch.setattr(uncertainty, "_ball_draws", no_draw)
+    monkeypatch.setattr(uncertainty, "_hs_chunks", no_draw)
+
+
+class TestSharedStreams:
+    def test_stream_views_and_radii_equal_fresh_draws(self):
+        budget = 2 * uncertainty._BALL_CHUNK + 123
+        seed = np.random.SeedSequence(8)
+        seen = []
+        for K, dirs, rng in uncertainty._ball_draws(seed, [7, 1, 3, 3], budget):
+            fresh = np.random.default_rng(seed)
+            assert dirs.tobytes() == fresh.standard_normal((budget, K)).tobytes()
+            assert rng.random(budget).tobytes() == fresh.random(budget).tobytes()
+            # one stream of budget * max(ks) normals holds every K's directions
+            assert dirs.base.size == budget * 7
+            seen.append(K)
+        assert seen == [1, 3, 7]
+
+    def test_empty_ks_draws_nothing(self, monkeypatch):
+        forbid_draws(monkeypatch)
+        assert find_minimizers(jordan_wigner(2), [], 2, budget=700, seed=9) == []
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_unsorted_repeated_ks_equal_independent_calls(self, alpha):
+        gens = jordan_wigner(3)
+        ks = [7, 1, 3, 3]
+        swept = [rep.to_dict() for rep in find_minimizers(gens, ks, alpha, budget=700, seed=9)]
+        assert swept == [find_minimizer(gens, k, alpha, 700, 9).to_dict() for k in ks]
+
+    def test_xlog2x_is_the_where_form(self):
+        rng = np.random.default_rng(4)
+        special = np.array([0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-310,
+                            0.5, 1.0 - 2.0**-53, -1e-300, -1.0, np.nan, np.inf])
+        for p in (special, rng.random((50, 7)), rng.random(1000) * 1e-307, np.float64(0.25)):
+            p = np.asarray(p)
+            assert uncertainty._xlog2x(p).tobytes() == where_xlog2x(p).tobytes()
+
+    def test_cross_check_rows_equal_whole_batch(self):
+        env = dict(os.environ, **ONE_THREAD)
+        proc = subprocess.run([sys.executable, "-c", CROSS_CHECK_ROWS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+
+    def test_cross_check_memory_is_draw_plus_chunks(self):
+        count, d = 2000, 2**6
+        ginibre = 2 * count * d * d * 8  # real and imaginary parts, drawn whole
+        bound = ginibre + 6 * states._HS_CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            find_minimizer(jordan_wigner(6), 13, math.inf, budget=20000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-batch construction held three (count, d, d) complex arrays
+        assert peak < bound < 3 * count * d * d * 16
+
+    def test_cross_check_draw_over_budget(self):
+        # 2 x 2000 x 4**10 x 8 bytes = 31 GiB, refused by arithmetic
+        with pytest.raises(CapacityError, match="Hilbert-Schmidt"):
+            find_minimizer(jordan_wigner(10), 3, 1, budget=2000, seed=0)
+
+    def test_cross_check_chunk_counts_against_budget(self, monkeypatch):
+        # At n = 12, 16 states draw exactly the 4 GiB budget, and one chunk of
+        # them would hold three more 4 GiB arrays: refused with nothing drawn.
+        forbid_draws(monkeypatch)
+        with pytest.raises(CapacityError, match="Hilbert-Schmidt"):
+            find_minimizer(jordan_wigner(12), 3, 1, budget=16, seed=0)
+
+    def test_ball_draw_over_budget(self):
+        # 1e9 x 3 x 8 bytes = 22 GiB, refused by arithmetic
+        with pytest.raises(CapacityError, match="unit-ball"):
+            find_minimizer(jordan_wigner(1), 3, 1, budget=10**9, seed=0)
+
+    def test_cli_refuses_over_budget(self, capsys):
+        assert main(["minimize", "--n", "10", "--K", "3", "--samples", "2000"]) == 1
+        assert "memory budget" in capsys.readouterr().err
 
 
 class TestConcavity:

@@ -56,9 +56,11 @@ from .states import (
     gvector,
     matrix_from_expectations,
     project_bloch,
+    random_pure_states,
     random_state,
     random_state_batch,
     to_document,
+    vector_expectations,
 )
 from .uncertainty import (
     ConcavityProfile,

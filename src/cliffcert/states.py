@@ -209,6 +209,29 @@ def extended_expectations(mats: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     return np.stack([pauli.expect(act, mats).real for act in gens.actions], axis=-1)
 
 
+def vector_expectations(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
+    """Expectations ``<psi|G_j|psi>`` of the 2n+1 extended observables.
+
+    ``psi`` has shape ``(..., d)`` and holds unit vectors; the result
+    replaces its last axis by one of length 2n+1 in extended order.  With
+    ``G_j|c> = phase_j[c] |perm_j[c]>`` each expectation is
+    ``sum_c conj(psi[perm_j[c]]) phase_j[c] psi[c]``, O(d) per vector,
+    summed by ``np.add.reduce`` in a fixed order.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim < 1 or psi.shape[-1] != 2**gens.n:
+        raise DimensionMismatchError(
+            f"vectors of shape {psi.shape} do not live in dimension {2**gens.n}")
+    out = np.empty(psi.shape[:-1] + (2 * gens.n + 1,))
+    for j, act in enumerate(gens.actions):
+        terms = psi[..., act.perm]
+        np.conjugate(terms, out=terms)
+        terms *= act.phase
+        terms *= psi
+        out[..., j] = np.add.reduce(terms.real, axis=-1)
+    return out
+
+
 def matrix_from_expectations(g: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     """Dense ``(1/d)(1 + sum_j g_j G_j)`` for stacked coefficient rows."""
     out = pauli.scatter(np.asarray(g, dtype=float), gens.actions)
@@ -295,6 +318,22 @@ def _hs_chunks(n: int, count: int, seed):
         yield start, w
 
 
+def random_pure_states(n: int, count: int, seed) -> np.ndarray:
+    """``count`` Haar-random unit state vectors, shape ``(count, d)``.
+
+    The real parts and then the imaginary parts are drawn from
+    ``default_rng(seed)``; the ``pure-haar`` states of
+    :func:`random_state_batch` are the outer products of these vectors.
+    """
+    if n > DENSE_GUARD:
+        raise DomainError(f"dense sampling limited to n <= {DENSE_GUARD}")
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    psi = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return psi
+
+
 def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> np.ndarray:
     """Stack of ``count`` random states, shape ``(count, d, d)``.
 
@@ -307,12 +346,10 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
         raise DomainError(f"unknown ensemble {ensemble!r}; choose from {_ENSEMBLES}")
     if n > DENSE_GUARD:
         raise DomainError(f"dense sampling limited to n <= {DENSE_GUARD}")
-    d = 2**n
     if ensemble == "pure-haar":
-        rng = np.random.default_rng(seed)
-        psi = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        psi = random_pure_states(n, count, seed)
         return np.einsum("si,sj->sij", psi, psi.conj())
+    d = 2**n
     out = np.empty((count, d, d), dtype=complex)
     for start, states in _hs_chunks(n, count, seed):
         out[start:start + len(states)] = states

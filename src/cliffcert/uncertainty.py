@@ -30,11 +30,11 @@ from .pauli import PauliString
 from .states import (
     DensityMatrix,
     GVector,
-    _hs_chunk_states,
-    _hs_chunks,
     extended_expectations,
     from_gvector,
+    random_pure_states,
     random_state_batch,  # noqa: F401  re-exported: perfbench's tracer test reads it here
+    vector_expectations,
 )
 from .tolerances import MEMORY_BUDGET, ORTHOGONALITY, PSD, TRACE
 
@@ -273,17 +273,14 @@ def _search_ball(seed, K: int, budget: int, alpha) -> np.ndarray:
 
 
 def _cross_check_rows(gens: GeneratorSet, count: int, seed) -> np.ndarray:
-    """Extended expectations of ``count`` Hilbert-Schmidt states, shape ``(count, 2n+1)``.
+    """Extended expectations of ``count`` Haar-random pure states, shape ``(count, 2n+1)``.
 
-    The states are built and measured a chunk at a time.  With one BLAS
-    thread the rows are bit for bit those of one :func:`extended_expectations`
-    call on ``random_state_batch(n, count, seed)``; with several, that call's
-    own rows depend on how BLAS splits them among its threads.
+    Each state vector is measured directly, O(K d) per state, so no
+    ``(count, d, d)`` array is built.  The rows equal, up to rounding,
+    :func:`extended_expectations` of ``random_state_batch(n, count, seed,
+    "pure-haar")``: the same vectors, taken as density matrices.
     """
-    rows = np.empty((count, 2 * gens.n + 1))
-    for start, states in _hs_chunks(gens.n, count, seed):
-        rows[start:start + len(states)] = extended_expectations(states, gens)
-    return rows
+    return vector_expectations(random_pure_states(gens.n, count, seed), gens)
 
 
 @dataclass(frozen=True)
@@ -325,8 +322,10 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
     point of which is realized by a state, so the search loses nothing),
     refines the best by projected gradient descent, and cross-checks
     against the same refinement started from the best of a batch of
-    Hilbert-Schmidt random states.  The reported minimum is re-evaluated
-    by building the minimizing state and measuring it densely.
+    Haar-random pure states, each measured on its state vector in O(K d).
+    Any state serves as a start point, because the ball search already
+    covers every admissible expectation vector.  The reported minimum is
+    re-evaluated by building the minimizing state and measuring it densely.
 
     The ball is searched in chunks of ``_BALL_CHUNK`` points, so memory
     beyond the ``budget x K`` draws stays a few chunk-sized arrays; the
@@ -342,15 +341,14 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
     The ball directions of every K are views of one stream of
     ``budget * max(ks)`` normals, and the radii of each K come from the
     generator state saved after its directions, so each K sees the points
-    a search of its own would draw.  The cross-check's Ginibre matrices are
-    drawn once, and its states are built and measured a chunk at a time,
-    keeping only their ``2n+1`` expectations, which each K slices.  Every
-    report equals the one :func:`find_minimizer` gives for its K, in the
-    order of ``ks``; an empty ``ks`` draws nothing.
+    a search of its own would draw.  The cross-check's pure-state vectors
+    are drawn and measured once, keeping only their ``2n+1`` expectations,
+    which each K slices.  Every report equals the one :func:`find_minimizer`
+    gives for its K, in the order of ``ks``; an empty ``ks`` draws nothing.
 
-    Raises :class:`CapacityError`, before anything is drawn, when the
-    cross-check or the ball search would hold more than ``MEMORY_BUDGET``
-    bytes of random draws and the chunk built from them.
+    Raises :class:`CapacityError`, before anything is drawn, when the ball
+    search, the cross-check or the dense re-evaluation of the minimizing
+    state would hold more than ``MEMORY_BUDGET`` bytes at once.
     """
     size = 2 * gens.n + 1
     ks = list(ks)
@@ -364,12 +362,14 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
     if not ks:
         return []
     state_count = min(2000, budget)
-    d2 = 4**gens.n
-    # The Ginibre draw (real and imaginary parts) plus one chunk's G, its
-    # conjugate and G G^H; the direction stream plus one K's radii.
-    chunk = min(state_count, _hs_chunk_states(gens.n))
-    for what, nbytes in (("Hilbert-Schmidt cross-check", (2 * state_count + 6 * chunk) * d2 * 8),
-                         ("unit-ball search", budget * (max(ks) + 1) * 8)):
+    d = 2**gens.n
+    # The direction stream plus one K's radii; the state vectors plus the
+    # temporaries of their draw, norm and measurement; the re-evaluated
+    # state plus the temporaries of its validation (the Hermiticity
+    # residual, the normalized copy and eigvalsh's LAPACK copy).
+    for what, nbytes in (("unit-ball search", budget * (max(ks) + 1) * 8),
+                         ("pure-state cross-check", 5 * state_count * d * 16),
+                         ("dense re-evaluation", 4 * d * d * 16)):
         if nbytes > MEMORY_BUDGET:
             raise CapacityError(
                 f"{what} needs {nbytes / 2**30:.1f} GiB, above the "

@@ -26,9 +26,11 @@ from cliffcert import (
     gvector,
     jordan_wigner,
     project_bloch,
+    random_pure_states,
     random_state,
     random_state_batch,
     to_document,
+    vector_expectations,
 )
 from cliffcert import states
 from cliffcert.pauli import expect, scatter
@@ -330,7 +332,29 @@ def whole_hs_batch(n, count, seed):
     return w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
 
 
+def einsum_pure_batch(n, count, seed):
+    """The pure-haar batch as outer products built by einsum, kept as the oracle."""
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    psi = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return np.einsum("si,sj->sij", psi, psi.conj())
+
+
 class TestSampling:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pure_haar_equals_einsum_batch(self, n):
+        for count in (1, 5, 300):
+            batch = random_state_batch(n, count, 3, "pure-haar")
+            assert batch.tobytes() == einsum_pure_batch(n, count, 3).tobytes()
+
+    def test_vector_expectations_reject_other_dimension(self):
+        psi = random_pure_states(3, 4, 1)
+        with pytest.raises(DimensionMismatchError):
+            vector_expectations(psi, jordan_wigner(2))
+        with pytest.raises(DimensionMismatchError):
+            vector_expectations(psi, jordan_wigner(4))
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_mixed_hs_equals_whole_batch(self, n):
         chunk = states._hs_chunk_states(n)

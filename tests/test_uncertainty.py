@@ -1,16 +1,14 @@
 """Entropies, closed-form bounds, the minimizer, and concavity."""
 
+import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cliffcert import states, uncertainty
+from cliffcert import uncertainty
 from cliffcert.cli import main
 from cliffcert import (
     CapacityError,
@@ -38,6 +36,7 @@ from cliffcert import (
     random_state_batch,
     renyi_entropy,
 )
+from cliffcert.tolerances import OPTIMIZATION
 
 # Direct-formula oracles, frozen
 H_THREE_QUARTERS = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))  # 0.8112781244591328
@@ -342,31 +341,13 @@ def where_xlog2x(p):
     return np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
 
 
-# Run with one BLAS thread: with several, one extended_expectations call on a
-# whole batch splits its rows among the threads, and its bits depend on the split.
-CROSS_CHECK_ROWS_SCRIPT = """
-import numpy as np
-from cliffcert import extended_expectations, jordan_wigner, random_state_batch
-from cliffcert import states, uncertainty
-for n in range(1, 7):
-    gens = jordan_wigner(n)
-    chunk = states._hs_chunk_states(n)
-    for count in (5, chunk, 2 * chunk + 5):
-        rows = uncertainty._cross_check_rows(gens, count, 11)
-        whole = extended_expectations(random_state_batch(n, count, 11), gens)
-        assert np.array_equal(rows, whole), (n, count)
-print("ok")
-"""
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-
-
 def forbid_draws(monkeypatch):
     """Make any random draw of the minimizer fail the test."""
     def no_draw(*args):
         raise AssertionError("the minimizer drew")
 
     monkeypatch.setattr(uncertainty, "_ball_draws", no_draw)
-    monkeypatch.setattr(uncertainty, "_hs_chunks", no_draw)
+    monkeypatch.setattr(uncertainty, "random_pure_states", no_draw)
 
 
 class TestSharedStreams:
@@ -403,44 +384,54 @@ class TestSharedStreams:
             assert uncertainty._xlog2x(p).tobytes() == where_xlog2x(p).tobytes()
 
     def test_cross_check_rows_equal_whole_batch(self):
-        env = dict(os.environ, **ONE_THREAD)
-        proc = subprocess.run([sys.executable, "-c", CROSS_CHECK_ROWS_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+        for n, count in itertools.product(range(1, 7), (5, 17, 2000)):
+            gens = jordan_wigner(n)
+            rows = uncertainty._cross_check_rows(gens, count, 11)
+            whole = extended_expectations(random_state_batch(n, count, 11, "pure-haar"), gens)
+            assert rows.shape == (count, 2 * n + 1)
+            assert np.max(np.abs(rows - whole)) <= 1e-14, (n, count)
 
     def test_cross_check_memory_is_draw_plus_chunks(self):
-        count, d = 2000, 2**6
-        ginibre = 2 * count * d * d * 8  # real and imaginary parts, drawn whole
-        bound = ginibre + 6 * states._HS_CHUNK_BYTES
+        # The pure-state vectors take 2000 x 64 x 16 bytes = 2 MiB; the
+        # Hilbert-Schmidt cross-check this replaced peaked at 133 MiB.
         tracemalloc.start()
         try:
             find_minimizer(jordan_wigner(6), 13, math.inf, budget=20000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the whole-batch construction held three (count, d, d) complex arrays
-        assert peak < bound < 3 * count * d * d * 16
+        assert peak < 16 * 2**20
 
-    def test_cross_check_draw_over_budget(self):
-        # 2 x 2000 x 4**10 x 8 bytes = 31 GiB, refused by arithmetic
-        with pytest.raises(CapacityError, match="Hilbert-Schmidt"):
-            find_minimizer(jordan_wigner(10), 3, 1, budget=2000, seed=0)
-
-    def test_cross_check_chunk_counts_against_budget(self, monkeypatch):
-        # At n = 12, 16 states draw exactly the 4 GiB budget, and one chunk of
-        # them would hold three more 4 GiB arrays: refused with nothing drawn.
+    def test_dense_reevaluation_over_budget(self, monkeypatch):
+        # 4 x 4**14 x 16 bytes = 16 GiB for the re-evaluated state, refused
+        # by arithmetic with nothing drawn
         forbid_draws(monkeypatch)
-        with pytest.raises(CapacityError, match="Hilbert-Schmidt"):
-            find_minimizer(jordan_wigner(12), 3, 1, budget=16, seed=0)
+        with pytest.raises(CapacityError, match="dense re-evaluation"):
+            find_minimizer(jordan_wigner(14), 3, 1, budget=2000, seed=0)
+
+    def test_cross_check_counts_against_budget(self, monkeypatch):
+        # 5 x 2000 x 64 x 16 bytes = 9.8 MiB of state vectors at n = 6 is over
+        # a 4 MiB budget, which the ball search and the dense state fit
+        forbid_draws(monkeypatch)
+        monkeypatch.setattr(uncertainty, "MEMORY_BUDGET", 2**22)
+        with pytest.raises(CapacityError, match="pure-state cross-check"):
+            find_minimizer(jordan_wigner(6), 3, 1, budget=2000, seed=0)
 
     def test_ball_draw_over_budget(self):
         # 1e9 x 3 x 8 bytes = 22 GiB, refused by arithmetic
         with pytest.raises(CapacityError, match="unit-ball"):
             find_minimizer(jordan_wigner(1), 3, 1, budget=10**9, seed=0)
 
-    def test_cli_refuses_over_budget(self, capsys):
-        assert main(["minimize", "--n", "10", "--K", "3", "--samples", "2000"]) == 1
+    def test_cli_refuses_over_budget(self, monkeypatch, capsys):
+        forbid_draws(monkeypatch)
+        assert main(["minimize", "--n", "14", "--K", "3", "--samples", "2000"]) == 1
         assert "memory budget" in capsys.readouterr().err
+
+    def test_n10_is_certified(self):
+        # refused while the cross-check drew Hilbert-Schmidt states (31 GiB)
+        rep = find_minimizer(jordan_wigner(10), 3, 2, 2000, 1)
+        assert abs(rep.gap) <= OPTIMIZATION
+        assert abs(rep.cross_check_min - rep.closed_form_bound) <= OPTIMIZATION
 
 
 class TestConcavity:

@@ -272,14 +272,16 @@ def expect(p, m) -> np.ndarray:
     """``Tr(M P)`` for stacked ``(..., d, d)`` input in O(d) per matrix.
 
     Only the ``d`` entries ``M[r, perm[r]]`` meet a nonzero entry of P.
-    Returns a complex array of the leading shape.
+    They are summed by ``np.add.reduce`` in a fixed order, not by a BLAS
+    product, so the bits do not depend on the BLAS thread count.  Returns
+    a complex array of the leading shape.
     """
     act = _as_action(p)
     d = act.perm.shape[0]
     m = np.asarray(m)
     _check_side(m, d, -1)
     _check_side(m, d, -2)
-    return m[..., np.arange(d), act.perm] @ act.phase
+    return np.add.reduce(m[..., np.arange(d), act.perm] * act.phase, axis=-1)
 
 
 def scatter(coeffs, ops) -> np.ndarray:

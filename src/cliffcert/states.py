@@ -284,10 +284,9 @@ def from_gvector(g: GVector, gens: GeneratorSet, *, tol_psd: float = PSD) -> Den
 
 
 _ENSEMBLES = ("pure-haar", "mixed-hs")
-# Bytes of one chunk of Hilbert-Schmidt states.  A chunk is a power of two of
-# at least 16 states: the BLAS matrix-vector kernels behind
-# extended_expectations work on blocks of rows, so with one BLAS thread chunks
-# of that size put each row in the block kernel it meets in one whole-batch call.
+# Bytes of one chunk of Hilbert-Schmidt states, so that a chunk's G, its
+# conjugate and G G^H stay a few MiB whatever the number of states.  Every
+# step after the draw is per state, so the size does not change any bit.
 _HS_CHUNK_BYTES = 2**21
 
 

@@ -1,10 +1,15 @@
 """Symplectic Pauli-string algebra checked against dense matrix oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cliffcert
 from cliffcert import (
     CapacityError,
     DimensionMismatchError,
@@ -223,6 +228,35 @@ def random_orthogonal(rng, size, det_sign):
 
 seeds = st.integers(0, 2**32 - 1)
 
+# Hashes of one batch of expectations and of one verify and one minimize
+# report (without wall_time_ms), printed under a given BLAS thread count.
+BLAS_BITS_SCRIPT = """
+import contextlib, hashlib, io, json
+from cliffcert import extended_expectations, jordan_wigner, random_state_batch
+from cliffcert.cli import main
+rows = extended_expectations(random_state_batch(4, 1029, 7), jordan_wigner(4))
+print(hashlib.sha256(rows.tobytes()).hexdigest())
+for argv in (["verify", "--n", "4", "--samples", "300", "--seed", "7"],
+             ["minimize", "--n", "4", "--K", "9", "--alpha", "inf", "--samples", "5000"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(out.getvalue())
+    del doc["wall_time_ms"]
+    print(hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest())
+"""
+
+
+def run_with_blas_threads(threads: int) -> list[str]:
+    src = os.path.dirname(os.path.dirname(cliffcert.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, "-c", BLAS_BITS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
 
 class TestActionKernel:
     """The basis-action kernel against Kronecker-rendered dense oracles."""
@@ -271,6 +305,11 @@ class TestActionKernel:
         overlap = np.vdot(oracle, u)
         phase = overlap / abs(overlap)
         assert np.max(np.abs(u - phase * oracle)) <= 1e-12
+
+    def test_expect_bits_do_not_depend_on_blas_threads(self):
+        one = run_with_blas_threads(1)
+        assert len(one) == 3
+        assert run_with_blas_threads(2) == one
 
     def test_rejects_mismatched_operands(self):
         p = from_label("XZ")

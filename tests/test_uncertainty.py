@@ -392,8 +392,7 @@ class TestSharedStreams:
             assert np.max(np.abs(rows - whole)) <= 1e-14, (n, count)
 
     def test_cross_check_memory_is_draw_plus_chunks(self):
-        # The pure-state vectors take 2000 x 64 x 16 bytes = 2 MiB; the
-        # Hilbert-Schmidt cross-check this replaced peaked at 133 MiB.
+        # the cross-check's 2000 vectors take 2000 x 64 x 16 bytes = 2 MiB
         tracemalloc.start()
         try:
             find_minimizer(jordan_wigner(6), 13, math.inf, budget=20000, seed=1)
@@ -428,7 +427,7 @@ class TestSharedStreams:
         assert "memory budget" in capsys.readouterr().err
 
     def test_n10_is_certified(self):
-        # refused while the cross-check drew Hilbert-Schmidt states (31 GiB)
+        # the cross-check's 2000 vectors take 32 MiB, the dense state 16 MiB
         rep = find_minimizer(jordan_wigner(10), 3, 2, 2000, 1)
         assert abs(rep.gap) <= OPTIMIZATION
         assert abs(rep.cross_check_min - rep.closed_form_bound) <= OPTIMIZATION

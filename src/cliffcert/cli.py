@@ -1,9 +1,17 @@
 """Command-line front end: verification suites, minimization, sweeps, benchmarks.
 
+Two tables define the command line.  ``_FLAGS`` gives each flag its
+``config`` key, its default and its argparse options; ``_SPECS`` gives each
+command its help text and the flags it takes (all take ``--format`` and
+``--out``).  The parser, the report's ``config`` document and the range
+checks are derived from them, so a command rejects any flag it does not read.
+
 Report document schema (JSON): top-level keys ``tool_version``, ``command``,
-``config``, ``results``, ``residuals``, ``wall_time_ms``.  CSV output uses
-'.' decimals, no thousands separators, and a mandatory header row.  Exit
-codes: 0 success, 1 invariant failure, 2 usage error.
+``config``, ``results``, ``residuals``, ``wall_time_ms``.  ``config`` lists
+every flag's value, the default where a command does not take the flag.
+CSV output is one table per command (``_table``) with '.' decimals, no
+thousands separators, and a mandatory header row; text output is the same
+table, aligned.  Exit codes: 0 success, 1 invariant failure, 2 usage error.
 
 All randomized commands are reproducible from (seed, samples); sampling is
 split into fixed-size chunks with independently derived seeds, so results
@@ -21,13 +29,12 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, pauli
 from .clifford import jordan_wigner
-from .errors import CliffcertError
+from .errors import CapacityError, CliffcertError
 from .pauli import PauliString
 from .rotors import conjugation_residual, euler_decompose, lift, recompose, reduce_to_axis
 from .states import (
@@ -36,99 +43,28 @@ from .states import (
     matrix_from_expectations,
     random_state_batch,
 )
-from .tolerances import CONCAVITY, LIFT, OPTIMIZATION, PSD, RECONSTRUCTION
+from .tolerances import CONCAVITY, LIFT, MEMORY_BUDGET, OPTIMIZATION, PSD, RECONSTRUCTION
 from .uncertainty import bias_entropy, concavity_profile, find_minimizer, find_minimizers
 
 THREADS_ENV = "CLIFFCERT_THREADS"
 _CHUNK = 256
+# Complex d x d arrays per state that one projection chunk holds at its peak
+# (tracemalloc over one chunk of the projection suite: 3.5 to 5.0 at n = 3..8).
+_PROJECTION_ARRAYS = 5
 _BENCH_SITES = (1_000, 10_000, 100_000)
 
 
-class UsageError(Exception):
-    """Invalid flag combination or out-of-range argument."""
+def _bounded(kind, low, high=math.inf):
+    """argparse type: ``kind(text)``, refused outside ``[low, high)`` (NaN included)."""
 
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}), got {text}")
+        return value
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int
-    K: int | None
-    alpha: float
-    samples: int
-    seed: int
-    k_min: int | None
-    k_max: int | None
-    tol_psd: float
-    tol_opt: float
-    fmt: str
-    out: str | None
-    threads: int
-    overrides: tuple[str, ...]
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        if args.n < 1:
-            raise UsageError(f"--n must be at least 1, got {args.n}")
-        if args.samples < 1:
-            raise UsageError(f"--samples must be at least 1, got {args.samples}")
-        size = 2 * args.n + 1
-        k = getattr(args, "K", None)
-        if k is not None and not 1 <= k <= size:
-            raise UsageError(f"--K must lie in 1..{size} for n={args.n}, got {k}")
-        k_min = getattr(args, "k_min", None)
-        k_max = getattr(args, "k_max", None)
-        if args.command == "sweep":
-            if k_min is None or k_max is None:
-                raise UsageError("sweep requires --k-min and --k-max")
-            if not 1 <= k_min <= k_max <= size:
-                raise UsageError(
-                    f"sweep range must satisfy 1 <= k_min <= k_max <= {size}, "
-                    f"got [{k_min}, {k_max}]"
-                )
-        if args.command == "minimize" and k is None:
-            raise UsageError("minimize requires --K")
-        overrides = []
-        if args.tol_psd is not None:
-            overrides.append("tol_psd")
-        if args.tol_opt is not None:
-            overrides.append("tol_opt")
-        try:
-            threads = max(1, int(os.environ.get(THREADS_ENV, "1")))
-        except ValueError:
-            threads = 1
-        return cls(
-            command=args.command,
-            n=args.n,
-            K=k,
-            alpha=args.alpha,
-            samples=args.samples,
-            seed=args.seed,
-            k_min=k_min,
-            k_max=k_max,
-            tol_psd=args.tol_psd if args.tol_psd is not None else PSD,
-            tol_opt=args.tol_opt if args.tol_opt is not None else OPTIMIZATION,
-            fmt=args.format,
-            out=args.out,
-            threads=threads,
-            overrides=tuple(overrides),
-        )
-
-    def public_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "K": self.K,
-            "alpha": "inf" if math.isinf(self.alpha) else self.alpha,
-            "samples": self.samples,
-            "seed": self.seed,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "tol_psd": self.tol_psd,
-            "tol_opt": self.tol_opt,
-            "format": self.fmt,
-            "out": self.out,
-            "threads": self.threads,
-            "tolerance_overrides": list(self.overrides),
-        }
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
 
 
 def _alpha_type(text: str) -> float:
@@ -143,35 +79,79 @@ def _alpha_type(text: str) -> float:
     return value
 
 
+# flag: (config key, default where a command does not take it, argparse options)
+_FLAGS = {
+    "--n": ("n", 2, dict(type=_bounded(int, 1), help="qubit count (default 2)")),
+    "--K": ("K", None, dict(type=_bounded(int, 1), required=True,
+                            help="number of observables, at most 2n+1")),
+    "--alpha": ("alpha", 1.0, dict(type=_alpha_type,
+                                   help="Renyi order; accepts 'inf' (default 1)")),
+    "--samples": ("samples", 200, dict(type=_bounded(int, 1),
+                                       help="random samples / minimizer budget (default 200)")),
+    "--seed": ("seed", 1234, dict(type=_bounded(int, 0), help="RNG seed (default 1234)")),
+    "--k-min": ("k_min", None, dict(type=_bounded(int, 1), required=True, help="smallest K")),
+    "--k-max": ("k_max", None, dict(type=_bounded(int, 1), required=True,
+                                    help="largest K, at most 2n+1")),
+    "--tol-psd": ("tol_psd", PSD, dict(type=_bounded(float, 0.0),
+                                       help=f"positivity tolerance (default {PSD})")),
+    "--tol-opt": ("tol_opt", OPTIMIZATION, dict(
+        type=_bounded(float, 0.0), help=f"optimization-gap tolerance (default {OPTIMIZATION})")),
+    "--format": ("format", "text", dict(choices=("json", "csv", "text"),
+                                        help="report format (default text)")),
+    "--out": ("out", None, dict(help="output path (default stdout)")),
+}
+
+# command: (help text, the flags it takes besides --format and --out)
+_SPECS = {
+    "verify": ("run the invariant suites for one qubit count",
+               ("--n", "--samples", "--seed", "--tol-psd")),
+    "minimize": ("minimize one entropy average over states",
+                 ("--n", "--K", "--alpha", "--samples", "--seed", "--tol-opt")),
+    "sweep": ("minimize across a range of K",
+              ("--n", "--k-min", "--k-max", "--alpha", "--samples", "--seed", "--tol-opt")),
+    "bench": ("throughput and correctness benchmarks", ("--seed",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliffcert",
         description="Verify and minimize entropy averages of anti-commuting observables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("verify", "run the invariant suites for one qubit count"),
-        ("minimize", "minimize one entropy average over states"),
-        ("sweep", "minimize across a range of K"),
-        ("bench", "throughput and correctness benchmarks"),
-    ):
+    for name, (doc, flags) in _SPECS.items():
         p = sub.add_parser(name, help=doc)
-        p.add_argument("--n", type=int, default=2, help="qubit count (default 2)")
-        p.add_argument("--K", type=int, default=None, help="number of observables")
-        p.add_argument("--alpha", type=_alpha_type, default=1.0,
-                       help="Renyi order; accepts 'inf' (default 1)")
-        p.add_argument("--samples", type=int, default=200,
-                       help="random samples / minimizer budget (default 200)")
-        p.add_argument("--seed", type=int, default=1234, help="RNG seed (default 1234)")
-        p.add_argument("--k-min", dest="k_min", type=int, default=None)
-        p.add_argument("--k-max", dest="k_max", type=int, default=None)
-        p.add_argument("--tol-psd", dest="tol_psd", type=float, default=None,
-                       help="override positivity tolerance")
-        p.add_argument("--tol-opt", dest="tol_opt", type=float, default=None,
-                       help="override optimization-gap tolerance")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+        for flag in flags + ("--format", "--out"):
+            key, _, options = _FLAGS[flag]
+            # absent unless given, so the config can tell an override from a default
+            p.add_argument(flag, dest=key, default=argparse.SUPPRESS, **options)
     return parser
+
+
+def _config(args: argparse.Namespace) -> dict:
+    """Every flag's given or default value, in table order, then threads and overrides."""
+    given = vars(args)
+    config = {key: given.get(key, default) for key, default, _ in _FLAGS.values()}
+    try:
+        config["threads"] = max(1, int(os.environ.get(THREADS_ENV, "1")))
+    except ValueError:
+        config["threads"] = 1
+    config["tolerance_overrides"] = [key for key in ("tol_psd", "tol_opt") if key in given]
+    return config
+
+
+def _range_problem(command: str, config: dict) -> str | None:
+    """The K flags a command takes must not decrease and must stay within 2n+1."""
+    flags = [flag for flag in _SPECS[command][1] if flag in ("--K", "--k-min", "--k-max")]
+    values = [config[_FLAGS[flag][0]] for flag in flags]
+    size = 2 * config["n"] + 1
+    if values != sorted(values) or values and values[-1] > size:
+        return f"need {' <= '.join(flags)} <= {size} for n={config['n']}, got {values}"
+    return None
+
+
+def _order_label(alpha: float):
+    return "inf" if math.isinf(alpha) else alpha
 
 
 def _map_chunks(fn, items, threads: int):
@@ -196,11 +176,11 @@ def _check(name: str, passed: bool, residual: float, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "residual": float(residual), "detail": detail}
 
 
-def _suite_anticommutation(cfg, gens) -> list[dict]:
+def _suite_anticommutation(gens) -> list[dict]:
     exact_ok = gens.verify_anticommutation()
     checks = [_check("anticommutation-symplectic", exact_ok, 0.0 if exact_ok else 1.0,
                      "exact pairwise {G_j, G_k} = 2 delta_jk over the extended set")]
-    if cfg.n <= 6:
+    if gens.n <= 6:
         stack = gens.dense_extended
         size = stack.shape[0]
         d = stack.shape[1]
@@ -215,13 +195,13 @@ def _suite_anticommutation(cfg, gens) -> list[dict]:
     return checks
 
 
-def _suite_projection(cfg, gens, seed_seq) -> list[dict]:
-    sizes = _chunk_sizes(cfg.samples)
+def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int) -> list[dict]:
+    sizes = _chunk_sizes(samples)
     seeds = seed_seq.spawn(len(sizes))
 
     def work(item):
         count, seed = item
-        mats = random_state_batch(cfg.n, count, seed, "mixed-hs")
+        mats = random_state_batch(gens.n, count, seed, "mixed-hs")
         g = extended_expectations(mats, gens)
         proj = matrix_from_expectations(g, gens)
         min_eig = float(np.linalg.eigvalsh(proj)[:, 0].min())
@@ -232,17 +212,17 @@ def _suite_projection(cfg, gens, seed_seq) -> list[dict]:
         tr_res = float(np.max(np.abs(traces - 1.0)))
         return min_eig, norm_sq, idem, tr_res
 
-    parts = _map_chunks(work, list(zip(sizes, seeds)), cfg.threads)
+    parts = _map_chunks(work, list(zip(sizes, seeds)), threads)
     min_eig = min(p[0] for p in parts)
     norm_sq = max(p[1] for p in parts)
     idem = max(p[2] for p in parts)
     tr_res = max(p[3] for p in parts)
     return [
-        _check("projection-positivity", min_eig >= -cfg.tol_psd, max(0.0, -min_eig),
-               f"worst projected eigenvalue over {cfg.samples} states"),
+        _check("projection-positivity", min_eig >= -tol_psd, max(0.0, -min_eig),
+               f"worst projected eigenvalue over {samples} states"),
         _check("projection-idempotent", idem <= RECONSTRUCTION, idem, ""),
         _check("projection-trace", tr_res <= 1e-10, tr_res, ""),
-        _check("expectation-ball", norm_sq <= 1.0 + cfg.tol_psd, max(0.0, norm_sq - 1.0),
+        _check("expectation-ball", norm_sq <= 1.0 + tol_psd, max(0.0, norm_sq - 1.0),
                "sum of squared expectations against 1"),
     ]
 
@@ -255,10 +235,10 @@ def _random_orthogonal(rng, size: int, det_sign: int | None = None) -> np.ndarra
     return q
 
 
-def _suite_rotors(cfg, gens, seed_seq) -> list[dict]:
+def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
     s_lift, s_refl, s_euler, s_constr = seed_seq.spawn(4)
-    count = max(4, cfg.samples // 50)
-    size = 2 * cfg.n + 1
+    count = max(4, samples // 50)
+    size = 2 * gens.n + 1
 
     rng = np.random.default_rng(s_lift)
     lift_res = 0.0
@@ -271,7 +251,7 @@ def _suite_rotors(cfg, gens, seed_seq) -> list[dict]:
     g0_dense = pauli.scatter([1.0], [g0])
     pseudo_res = 0.0
     for _ in range(count):
-        t = _random_orthogonal(rng, 2 * cfg.n, det_sign=-1)
+        t = _random_orthogonal(rng, 2 * gens.n, det_sign=-1)
         u = lift(t, gens)
         pseudo_res = max(pseudo_res, float(np.max(np.abs(
             pauli.apply(g0, u, "right") @ u.conj().T + g0_dense))))
@@ -284,7 +264,7 @@ def _suite_rotors(cfg, gens, seed_seq) -> list[dict]:
         euler_res = max(euler_res, float(np.max(np.abs(recompose(euler_decompose(t)) - t))))
 
     constr_res = 0.0
-    mats = random_state_batch(cfg.n, max(4, cfg.samples // 50), s_constr, "mixed-hs")
+    mats = random_state_batch(gens.n, count, s_constr, "mixed-hs")
     for mat in mats:
         rho = DensityMatrix.from_matrix(mat)
         rho_hat, u, _ = reduce_to_axis(rho, gens)
@@ -323,7 +303,7 @@ def _fd_curvature(t: np.ndarray) -> np.ndarray:
     )
 
 
-def _suite_concavity(cfg) -> list[dict]:
+def _suite_concavity() -> list[dict]:
     grid = np.linspace(0.001, 0.999, 997)
     prof = concavity_profile(grid)
     curv_max = float(prof.curvature.max())
@@ -338,15 +318,24 @@ def _suite_concavity(cfg) -> list[dict]:
     ]
 
 
-def cmd_verify(cfg: RunConfig):
-    gens = jordan_wigner(cfg.n)
-    root = np.random.SeedSequence(cfg.seed)
-    s_proj, s_rotors = root.spawn(2)
-    checks = []
-    checks += _suite_anticommutation(cfg, gens)
-    checks += _suite_projection(cfg, gens, s_proj)
-    checks += _suite_rotors(cfg, gens, s_rotors)
-    checks += _suite_concavity(cfg)
+def _check_projection_memory(n: int, samples: int, threads: int) -> None:
+    """Refuse, by arithmetic, projection chunks in flight that exceed ``MEMORY_BUDGET``."""
+    sizes = _chunk_sizes(samples)
+    nbytes = _PROJECTION_ARRAYS * sizes[0] * 4**n * 16 * min(threads, len(sizes))
+    if nbytes > MEMORY_BUDGET:
+        raise CapacityError(
+            f"projection chunks of {sizes[0]} states need {nbytes / 2**30:.1f} GiB, "
+            f"above the {MEMORY_BUDGET / 2**30:.0f} GiB memory budget")
+
+
+def cmd_verify(cfg: dict):
+    _check_projection_memory(cfg["n"], cfg["samples"], cfg["threads"])
+    gens = jordan_wigner(cfg["n"])
+    s_proj, s_rotors = np.random.SeedSequence(cfg["seed"]).spawn(2)
+    checks = (_suite_anticommutation(gens)
+              + _suite_projection(gens, s_proj, cfg["samples"], cfg["tol_psd"], cfg["threads"])
+              + _suite_rotors(gens, s_rotors, cfg["samples"])
+              + _suite_concavity())
     residuals = {c["name"]: c["residual"] for c in checks}
     code = 0 if all(c["passed"] for c in checks) else 1
     return code, checks, residuals
@@ -356,33 +345,29 @@ def cmd_verify(cfg: RunConfig):
 # minimize / sweep
 
 
-def cmd_minimize(cfg: RunConfig):
-    gens = jordan_wigner(cfg.n)
-    report = find_minimizer(gens, cfg.K, cfg.alpha, cfg.samples, cfg.seed)
-    results = report.to_dict()
-    residuals = {"bound_gap": report.gap}
-    code = 1 if report.gap is not None and report.gap < -cfg.tol_opt else 0
-    return code, results, residuals
+def _off_bound(report, tol_opt: float) -> bool:
+    """Below the closed form by more than ``tol_opt``, or above an exact minimum by more."""
+    if report.gap is None:
+        return False
+    return report.gap < -tol_opt or (report.bound_kind == "exact-minimum" and report.gap > tol_opt)
 
 
-def cmd_sweep(cfg: RunConfig):
-    gens = jordan_wigner(cfg.n)
-    rows = []
-    worst_violation = 0.0
-    ks = range(cfg.k_min, cfg.k_max + 1)
-    for report in find_minimizers(gens, ks, cfg.alpha, cfg.samples, cfg.seed):
-        rows.append({
-            "K": report.K,
-            "alpha": "inf" if math.isinf(cfg.alpha) else cfg.alpha,
-            "closed_form": report.closed_form_bound,
-            "numeric_min": report.numeric_min,
-            "gap": report.gap,
-        })
-        if report.gap is not None:
-            worst_violation = max(worst_violation, -report.gap)
-    residuals = {"max_bound_violation": worst_violation}
-    code = 1 if worst_violation > cfg.tol_opt else 0
-    return code, rows, residuals
+def cmd_minimize(cfg: dict):
+    report = find_minimizer(jordan_wigner(cfg["n"]), cfg["K"], cfg["alpha"], cfg["samples"],
+                            cfg["seed"])
+    return int(_off_bound(report, cfg["tol_opt"])), report.to_dict(), {"bound_gap": report.gap}
+
+
+def cmd_sweep(cfg: dict):
+    ks = range(cfg["k_min"], cfg["k_max"] + 1)
+    reports = find_minimizers(jordan_wigner(cfg["n"]), ks, cfg["alpha"], cfg["samples"],
+                              cfg["seed"])
+    rows = [{"K": report.K, "alpha": _order_label(cfg["alpha"]),
+             "closed_form": report.closed_form_bound, "numeric_min": report.numeric_min,
+             "gap": report.gap} for report in reports]
+    worst_violation = max([0.0] + [-r.gap for r in reports if r.gap is not None])
+    code = int(any(_off_bound(report, cfg["tol_opt"]) for report in reports))
+    return code, rows, {"max_bound_violation": worst_violation}
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +433,18 @@ def bench_dense_conjugation(seed: int, max_n: int = 4, repeats: int = 3):
     return rows
 
 
-def cmd_bench(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
+def cmd_bench(cfg: dict):
+    rng = np.random.default_rng(cfg["seed"])
     big = _random_string(rng, 10_000)
     t0 = time.perf_counter()
     pauli.mul(big, _random_string(rng, 10_000))
     single_large = time.perf_counter() - t0
 
-    throughput = bench_symplectic(seed=cfg.seed)
+    throughput = bench_symplectic(seed=cfg["seed"])
     per_site = [row["seconds_per_site"] for row in throughput]
     spread = max(per_site) / min(per_site)
-    agreement = bench_agreement(cfg.seed)
-    dense_rows = bench_dense_conjugation(cfg.seed)
+    agreement = bench_agreement(cfg["seed"])
+    dense_rows = bench_dense_conjugation(cfg["seed"])
 
     results = {
         "single_product_n10000_seconds": single_large,
@@ -480,79 +465,48 @@ def cmd_bench(cfg: RunConfig):
 # output
 
 
-def _to_csv(cfg: RunConfig, results) -> str:
+def _table(command: str, results) -> tuple[list[str], list[list]]:
+    """Header and rows of a command's results, as CSV writes them and text aligns them."""
+    if command == "verify":
+        return ["check", "passed", "residual"], [
+            [c["name"], c["passed"], c["residual"]] for c in results]
+    if command == "minimize":
+        return ["n", "K", "alpha", "closed_form", "numeric_min", "gap", "samples", "seed"], [[
+            results["n"], results["K"], results["alpha"], results["closed_form_bound"],
+            results["numeric_min"], results["gap"], results["samples"], results["seed"]]]
+    if command == "sweep":
+        header = ["K", "alpha", "closed_form", "numeric_min", "gap"]
+        return header, [[row[key] for key in header] for row in results]
+    rows = [["symplectic", row["n"], "seconds_per_product", row["seconds_per_product"]]
+            for row in results["symplectic"]]
+    rows += [["dense", row["n"], "seconds_per_conjugation", row["seconds_per_conjugation"]]
+             for row in results["dense_conjugation"]]
+    rows.append(["agreement", "", "mismatches", results["agreement"]["mismatches"]])
+    return ["section", "n", "metric", "value"], rows
+
+
+def _csv(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if cfg.command == "verify":
-        writer.writerow(["check", "passed", "residual"])
-        for c in results:
-            writer.writerow([c["name"], c["passed"], repr(c["residual"])])
-    elif cfg.command == "minimize":
-        writer.writerow(["n", "K", "alpha", "closed_form", "numeric_min", "gap",
-                         "samples", "seed"])
-        writer.writerow([results["n"], results["K"], results["alpha"],
-                         results["closed_form_bound"], repr(results["numeric_min"]),
-                         results["gap"], results["samples"], results["seed"]])
-    elif cfg.command == "sweep":
-        writer.writerow(["K", "alpha", "closed_form", "numeric_min", "gap"])
-        for row in results:
-            writer.writerow([row["K"], row["alpha"], row["closed_form"],
-                             repr(row["numeric_min"]), row["gap"]])
-    else:
-        writer.writerow(["section", "n", "metric", "value"])
-        for row in results["symplectic"]:
-            writer.writerow(["symplectic", row["n"], "seconds_per_product",
-                             repr(row["seconds_per_product"])])
-        for row in results["dense_conjugation"]:
-            writer.writerow(["dense", row["n"], "seconds_per_conjugation",
-                             repr(row["seconds_per_conjugation"])])
-        writer.writerow(["agreement", "", "mismatches", results["agreement"]["mismatches"]])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def _to_text(cfg: RunConfig, doc: dict) -> str:
-    lines = [f"cliffcert {doc['tool_version']} :: {cfg.command}"]
-    results = doc["results"]
-    if cfg.command == "verify":
-        for c in results:
-            status = "PASS" if c["passed"] else "FAIL"
-            lines.append(f"  {c['name']:<28} {status}  residual={c['residual']:.3e}")
-    elif cfg.command == "minimize":
-        lines.append(f"  n={results['n']} K={results['K']} alpha={results['alpha']}")
-        if results["closed_form_bound"] is not None:
-            lines.append(f"  closed form   : {results['closed_form_bound']!r}"
-                         f" ({results['bound_kind']})")
-        lines.append(f"  numeric min   : {results['numeric_min']!r}")
-        if results["gap"] is not None:
-            lines.append(f"  gap           : {results['gap']:.3e}")
-        lines.append(f"  argmin        : {np.round(results['argmin_g'], 6).tolist()}")
-    elif cfg.command == "sweep":
-        lines.append(f"  {'K':>3} {'closed_form':>18} {'numeric_min':>18} {'gap':>12}")
-        for row in results:
-            cf = "-" if row["closed_form"] is None else f"{row['closed_form']:.12f}"
-            gap = "-" if row["gap"] is None else f"{row['gap']:.3e}"
-            lines.append(f"  {row['K']:>3} {cf:>18} {row['numeric_min']:>18.12f} {gap:>12}")
-    else:
-        for row in results["symplectic"]:
-            lines.append(f"  n={row['n']:>7}: {row['seconds_per_product'] * 1e6:9.2f} us/product")
-        lines.append(f"  per-site spread over n: {results['per_site_spread']:.2f}x")
-        lines.append(f"  symplectic vs dense mismatches: {results['agreement']['mismatches']}")
+def _text_cell(value) -> str:
+    if isinstance(value, bool):
+        return "PASS" if value else "FAIL"
+    return "-" if value is None else str(value)
+
+
+def _text(doc: dict, header: list[str], rows: list[list]) -> str:
+    cells = [header] + [[_text_cell(value) for value in row] for row in rows]
+    widths = [max(len(cell) for cell in column) for column in zip(*cells)]
+    lines = [f"cliffcert {doc['tool_version']} :: {doc['command']}"]
+    lines += ["  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+              for row in cells]
     lines.append(f"  wall time: {doc['wall_time_ms']:.1f} ms")
     return "\n".join(lines) + "\n"
-
-
-def _emit(cfg: RunConfig, doc: dict) -> None:
-    if cfg.fmt == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-    elif cfg.fmt == "csv":
-        text = _to_csv(cfg, doc["results"])
-    else:
-        text = _to_text(cfg, doc)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 _COMMANDS = {
@@ -567,32 +521,36 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        config = _config(args)
+        problem = _range_problem(args.command, config)
+        if problem:
+            parser.error(problem)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
-    try:
-        cfg = RunConfig.from_args(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return 0 if exc.code == 0 else 2
     start = time.perf_counter()
     try:
-        code, results, residuals = _COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        code, results, residuals = _COMMANDS[args.command](config)
     except CliffcertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     doc = {
         "tool_version": __version__,
-        "command": cfg.command,
-        "config": cfg.public_dict(),
+        "command": args.command,
+        "config": {**config, "alpha": _order_label(config["alpha"])},
         "results": results,
         "residuals": residuals,
         "wall_time_ms": round((time.perf_counter() - start) * 1000.0, 3),
     }
-    _emit(cfg, doc)
+    if config["format"] == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        header, rows = _table(args.command, results)
+        text = _csv(header, rows) if config["format"] == "csv" else _text(doc, header, rows)
+    if config["out"]:
+        with open(config["out"], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return code
 
 

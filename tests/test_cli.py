@@ -1,11 +1,15 @@
 """Command-line contract: exit codes, report schema, determinism, formats."""
 
+import dataclasses
 import json
 import math
+import re
 
 import pytest
 
+from cliffcert import __version__, cli
 from cliffcert.cli import main
+from cliffcert.tolerances import OPTIMIZATION, PSD
 
 SCHEMA_KEYS = {"tool_version", "command", "config", "results", "residuals", "wall_time_ms"}
 
@@ -182,3 +186,153 @@ class TestFormats:
         assert code == 0
         assert doc["config"]["tolerance_overrides"] == ["tol_psd"]
         assert doc["config"]["tol_psd"] == 1e-8
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "1", "--samples", "40", "--seed", "-1"],
+        ["minimize", "--n", "1", "--K", "2", "--samples", "100", "--seed", "-3"],
+        ["bench", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_usage_error(self, argv):
+        assert main(argv) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_tol_opt_is_usage_error(self, value):
+        argv = ["minimize", "--n", "2", "--K", "5", "--alpha", "2", "--samples", "200"]
+        assert main(argv + ["--tol-opt", value]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tol_psd_is_usage_error(self, value):
+        assert main(["verify", "--n", "1", "--samples", "40", "--tol-psd", value]) == 2
+
+
+def shift_gaps(monkeypatch, shift):
+    """Move every minimizer report's gap by ``shift``, as the CLI sees it."""
+    def moved(report):
+        return dataclasses.replace(report, gap=report.gap + shift)
+
+    real_one, real_many = cli.find_minimizer, cli.find_minimizers
+    monkeypatch.setattr(cli, "find_minimizer", lambda *args: moved(real_one(*args)))
+    monkeypatch.setattr(cli, "find_minimizers", lambda *args: [moved(r) for r in real_many(*args)])
+
+
+class TestExitCheck:
+    @pytest.mark.parametrize("command", [
+        ["minimize", "--n", "2", "--K", "5", "--alpha", "2"],
+        ["minimize", "--n", "1", "--K", "3", "--alpha", "1"],
+        ["sweep", "--n", "1", "--k-min", "1", "--k-max", "3", "--alpha", "1"],
+    ])
+    def test_above_exact_minimum_fails(self, monkeypatch, command):
+        argv = command + ["--samples", "2000", "--seed", "3", "--format", "json"]
+        shift_gaps(monkeypatch, 0.5 * OPTIMIZATION)
+        assert main(argv) == 0
+        shift_gaps(monkeypatch, 2.0 * OPTIMIZATION)
+        assert main(argv) == 1
+
+    def test_tiny_tolerance_fails_a_positive_gap(self, capsys):
+        argv = ["minimize", "--n", "2", "--K", "5", "--alpha", "2", "--samples", "2000",
+                "--seed", "3", "--format", "json"]
+        assert main(argv) == 0
+        gap = json.loads(capsys.readouterr().out)["results"]["gap"]
+        assert gap > 0.0
+        assert main(argv + ["--tol-opt", repr(gap / 2)]) == 1
+
+    def test_alpha_inf_stays_one_sided(self, monkeypatch):
+        shift_gaps(monkeypatch, 2.0 * OPTIMIZATION)
+        assert main(["minimize", "--n", "2", "--K", "4", "--alpha", "inf",
+                     "--samples", "2000", "--seed", "3", "--format", "json"]) == 0
+
+
+def forbid_sampling(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("verify sampled states")
+
+    monkeypatch.setattr(cli, "random_state_batch", no_draw)
+
+
+class TestVerifyMemory:
+    def test_n10_at_default_samples_is_refused(self, monkeypatch, capsys):
+        # five 200 x 1024 x 1024 complex arrays: 16 GiB against the 4 GiB budget
+        forbid_sampling(monkeypatch)
+        assert main(["verify", "--n", "10"]) == 1
+        assert "memory budget" in capsys.readouterr().err
+
+    def test_chunks_in_flight_count(self, monkeypatch, capsys):
+        # one 256-state chunk at n = 3 holds 5 x 256 x 64 x 16 bytes = 1.25 MiB
+        monkeypatch.setattr(cli, "MEMORY_BUDGET", 2**21)
+        argv = ["verify", "--n", "3", "--samples", "512", "--format", "json"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("CLIFFCERT_THREADS", "2")
+        forbid_sampling(monkeypatch)
+        assert main(argv) == 1
+        assert "memory budget" in capsys.readouterr().err
+
+
+def config_items(**given):
+    config = {"n": 2, "K": None, "alpha": 1.0, "samples": 200, "seed": 1234, "k_min": None,
+              "k_max": None, "tol_psd": PSD, "tol_opt": OPTIMIZATION, "format": "json",
+              "out": None, "threads": 1, "tolerance_overrides": []}
+    assert set(given) <= set(config)
+    return list({**config, **given}.items())
+
+
+def text_lines(capsys, argv):
+    code = main(argv + ["--format", "text"])
+    return code, capsys.readouterr().out.splitlines()
+
+
+class TestContract:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "1", "--samples", "40", "--K", "3"],
+        ["verify", "--n", "1", "--samples", "40", "--alpha", "2"],
+        ["bench", "--n", "3"],
+        ["minimize", "--n", "2", "--K", "3", "--samples", "100", "--k-min", "1"],
+        ["sweep", "--n", "1", "--k-min", "1", "--k-max", "2", "--samples", "100",
+         "--tol-psd", "1e-8"],
+    ])
+    def test_commands_reject_flags_they_do_not_read(self, argv):
+        assert main(argv) == 2
+
+    @pytest.mark.parametrize("argv, given", [
+        (["verify"], {}),
+        (["minimize", "--K", "3"], {"K": 3}),
+        (["sweep", "--k-min", "1", "--k-max", "2"], {"k_min": 1, "k_max": 2}),
+        (["bench"], {}),
+    ])
+    def test_config_at_defaults(self, monkeypatch, capsys, argv, given):
+        monkeypatch.delenv("CLIFFCERT_THREADS", raising=False)
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert list(doc["config"].items()) == config_items(**given)
+
+    def test_text_verify_marks_pass_and_fail(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "conjugation_residual", lambda *args: 1.0)
+        code, lines = text_lines(capsys, ["verify", "--n", "1", "--samples", "40"])
+        assert code == 1
+        assert lines[0] == f"cliffcert {__version__} :: verify"
+        assert lines[1].split() == ["check", "passed", "residual"]
+        status = {line.split()[0]: line.split()[1] for line in lines[2:-1]}
+        assert status.pop("rotor-lift") == "FAIL"
+        assert set(status.values()) == {"PASS"} and len(status) == 12
+        assert re.fullmatch(r"  wall time: \d+\.\d ms", lines[-1])
+
+    @pytest.mark.parametrize("argv, header, count", [
+        (["minimize", "--n", "2", "--K", "5", "--alpha", "2", "--samples", "2000"],
+         "n K alpha closed_form numeric_min gap samples seed", 1),
+        (["sweep", "--n", "2", "--k-min", "1", "--k-max", "5", "--alpha", "1",
+          "--samples", "2000"], "K alpha closed_form numeric_min gap", 5),
+        (["bench"], "section n metric value", 8),
+    ])
+    def test_text_is_the_csv_table_aligned(self, capsys, argv, header, count):
+        code, lines = text_lines(capsys, argv)
+        assert code == 0
+        assert lines[0] == f"cliffcert {__version__} :: {argv[0]}"
+        assert lines[1].split() == header.split()
+        assert len(lines) == count + 3
+        assert re.fullmatch(r"  wall time: \d+\.\d ms", lines[-1])
+        if argv[0] != "bench":  # bench's timings differ from run to run
+            assert main(argv + ["--format", "csv"]) == 0
+            csv_rows = capsys.readouterr().out.splitlines()
+            assert [line.split() for line in lines[1:-1]] == [r.split(",") for r in csv_rows]

@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .clifford import (
     GeneratorSet,
+    GradedBasis,
     GradedBasisElement,
     eigenprojectors,
     graded_basis,

@@ -76,6 +76,8 @@ def _alpha_type(text: str) -> float:
         raise argparse.ArgumentTypeError(f"bad Renyi order {text!r}") from exc
     if math.isnan(value):
         raise argparse.ArgumentTypeError("Renyi order must be a number, got NaN")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"Renyi order must be positive, got {value}")
     return value
 
 

@@ -20,11 +20,13 @@ costs (-1)**(m(m-1)/2), so this phase squares to exactly that sign).  The
 4**n elements, ordered by grade then lexicographically by index set, form
 an orthogonal basis for the d x d matrices under the trace inner product.
 :func:`graded_basis` computes all of them at once by bit arithmetic on the
-generators' symplectic rows, with no chain of products.
+generators' symplectic rows, with no chain of products, and returns them
+as one :class:`GradedBasis` table of masks and phases.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -137,11 +139,49 @@ class GradedBasisElement:
     string: PauliString
 
 
-def graded_basis(gens: GeneratorSet) -> list[GradedBasisElement]:
+@dataclass(frozen=True, eq=False)
+class GradedBasis(Sequence):
+    """The 4**n graded basis elements as one read-only table.
+
+    Row ``r`` is the element over ``indices[r]``: grade ``grade[r]`` and the
+    string ``i**phase[r] X**x[r] Z**z[r]``, whose integer masks (qubit 0 the
+    top bit) are ``xmask[r]`` and ``zmask[r]``.  Every array is read-only.
+    Indexing, slicing or iterating builds :class:`GradedBasisElement`
+    objects one at a time; readers of the arrays build no string.
+    """
+
+    n: int
+    indices: tuple[tuple[int, ...], ...]
+    grade: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    phase: np.ndarray
+    xmask: np.ndarray
+    zmask: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return [self[i] for i in range(*r.indices(len(self)))]
+        r = range(len(self))[r]  # counts negative r from the end, raises IndexError
+        string = PauliString(self.n, self.x[r], self.z[r], int(self.phase[r]))
+        return GradedBasisElement(self.indices[r], int(self.grade[r]), string)
+
+    def __repr__(self) -> str:
+        return f"GradedBasis(n={self.n}, {len(self)} elements)"
+
+
+def graded_basis(gens: GeneratorSet) -> GradedBasis:
     """All 4**n basis elements, grades ascending, index sets lexicographic.
 
     Grade 0 is the identity; grade 2n equals the pseudoscalar under the
     shared phase convention.  Distinct elements are trace-orthogonal.
+
+    Returns a :class:`GradedBasis`: the index sets, grades, bit rows,
+    phases and integer masks as read-only arrays.  Its elements, each with
+    its :class:`PauliString`, are built only when indexed or iterated.
 
     Built in bulk from the generators' bit rows and a 0/1 membership
     matrix S (``member``) with one row per index set: ``x = S X mod 2``, ``z = S Z mod 2``
@@ -170,10 +210,13 @@ def graded_basis(gens: GeneratorSet) -> list[GradedBasisElement]:
     form = np.triu(2 * (gz @ gx.T) + 1, 1) & 3
     form[np.diag_indices(size)] = gp
     phase = ((member @ form) * member).sum(axis=1) & 3
-    return [
-        GradedBasisElement(s, len(s), PauliString(n, x[r], z[r], int(phase[r])))
-        for r, s in enumerate(subsets)
-    ]
+    grade = np.count_nonzero(member, axis=1)
+    weights = 1 << np.arange(n - 1, -1, -1)
+    xmask = x @ weights
+    zmask = z @ weights
+    for table in (grade, x, z, phase, xmask, zmask):
+        table.setflags(write=False)
+    return GradedBasis(n, tuple(subsets), grade, x, z, phase, xmask, zmask)
 
 
 def eigenprojectors(g: PauliString) -> tuple[np.ndarray, np.ndarray]:

@@ -9,12 +9,14 @@ with real coefficients ``Tr(rho E)`` per basis element E.  The element
 ``rho[c, c ^ xmask]``, so :func:`expand` and
 :meth:`GradedExpansion.reconstruct` each take one Walsh-Hadamard transform
 of a d x d array, O(n 4**n) in all (Jones, arXiv:2401.16378;
-Hantzko-Binkowski-Gupta, arXiv:2310.13421).  Keeping only
-the identity, generator, and pseudoscalar coefficients is a positive,
-trace-preserving (not completely positive) map: the result is again a
-state, and its 2n+1 expectations obey ``sum g_j**2 <= 1``.  Conversely
-every coefficient vector inside that unit ball yields a valid state,
-because ``A = sum g_j G_j`` satisfies ``A**2 = (sum g_j**2) * 1``.
+Hantzko-Binkowski-Gupta, arXiv:2310.13421).  Both read the masks, phases
+and index sets of the :func:`clifford.graded_basis` table and build no
+Pauli string.  Keeping only the identity, generator, and pseudoscalar
+coefficients is a positive, trace-preserving (not completely positive)
+map: the result is again a state, and its 2n+1 expectations obey
+``sum g_j**2 <= 1``.  Conversely every coefficient vector inside that
+unit ball yields a valid state, because ``A = sum g_j G_j`` satisfies
+``A**2 = (sum g_j**2) * 1``.
 
 Validation policy: matrices failing positive semidefiniteness by at most
 ``PSD`` are accepted (eigensolvers produce tiny negative eigenvalues) and
@@ -133,14 +135,13 @@ class GradedExpansion:
                 f"expansion is for n={self.n}, generators for n={gens.n}")
         basis = graded_basis(gens)
         try:
-            coeffs = np.array([self.coeffs[e.indices] for e in basis])
+            coeffs = np.array([self.coeffs[s] for s in basis.indices])
         except KeyError as exc:
             raise ValidationError(
                 f"expansion has no coefficient for index set {exc.args[0]}") from None
-        xmask, zmask, phase = _masks(basis, self.n)
         d = 2**self.n
         grid = np.zeros((d, d), dtype=complex)
-        grid[xmask, zmask] = _I_POW[phase] * coeffs
+        grid[basis.xmask, basis.zmask] = _I_POW[basis.phase] * coeffs
         cols = np.arange(d)
         out = np.empty((d, d), dtype=complex)
         out[cols ^ cols[:, None], cols] = _walsh_hadamard(grid)
@@ -159,25 +160,17 @@ def expand(rho: DensityMatrix, gens: GeneratorSet) -> GradedExpansion:
     if rho.n != gens.n:
         raise DimensionMismatchError(f"state is for n={rho.n}, generators for n={gens.n}")
     basis = graded_basis(gens)
-    xmask, zmask, phase = _masks(basis, rho.n)
     cols = np.arange(rho.dim)
-    vals = _I_POW[phase] * _walsh_hadamard(rho.mat[cols, cols ^ cols[:, None]])[xmask, zmask]
+    vals = (_I_POW[basis.phase]
+            * _walsh_hadamard(rho.mat[cols, cols ^ cols[:, None]])[basis.xmask, basis.zmask])
     bad = np.flatnonzero(np.abs(vals.imag) > HERMITICITY)
     if bad.size:
         k = bad[0]
-        raise ValidationError(f"coefficient for {basis[k].indices} not real: {vals[k]}")
-    return GradedExpansion(rho.n, dict(zip((e.indices for e in basis), vals.real.tolist())))
+        raise ValidationError(f"coefficient for {basis.indices[k]} not real: {vals[k]}")
+    return GradedExpansion(rho.n, dict(zip(basis.indices, vals.real.tolist())))
 
 
 _I_POW = np.array(pauli._I_POW)
-
-
-def _masks(basis, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integer x and z masks (qubit 0 the top bit) and phases of basis strings."""
-    weights = 1 << np.arange(n - 1, -1, -1)
-    x = np.array([e.string.x for e in basis]) @ weights
-    z = np.array([e.string.z for e in basis]) @ weights
-    return x, z, np.array([e.string.phase for e in basis])
 
 
 def _walsh_hadamard(a) -> np.ndarray:

@@ -114,6 +114,18 @@ class TestMinimize:
     def test_nan_alpha_is_usage_error(self, command):
         assert main(command + ["--n", "1", "--alpha", "nan", "--samples", "100"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["-1", "0", "-inf"])
+    @pytest.mark.parametrize("command", [["minimize", "--K", "2"], ["sweep", "--k-min", "1", "--k-max", "2"]])
+    def test_non_positive_alpha_is_usage_error(self, command, alpha, capsys):
+        # "--alpha=" form: a bare "-inf" would be parsed as an unknown option
+        assert main(command + ["--n", "1", f"--alpha={alpha}", "--samples", "100"]) == 2
+        assert "argument --alpha: Renyi order must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["inf", "0.5"])
+    @pytest.mark.parametrize("command", [["minimize", "--K", "2"], ["sweep", "--k-min", "1", "--k-max", "2"]])
+    def test_positive_alpha_accepted(self, command, alpha):
+        assert main(command + ["--n", "1", "--alpha", alpha, "--samples", "100", "--format", "json"]) == 0
+
 
 class TestSweep:
     def test_shannon_closed_form_column(self, capsys):

@@ -37,6 +37,20 @@ def sequential_graded_basis(gens):
     return out
 
 
+def ordered_generators(n, order):
+    gens = jordan_wigner(n)
+    if order == "reversed":
+        # in Jordan-Wigner order no later generator's X meets an earlier
+        # one's Z; reversed, the reordering signs are exercised
+        gens = GeneratorSet(n, gens.gammas[::-1], gens.gamma0)
+    return gens
+
+
+def mask(bits):
+    """Integer mask of a bit row, qubit 0 the top bit."""
+    return int("".join(str(int(b)) for b in bits), 2)
+
+
 class TestJordanWigner:
     def test_n1_generators(self):
         gens = jordan_wigner(1)
@@ -131,11 +145,7 @@ class TestGradedBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("order", ["jordan-wigner", "reversed"])
     def test_equals_sequential_products(self, n, order):
-        gens = jordan_wigner(n)
-        if order == "reversed":
-            # in Jordan-Wigner order no later generator's X meets an earlier
-            # one's Z; reversed, the reordering signs are exercised
-            gens = GeneratorSet(n, gens.gammas[::-1], gens.gamma0)
+        gens = ordered_generators(n, order)
         basis = graded_basis(gens)
         expected = sequential_graded_basis(gens)
         assert len(basis) == len(expected) == 4**n
@@ -145,6 +155,44 @@ class TestGradedBasis:
             assert got.string.x.dtype == string.x.dtype == np.uint8
             assert np.array_equal(got.string.x, string.x)
             assert np.array_equal(got.string.z, string.z)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("order", ["jordan-wigner", "reversed"])
+    def test_table_equals_sequential_products(self, n, order):
+        gens = ordered_generators(n, order)
+        basis = graded_basis(gens)
+        expected = sequential_graded_basis(gens)
+        assert basis.indices == tuple(indices for indices, _, _ in expected)
+        assert basis.grade.tolist() == [grade for _, grade, _ in expected]
+        assert basis.xmask.tolist() == [mask(string.x) for _, _, string in expected]
+        assert basis.zmask.tolist() == [mask(string.z) for _, _, string in expected]
+        assert basis.phase.tolist() == [string.phase for _, _, string in expected]
+        assert np.array_equal(basis.x, [string.x for _, _, string in expected])
+        assert np.array_equal(basis.z, [string.z for _, _, string in expected])
+
+    def test_tables_are_read_only(self):
+        basis = graded_basis(jordan_wigner(2))
+        for table in (basis.grade, basis.x, basis.z, basis.phase, basis.xmask, basis.zmask):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_negative_index(self, n):
+        gens = jordan_wigner(n)
+        basis = graded_basis(gens)
+        assert basis[-1].string == gens.gamma0
+        assert basis[-1] == basis[len(basis) - 1]
+        assert basis[-len(basis)] == basis[0]
+        for r in (len(basis), -len(basis) - 1):
+            with pytest.raises(IndexError):
+                basis[r]
+
+    @pytest.mark.parametrize("window", [slice(2, 9), slice(None, None, -3), slice(-5, None), slice(7, 2)])
+    def test_slice_equals_indexing(self, window):
+        basis = graded_basis(jordan_wigner(2))
+        expected = [basis[r] for r in range(len(basis))[window]]
+        assert basis[window] == expected
+        assert list(basis)[window] == expected
 
     def test_trace_orthogonality(self):
         basis = graded_basis(jordan_wigner(2))

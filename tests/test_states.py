@@ -33,7 +33,7 @@ from cliffcert import (
     vector_expectations,
 )
 from cliffcert import states
-from cliffcert.pauli import expect, scatter
+from cliffcert.pauli import PauliString, expect, scatter
 from cliffcert.tolerances import RECONSTRUCTION
 
 I2 = np.eye(2, dtype=complex)
@@ -134,6 +134,36 @@ def reconstruct_by_scatter(exp, gens):
     return scatter(coeffs, [e.string for e in basis]) / 2**gens.n
 
 
+def masks_from_strings(gens):
+    """Index sets, integer masks (qubit 0 the top bit) and phases read off built strings."""
+    elems = list(graded_basis(gens))
+    weights = 1 << np.arange(gens.n - 1, -1, -1)
+    x = np.array([e.string.x for e in elems]) @ weights
+    z = np.array([e.string.z for e in elems]) @ weights
+    return [e.indices for e in elems], x, z, np.array([e.string.phase for e in elems])
+
+
+def expand_by_string_masks(rho, gens):
+    """The transform of :func:`expand`, on masks taken from materialized strings."""
+    indices, xmask, zmask, phase = masks_from_strings(gens)
+    cols = np.arange(rho.dim)
+    wht = states._walsh_hadamard(rho.mat[cols, cols ^ cols[:, None]])
+    vals = states._I_POW[phase] * wht[xmask, zmask]
+    return dict(zip(indices, vals.real.tolist()))
+
+
+def reconstruct_by_string_masks(exp, gens):
+    """The transform of :meth:`GradedExpansion.reconstruct`, on string masks."""
+    indices, xmask, zmask, phase = masks_from_strings(gens)
+    d = 2**gens.n
+    grid = np.zeros((d, d), dtype=complex)
+    grid[xmask, zmask] = states._I_POW[phase] * np.array([exp.coeffs[s] for s in indices])
+    cols = np.arange(d)
+    out = np.empty((d, d), dtype=complex)
+    out[cols ^ cols[:, None], cols] = states._walsh_hadamard(grid)
+    return out / d
+
+
 class TestTransforms:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from(["mixed-hs", "pure-haar"]))
@@ -157,6 +187,28 @@ class TestTransforms:
         got = exp.reconstruct(gens)
         assert got.shape == (2**n, 2**n)
         assert np.max(np.abs(got - reconstruct_by_scatter(exp, gens))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_builds_no_strings(self, n, monkeypatch):
+        gens = jordan_wigner(n)
+        rho = random_state(n, seed=40 + n)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("PauliString built")
+
+        monkeypatch.setattr(PauliString, "__init__", refuse)
+        back = expand(rho, gens).reconstruct(gens)
+        assert np.max(np.abs(back - rho.mat)) <= RECONSTRUCTION
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_bits_equal_string_mask_path(self, n):
+        gens = jordan_wigner(n)
+        rho = random_state(n, seed=60 + n)
+        exp = expand(rho, gens)
+        ref = expand_by_string_masks(rho, gens)
+        assert list(exp.coeffs) == list(ref)
+        assert np.array_equal(list(exp.coeffs.values()), list(ref.values()))
+        assert np.array_equal(exp.reconstruct(gens), reconstruct_by_string_masks(exp, gens))
 
     def test_round_trip_n7(self):
         gens = jordan_wigner(7)

@@ -81,6 +81,29 @@ def _alpha_type(text: str) -> float:
     return value
 
 
+def _join_alpha(argv: list[str]) -> list[str]:
+    """Write ``--alpha VALUE`` as ``--alpha=VALUE`` when VALUE reads as a float.
+
+    argparse takes ``-inf`` for an option, since it does not match its
+    negative-number pattern; joined, the value reaches :func:`_alpha_type`.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--alpha" and _reads_as_float(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 # flag: (config key, default where a command does not take it, argparse options)
 _FLAGS = {
     "--n": ("n", 2, dict(type=_bounded(int, 1), help="qubit count (default 2)")),
@@ -522,7 +545,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_alpha(sys.argv[1:] if argv is None else list(argv)))
         config = _config(args)
         problem = _range_problem(args.command, config)
         if problem:

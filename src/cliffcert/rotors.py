@@ -24,8 +24,8 @@ extended set.  The axis reflection lifts to U = G_0 G_1, which flips G_1
 together with G_0 - under a 2n-generator lift the pseudoscalar therefore
 picks up the factor det T.
 
-A plane rotor is a sum of two signed Pauli strings, a flip is one, and a
-rotor built by the axis reduction is a sum of at most 2n+2.  The lift
+A plane rotor is a sum of two signed Pauli strings, a flip is one, and the
+one rotor built by the axis reduction is a sum of at most 2n+1.  The lift
 therefore multiplies its factors in with the basis-action kernel of
 :mod:`pauli` (O(d**2) per angle), and dense rotors are rendered by
 scatter, never through products of dense observables.
@@ -47,11 +47,15 @@ from .tolerances import ORTHOGONALITY
 
 _TWO_PI = 2.0 * math.pi
 
-# Degenerate-case guards for reduce_to_axis: generator-span weight below
-# _NEGLIGIBLE is treated as zero; the antipodal pre-rotation triggers once
-# the midpoint normalization 2(1 + g_1/sqrt(l')) drops under _ANTIPODAL.
+# Degenerate-case guards for reduce_to_axis: a squared expectation-vector
+# length ell below _NEGLIGIBLE is treated as zero; the antipodal
+# pre-rotation triggers once c = 1 + g_1/sqrt(ell), half the rotor's
+# midpoint normalization, drops under _ANTIPODAL.  The rotor's rounding
+# error grows like 1e-16 / c (at n = 2: 7e-12 at c = 1e-5, and at c = 2e-8
+# the reduced state fails its trace check), so no rotor is built with c
+# under 1e-2.
 _NEGLIGIBLE = 1e-24
-_ANTIPODAL = 1e-8
+_ANTIPODAL = 1e-2
 
 
 class OrthoTransform:
@@ -236,59 +240,38 @@ def _vector_rotor(gens: GeneratorSet, coeffs: np.ndarray, axis: int) -> np.ndarr
 def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatrix, np.ndarray, float]:
     """Rotate a state's expectation vector onto the first generator axis.
 
-    Three reflections-based rotors move the full extended expectation
-    vector onto G_1 (generator-span rotation, pseudoscalar/G_2 exchange,
-    final in-plane rotation); averaging over the sign flips F_j for
-    j = 2..2n then erases every remaining graded coefficient except the
-    identity and G_1.
+    One rotor built from the whole extended expectation vector,
+    pseudoscalar included, moves it onto G_1; averaging over the sign
+    flips F_j for j = 2..2n then erases every remaining graded coefficient
+    except the identity and G_1.
 
     Returns ``(rho_hat, U, ell)`` where ``ell`` is the squared length of
     the expectation vector, ``rho_hat = (1/d)(1 + sqrt(ell) G_1)``, and
     ``U^H rho_hat U`` equals the Bloch projection of the input.  States
-    with no expectation-vector weight skip the rotations; an expectation
-    vector anti-parallel to G_1 is pre-rotated by pi in the (1,2) plane to
-    avoid the midpoint singularity.
+    with no expectation-vector weight skip the rotation; a vector with
+    ``1 + g_1/sqrt(ell)`` under ``_ANTIPODAL`` (near anti-parallel to G_1)
+    is first rotated by pi in the (1,2) plane, away from the midpoint
+    singularity.
     """
     n = gens.n
-    d = 2**n
     work = np.asarray(rho.mat, dtype=complex)
-    u = np.eye(d, dtype=complex)
     g = extended_expectations(work, gens)
     ell = float(np.dot(g, g))
 
     if ell > _NEGLIGIBLE:
-        ell_span = float(np.dot(g[1:], g[1:]))
-        if ell_span > _NEGLIGIBLE:
-            root_span = math.sqrt(ell_span)
-            if 1.0 + g[1] / root_span < _ANTIPODAL:
-                pre = plane_rotor(gens, 1, 2, math.pi)
-                u = pre @ u
-                work = pre @ work @ pre.conj().T
-                g = extended_expectations(work, gens)
-                root_span = math.sqrt(float(np.dot(g[1:], g[1:])))
-            coeffs = g.copy()
-            coeffs[0] = 0.0
-            coeffs /= root_span
-            r = _vector_rotor(gens, coeffs, axis=1)
-            u = r @ u
-            work = r @ work @ r.conj().T
-            g = extended_expectations(work, gens)
-
-        # Exchange the pseudoscalar with G_2 (90-degree rotation in their
-        # plane), then rotate the remaining (G_1, G_2) weight onto G_1.
-        r_ex = _vector_rotor(gens, np.eye(gens.extended_size)[0], axis=2)
-        u = r_ex @ u
-        work = r_ex @ work @ r_ex.conj().T
-        g = extended_expectations(work, gens)
-
-        span = math.hypot(g[1], g[2])
-        if span > math.sqrt(_NEGLIGIBLE):
-            coeffs = np.zeros_like(g)
-            coeffs[1] = g[1] / span
-            coeffs[2] = g[2] / span
-            r_fin = _vector_rotor(gens, coeffs, axis=1)
-            u = r_fin @ u
-            work = r_fin @ work @ r_fin.conj().T
+        coeffs = g / math.sqrt(ell)
+        pre = None
+        if 1.0 + coeffs[1] < _ANTIPODAL:
+            # the pi rotation negates G_1 and G_2 and fixes every other observable
+            pre = plane_rotor(gens, 1, 2, math.pi)
+            work = pre @ work @ pre.conj().T
+            coeffs[1:3] = -coeffs[1:3]
+        u = _vector_rotor(gens, coeffs, axis=1)
+        work = u @ work @ u.conj().T
+        if pre is not None:
+            u = u @ pre
+    else:
+        u = np.eye(2**n, dtype=complex)
 
     # F_j = G_0 G_j is anti-Hermitian, so F_j W F_j^H = -F_j W F_j.
     for j in range(2, 2 * n + 1):

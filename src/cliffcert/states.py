@@ -288,28 +288,6 @@ def _hs_chunk_states(n: int) -> int:
     return max(16, _HS_CHUNK_BYTES // (16 * 4**n))
 
 
-def _hs_chunks(n: int, count: int, seed):
-    """Hilbert-Schmidt random states a chunk at a time: yields ``(start, states)``.
-
-    The real and then the imaginary parts of all ``count`` square Ginibre
-    matrices G are drawn whole, in the stream order of one
-    ``(count, d, d)`` draw each; G, ``G G^H`` and its division by the trace
-    are formed one chunk at a time.  Each of those is a per-state
-    operation, so every state is bit for bit the one a whole-batch
-    construction gives, and no ``(count, d, d)`` complex stack is held.
-    """
-    rng = np.random.default_rng(seed)
-    d = 2**n
-    real = rng.standard_normal((count, d, d))
-    imag = rng.standard_normal((count, d, d))
-    step = _hs_chunk_states(n)
-    for start in range(0, count, step):
-        gin = real[start:start + step] + 1j * imag[start:start + step]
-        w = gin @ gin.conj().swapaxes(-1, -2)
-        w /= np.trace(w, axis1=1, axis2=2).real[:, None, None]
-        yield start, w
-
-
 def random_pure_states(n: int, count: int, seed) -> np.ndarray:
     """``count`` Haar-random unit state vectors, shape ``(count, d)``.
 
@@ -331,7 +309,10 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
 
     ``pure-haar`` draws Haar-random pure states; ``mixed-hs`` draws from
     the Hilbert-Schmidt measure (square Ginibre matrix G, normalized
-    G G^H), built a chunk of states at a time into the output.
+    G G^H).  For ``mixed-hs`` the real and then the imaginary parts of all
+    ``count`` matrices G are drawn whole; G, ``G G^H`` and the division by
+    the trace are formed one chunk of states at a time and copied into the
+    output, so no other ``(count, d, d)`` complex stack is held.
     Deterministic given the seed.
     """
     if ensemble not in _ENSEMBLES:
@@ -341,10 +322,18 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     if ensemble == "pure-haar":
         psi = random_pure_states(n, count, seed)
         return np.einsum("si,sj->sij", psi, psi.conj())
+    rng = np.random.default_rng(seed)
     d = 2**n
+    real = rng.standard_normal((count, d, d))
+    imag = rng.standard_normal((count, d, d))
     out = np.empty((count, d, d), dtype=complex)
-    for start, states in _hs_chunks(n, count, seed):
-        out[start:start + len(states)] = states
+    step = _hs_chunk_states(n)
+    for start in range(0, count, step):
+        stop = start + step
+        gin = real[start:stop] + 1j * imag[start:stop]
+        w = gin @ gin.conj().swapaxes(-1, -2)
+        w /= np.trace(w, axis1=1, axis2=2).real[:, None, None]
+        out[start:stop] = w
     return out
 
 

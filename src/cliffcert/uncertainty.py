@@ -46,8 +46,8 @@ _BALL_CHUNK = 8192
 
 
 def _check_order(alpha) -> float:
-    """The Renyi order as a float: a positive real or ``inf``; NaN is rejected."""
-    if not isinstance(alpha, numbers.Real) or not alpha > 0.0:
+    """The Renyi order as a float: a positive real or ``inf``; NaN and bools are rejected."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not alpha > 0.0:
         raise DomainError(f"Renyi order must be positive, got {alpha!r}")
     return float(alpha)
 

@@ -121,6 +121,12 @@ class TestMinimize:
         assert main(command + ["--n", "1", f"--alpha={alpha}", "--samples", "100"]) == 2
         assert "argument --alpha: Renyi order must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spelling", [["--alpha", "-inf"], ["--alpha=-inf"]])
+    @pytest.mark.parametrize("command", [["minimize", "--K", "2"], ["sweep", "--k-min", "1", "--k-max", "2"]])
+    def test_minus_inf_alpha_names_the_order(self, command, spelling, capsys):
+        assert main(command + ["--n", "1", *spelling, "--samples", "100"]) == 2
+        assert "argument --alpha: Renyi order must be positive, got -inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha", ["inf", "0.5"])
     @pytest.mark.parametrize("command", [["minimize", "--K", "2"], ["sweep", "--k-min", "1", "--k-max", "2"]])
     def test_positive_alpha_accepted(self, command, alpha):

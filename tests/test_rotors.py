@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cliffcert import (
     DensityMatrix,
@@ -28,6 +30,7 @@ from cliffcert import (
     rotation_matrix,
     to_dense,
 )
+from cliffcert import rotors
 from cliffcert.rotors import _rotor_direct
 
 
@@ -230,7 +233,66 @@ class TestFlips:
         assert abs(exp.coeff((1, 2, 3, 4))) <= 1e-12
 
 
+def near_minus_g1(n, eps, k, radius):
+    """``radius (-(1 - eps) e_1 + delta e_k)`` with ``delta`` making the direction a unit vector."""
+    g = np.zeros(2 * n + 1)
+    g[1] = -(1.0 - eps)
+    g[k] = math.sqrt(eps * (2.0 - eps))
+    return n, radius * g
+
+
+@st.composite
+def ball_vectors(draw):
+    """``(n, g)``: a unit-ball vector with pseudoscalar weight, or one near -G_1.
+
+    Near -G_1 the weight off G_1 sits on G_0 or on G_2, and ``1 + c_1 = eps``
+    falls in any decade from 1e-12 to 1, across the antipodal guard.
+    """
+    n = draw(st.integers(1, 3))
+    radius = draw(st.floats(0.05, 1.0))
+    if draw(st.booleans()):
+        size = 2 * n + 1
+        direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)))
+        direction[0] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 1.0))
+        return n, radius * direction / np.linalg.norm(direction)
+    eps = draw(st.floats(1.0, 9.0)) * 10.0 ** draw(st.integers(-12, -1))
+    return near_minus_g1(n, eps, draw(st.sampled_from([0, 2])), radius)
+
+
 class TestReduceToAxis:
+    @settings(max_examples=150, deadline=None)
+    @given(ball_vectors())
+    @example(near_minus_g1(2, 2e-8, 2, 0.9))
+    @example(near_minus_g1(2, 2e-8, 0, 0.9))
+    @example(near_minus_g1(3, 1e-6, 2, 1.0))
+    @example(near_minus_g1(1, 5e-2, 0, 0.7))
+    def test_ball_vectors_reduce_to_the_projection(self, case):
+        n, g = case
+        gens = jordan_wigner(n)
+        d = 2**n
+        rho = from_gvector(GVector(n, g), gens)
+        rho_hat, u, ell = reduce_to_axis(rho, gens)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-8
+        target = (np.eye(d) + math.sqrt(ell) * to_dense(gens.gammas[0])) / d
+        assert np.max(np.abs(rho_hat.mat - target)) <= 1e-8
+        proj = project_bloch(rho, gens)
+        assert np.max(np.abs(u.conj().T @ rho_hat.mat @ u - proj.mat)) <= 1e-8
+
+    def test_one_rotor_per_state(self, monkeypatch):
+        built = []
+        vector_rotor = rotors._vector_rotor
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return vector_rotor(*args, **kwargs)
+
+        monkeypatch.setattr(rotors, "_vector_rotor", counting)
+        gens = jordan_wigner(3)
+        for mat in random_state_batch(3, 10, seed=4):
+            reduce_to_axis(DensityMatrix.from_matrix(mat), gens)
+        reduce_to_axis(DensityMatrix.from_matrix(np.eye(8, dtype=complex) / 8), gens)
+        assert len(built) == 10
+
     def test_maximally_mixed(self):
         gens = jordan_wigner(2)
         rho = DensityMatrix.from_matrix(np.eye(4, dtype=complex) / 4)

@@ -411,8 +411,6 @@ class TestSampling:
     def test_mixed_hs_equals_whole_batch(self, n):
         chunk = states._hs_chunk_states(n)
         for count in (5, chunk, 2 * chunk + 5):
-            starts = [start for start, _ in states._hs_chunks(n, count, 3)]
-            assert starts == list(range(0, count, chunk))
             assert np.array_equal(random_state_batch(n, count, 3), whole_hs_batch(n, count, 3))
 
     def test_pure_states_are_rank_one(self):

@@ -236,6 +236,7 @@ ORDER_CALLS = {
     "renyi_entropy": lambda a: renyi_entropy([0.5, 0.5], a),
     "entropy_of_expectations": lambda a: entropy_of_expectations(np.array([0.3, -0.2]), a),
     "find_minimizer": lambda a: find_minimizer(jordan_wigner(1), 3, a, budget=50, seed=0),
+    "find_minimizers": lambda a: find_minimizers(jordan_wigner(1), [1, 3], a, budget=50, seed=0),
 }
 
 
@@ -245,6 +246,12 @@ class TestInputValidation:
     def test_bad_order_is_domain_error(self, call, alpha):
         with pytest.raises(DomainError):
             ORDER_CALLS[call](alpha)
+
+    @pytest.mark.parametrize("call", sorted(ORDER_CALLS))
+    def test_bool_order_is_domain_error(self, call):
+        # numbers.Real admits bools, so True would otherwise run as alpha = 1
+        with pytest.raises(DomainError):
+            ORDER_CALLS[call](True)
 
     @pytest.mark.parametrize("budget", [True, 2.5, -3])
     def test_budget_must_be_a_positive_integer(self, budget):

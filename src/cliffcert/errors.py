@@ -10,11 +10,12 @@ class DimensionMismatchError(CliffcertError, ValueError):
 
 
 class CapacityError(CliffcertError, ValueError):
-    """A size above the supported qubit guard or the minimizer's memory budget.
+    """A size above the supported qubit guard or the package's memory budget.
 
     The minimizer checks its unit-ball draws, its pure-state cross-check and
     the dense re-evaluation of the minimizing state against
-    ``tolerances.MEMORY_BUDGET`` before it draws anything.
+    ``tolerances.MEMORY_BUDGET`` before it draws anything; ``verify`` checks
+    its projection chunks, and ``rotors.lift`` its unitary, the same way.
     """
 
 

@@ -26,9 +26,11 @@ picks up the factor det T.
 
 A plane rotor is a sum of two signed Pauli strings, a flip is one, and the
 one rotor built by the axis reduction is a sum of at most 2n+1.  The lift
-therefore multiplies its factors in with the basis-action kernel of
-:mod:`pauli` (O(d**2) per angle), and dense rotors are rendered by
-scatter, never through products of dense observables.
+applies its factors, through the basis-action kernel of :mod:`pauli`, to
+one row only, which gives the vacuum column of U, and fills the other
+columns by n doublings through the lifted creation operators: O(N d**2)
+in all for N observables.  Dense rotors are rendered by scatter, never
+through products of dense observables.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ import numpy as np
 
 from . import pauli
 from .clifford import GeneratorSet
-from .errors import DimensionMismatchError, DomainError, OrientationError
+from .errors import CapacityError, DimensionMismatchError, DomainError, OrientationError
 from .pauli import PauliString
 from .states import DensityMatrix, extended_expectations
-from .tolerances import ORTHOGONALITY
+from .tolerances import MEMORY_BUDGET, ORTHOGONALITY
 
 _TWO_PI = 2.0 * math.pi
 
@@ -56,6 +58,9 @@ _TWO_PI = 2.0 * math.pi
 # under 1e-2.
 _NEGLIGIBLE = 1e-24
 _ANTIPODAL = 1e-2
+# Complex d x d arrays that lift holds at its peak: U and the last doubling's
+# d x d/2 term.
+_LIFT_ARRAYS = 1.5
 
 
 class OrthoTransform:
@@ -156,8 +161,9 @@ def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float,
 
     ``j`` and ``k`` are extended indices (0 = pseudoscalar); every other
     observable in the extended set is fixed.  Returns ``u @ R`` for the
-    rotor ``R = cos(theta/2) 1 + sin(theta/2) G_k G_j``, in O(d**2) for a
-    ``d x d`` left factor ``u`` (the identity by default).
+    rotor ``R = cos(theta/2) 1 + sin(theta/2) G_k G_j``.  The left factor
+    ``u`` may be any ``(..., d)`` array, a ``1 x d`` row included, and costs
+    O(d) per row: O(d**2) for a ``d x d`` factor (the identity by default).
     """
     size = gens.extended_size
     if j == k:
@@ -190,31 +196,64 @@ def lift(t, gens: GeneratorSet) -> np.ndarray:
 
     ``t`` of size 2n acts on the generators (any determinant; the
     pseudoscalar picks up det T).  Size 2n+1 acts on the extended set and
-    must be special-orthogonal.  Built as the product of the lifted
-    Euler-angle factors, each multiplied in by :func:`plane_rotor` in
-    O(d**2).
+    must be special-orthogonal.
+
+    U is the product of the lifted Euler-angle factors, ``[F] R_1 ... R_m``,
+    but only its vacuum column ``U e_0`` is built from them: the factors
+    ``R(theta)^H = R(-theta)`` act in reverse order on the row
+    ``e_0^T R_m^H ... R_1^H``, O(n d) per angle, and the flip ``F`` of a
+    det -1 transform is applied to the conjugated row.  The creation operators
+    ``a_k^H = (G_{2k-1} - i G_{2k})/2 = Z^(k-1) (x) |1><0|_k`` send ``e_x``
+    to ``e_{x+m}`` for ``x < m = 2**(n-k)``, and
+    ``U a_k^H U^H = (1/2) sum_i (T_{i,2k-1} - i T_{i,2k}) G_i``.  So for
+    k = n, ..., 1 the columns ``m..2m-1`` of U are that sum applied to its
+    columns ``0..m-1``: n doublings, O(N d**2) in all for N = 2n or 2n+1
+    observables.
+
+    Raises :class:`CapacityError`, before anything of size d is allocated,
+    when U and the last doubling's term exceed ``MEMORY_BUDGET``.
     """
     trans = _as_transform(t)
     n = gens.n
     d = 2**n
-    fact = euler_decompose(trans)
-    u = np.eye(d, dtype=complex)
+    # base: the extended index of the transform's first axis
     if trans.size == 2 * n + 1:
         if trans.det_sign < 0:
             raise OrientationError("extended-set lift requires determinant +1")
-        for j, k, theta in fact.angles:
-            if theta != 0.0:
-                u = plane_rotor(gens, j - 1, k - 1, theta, u)
+        base = 0
     elif trans.size == 2 * n:
-        if fact.reflection_flag < 0:
-            u = flip_unitary(gens, 1)
-        for j, k, theta in fact.angles:
-            if theta != 0.0:
-                u = plane_rotor(gens, j, k, theta, u)
+        base = 1
     else:
         raise DimensionMismatchError(
             f"transform size {trans.size} matches neither 2n={2 * n} nor 2n+1={2 * n + 1}"
         )
+    nbytes = _LIFT_ARRAYS * d * d * 16
+    if nbytes > MEMORY_BUDGET:
+        raise CapacityError(
+            f"lift at n = {n} needs {nbytes / 2**30:.1f} GiB, above the "
+            f"{MEMORY_BUDGET / 2**30:.0f} GiB memory budget")
+
+    fact = euler_decompose(trans)
+    row = np.zeros((1, d), dtype=complex)
+    row[0, 0] = 1.0
+    for j, k, theta in reversed(fact.angles):
+        if theta != 0.0:
+            row = plane_rotor(gens, j - 1 + base, k - 1 + base, -theta, row)
+    column = row[0].conj()
+    if fact.reflection_flag < 0:
+        column = flip_unitary(gens, 1) @ column
+
+    u = np.zeros((d, d), dtype=complex)
+    u[:, 0] = column
+    for k in range(n, 0, -1):
+        m = 2 ** (n - k)
+        coeffs = 0.5 * (trans.mat[:, 2 * k - 1 - base] - 1j * trans.mat[:, 2 * k - base])
+        target = u[:, m:2 * m]
+        for c, act in zip(coeffs, gens.actions[base:]):
+            term = pauli.apply(act, u[:, :m], "left")
+            term *= c
+            target += term
+            del term  # so that the next apply does not hold two terms
     return u
 
 

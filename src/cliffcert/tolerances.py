@@ -15,4 +15,4 @@ LIFT = 1e-8            # conjugation residual allowed for lifted unitaries
 OPTIMIZATION = 1e-6    # gap tolerance for numeric minimization
 CONCAVITY = 1e-12      # allowed positive excursion of the analytic curvature
 DENSE_GUARD = 14       # largest qubit count for dense 2**n x 2**n work
-MEMORY_BUDGET = 2**32  # bytes one minimizer phase may hold: draws, cross-check, dense state
+MEMORY_BUDGET = 2**32  # bytes one minimizer phase or one lift may hold at once

@@ -117,7 +117,7 @@ class TestMinimize:
     @pytest.mark.parametrize("alpha", ["-1", "0", "-inf"])
     @pytest.mark.parametrize("command", [["minimize", "--K", "2"], ["sweep", "--k-min", "1", "--k-max", "2"]])
     def test_non_positive_alpha_is_usage_error(self, command, alpha, capsys):
-        # "--alpha=" form: a bare "-inf" would be parsed as an unknown option
+        # the "--alpha=" spelling; main joins "--alpha -inf" into it (tested below)
         assert main(command + ["--n", "1", f"--alpha={alpha}", "--samples", "100"]) == 2
         assert "argument --alpha: Renyi order must be positive" in capsys.readouterr().err
 

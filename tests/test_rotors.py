@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffcert import (
+    CapacityError,
     DensityMatrix,
     DimensionMismatchError,
     DomainError,
@@ -130,6 +131,16 @@ class TestPlaneRotor:
                 b = direct @ d @ direct.conj().T
                 assert np.max(np.abs(a - b)) <= 1e-12
 
+    def test_row_factor_is_the_row_of_the_product(self):
+        # a 1 x d row is multiplied in at O(d), as lift does for its vacuum column
+        gens = jordan_wigner(3)
+        rng = np.random.default_rng(5)
+        row = rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))
+        for j, k in ((0, 3), (2, 6), (5, 1)):
+            out = plane_rotor(gens, j, k, 1.1, row)
+            assert out.shape == (1, 8)
+            assert np.max(np.abs(out - row @ plane_rotor(gens, j, k, 1.1))) <= 1e-15
+
     def test_rejects_equal_indices(self):
         gens = jordan_wigner(1)
         with pytest.raises(DomainError):
@@ -186,6 +197,66 @@ class TestLift:
             a = u_prod @ d @ u_prod.conj().T
             b = u_split @ d @ u_split.conj().T
             assert np.max(np.abs(a - b)) <= 1e-8
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4]),
+           st.sampled_from([(1, 1), (0, 1), (0, -1)]))
+    def test_matches_euler_rotor_product(self, seed, n, shape):
+        # n = 3 is covered in test_pauli; size 2n+1 rotates planes through
+        # the pseudoscalar (extended index 0)
+        extra, det_sign = shape
+        gens = jordan_wigner(n)
+        t = random_orthogonal(np.random.default_rng(seed), 2 * n + extra, det_sign)
+        fact = euler_decompose(t)
+        oracle = np.eye(2**n, dtype=complex)
+        if fact.reflection_flag < 0:
+            oracle = to_dense(gens.gamma0 * gens.gammas[0])
+        for j, k, theta in fact.angles:
+            if theta != 0.0:
+                oracle = oracle @ _rotor_direct(gens, j - extra, k - extra, theta)
+        u = lift(t, gens)
+        overlap = np.vdot(oracle, u)
+        assert np.max(np.abs(u - overlap / abs(overlap) * oracle)) <= 1e-12
+
+    def test_one_rotor_per_angle_and_one_flip_per_reflection(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            inner = getattr(rotors, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+
+            return counting
+
+        for name in ("plane_rotor", "flip_unitary"):
+            monkeypatch.setattr(rotors, name, counted(name))
+        rng = np.random.default_rng(13)
+        for n in (1, 3):
+            gens = jordan_wigner(n)
+            cases = [np.eye(2 * n + 1), rotation_matrix(2 * n, 1, 2, 0.4)]
+            cases += [random_orthogonal(rng, 2 * n + 1, 1), random_orthogonal(rng, 2 * n, 1),
+                      random_orthogonal(rng, 2 * n, -1)]
+            for t in cases:
+                fact = euler_decompose(t)
+                calls.clear()
+                lift(t, gens)
+                assert calls.count("plane_rotor") == sum(theta != 0.0 for *_, theta in fact.angles)
+                assert calls.count("flip_unitary") == (fact.reflection_flag < 0)
+
+    def test_refuses_over_budget_before_allocating(self, monkeypatch):
+        # U and the last doubling's d x d/2 term at n = 14: 1.5 x 4**14 x 16
+        # bytes = 6 GiB, above the 4 GiB budget
+        gens = jordan_wigner(14)
+        t = random_orthogonal(np.random.default_rng(14), 29, det_sign=1)
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("lift allocated before its memory check")
+
+        monkeypatch.setattr(rotors.np, "zeros", no_alloc)
+        with pytest.raises(CapacityError, match="memory budget"):
+            lift(t, gens)
 
 
 class TestFlips:

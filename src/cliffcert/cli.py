@@ -39,6 +39,7 @@ from .pauli import PauliString
 from .rotors import conjugation_residual, euler_decompose, lift, recompose, reduce_to_axis
 from .states import (
     DensityMatrix,
+    _psd_shortfall,
     extended_expectations,
     matrix_from_expectations,
     random_state_batch,
@@ -229,21 +230,21 @@ def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int
         mats = random_state_batch(gens.n, count, seed, "mixed-hs")
         g = extended_expectations(mats, gens)
         proj = matrix_from_expectations(g, gens)
-        min_eig = float(np.linalg.eigvalsh(proj)[:, 0].min())
+        shortfall = _psd_shortfall(proj, 0.0)
         norm_sq = float((g * g).sum(axis=1).max())
         g_again = extended_expectations(proj, gens)
         idem = float(np.max(np.abs(matrix_from_expectations(g_again, gens) - proj)))
         traces = np.trace(proj, axis1=1, axis2=2)
         tr_res = float(np.max(np.abs(traces - 1.0)))
-        return min_eig, norm_sq, idem, tr_res
+        return shortfall, norm_sq, idem, tr_res
 
     parts = _map_chunks(work, list(zip(sizes, seeds)), threads)
-    min_eig = min(p[0] for p in parts)
+    shortfall = max(p[0] for p in parts)
     norm_sq = max(p[1] for p in parts)
     idem = max(p[2] for p in parts)
     tr_res = max(p[3] for p in parts)
     return [
-        _check("projection-positivity", min_eig >= -tol_psd, max(0.0, -min_eig),
+        _check("projection-positivity", shortfall <= tol_psd, shortfall,
                f"worst projected eigenvalue over {samples} states"),
         _check("projection-idempotent", idem <= RECONSTRUCTION, idem, ""),
         _check("projection-trace", tr_res <= 1e-10, tr_res, ""),

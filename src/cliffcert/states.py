@@ -18,9 +18,12 @@ map: the result is again a state, and its 2n+1 expectations obey
 unit ball yields a valid state, because ``A = sum g_j G_j`` satisfies
 ``A**2 = (sum g_j**2) * 1``.
 
-Validation policy: matrices failing positive semidefiniteness by at most
-``PSD`` are accepted (eigensolvers produce tiny negative eigenvalues) and
-trace drift within ``TRACE`` is renormalized; harder failures reject.
+Validation policy: trace drift within ``TRACE`` is renormalized, and a
+matrix whose least eigenvalue lies above ``-PSD`` is accepted (rounding
+leaves singular states with tiny negative eigenvalues); harder failures
+reject.  Positivity is decided by a Cholesky factorization of
+``rho + PSD * 1``; an eigensolver runs only when that fails, to size the
+violation.
 """
 
 from __future__ import annotations
@@ -75,11 +78,12 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > tol_tr:
             raise ValidationError(f"trace {tr} differs from 1 beyond tolerance")
+        # The normalized copy and its factor are dropped before the output
+        # is formed, so validation holds at most four d x d arrays.
+        shortfall = _psd_shortfall(m, tol_psd, tr.real)
+        if shortfall > tol_psd:
+            raise ValidationError(f"minimum eigenvalue {-shortfall:.3e} below -{tol_psd}")
         m = m / tr.real
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -tol_psd:
-            raise ValidationError(f"minimum eigenvalue {min_eig:.3e} below -{tol_psd}")
-        m = m.copy()
         m.setflags(write=False)
         return cls(n, m)
 
@@ -274,6 +278,43 @@ def from_gvector(g: GVector, gens: GeneratorSet, *, tol_psd: float = PSD) -> Den
     if norm_sq > 1.0 + tol_psd:
         raise BallViolationError(f"sum of squares {norm_sq:.12f} exceeds 1")
     return DensityMatrix.from_matrix(matrix_from_expectations(g.values, gens), tol_psd=tol_psd)
+
+
+# Bytes of the matrices one Cholesky call factors, so that the shifted copy
+# and its factor stay a few MiB whatever the number of states.
+_FACTOR_BYTES = 2**21
+
+
+def _psd_shortfall(mats: np.ndarray, shift: float, scale: float = 1.0) -> float:
+    """``max(0, -lambda_min)`` over the Hermitian matrices ``mats / scale``.
+
+    ``mats`` has shape ``(..., d, d)`` and is not modified.  Each slice of
+    at most ``_FACTOR_BYTES`` is divided by ``scale``, shifted by
+    ``shift * 1`` and factored by Cholesky; when every slice factors the
+    result is 0.0 and no eigensolver runs.  Only a slice that fails to
+    factor is sized by ``eigvalsh`` (its least eigenvalue less ``shift``).
+
+    Both LAPACK routines read the lower triangle.  A factorization that
+    succeeds bounds the least eigenvalue above ``-shift - O(d eps)``, and
+    ``d eps`` is far inside ``PSD`` at d <= 2**14.  So a caller that accepts
+    a shortfall of at most ``tol >= shift`` decides as
+    ``eigvalsh(mats / scale)[..., 0] >= -tol`` would, except within a band
+    of rounding size.
+    """
+    d = mats.shape[-1]
+    stack = mats.reshape(-1, d, d)
+    step = max(1, _FACTOR_BYTES // (16 * d * d))
+    diag = np.arange(d)
+    shortfall = 0.0
+    for start in range(0, len(stack), step):
+        work = stack[start:start + step] / scale
+        work[:, diag, diag] += shift
+        try:
+            np.linalg.cholesky(work)
+        except np.linalg.LinAlgError:
+            least = float(np.linalg.eigvalsh(work)[:, 0].min()) - shift
+            shortfall = max(shortfall, -least)
+    return shortfall
 
 
 _ENSEMBLES = ("pure-haar", "mixed-hs")

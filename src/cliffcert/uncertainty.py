@@ -365,8 +365,8 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
     d = 2**gens.n
     # The direction stream plus one K's radii; the state vectors plus the
     # temporaries of their draw, norm and measurement; the re-evaluated
-    # state plus the temporaries of its validation (the Hermiticity
-    # residual, the normalized copy and eigvalsh's LAPACK copy).
+    # state plus the temporaries of its validation (the normalized, shifted
+    # copy, and the Cholesky factorization's copy and factor).
     for what, nbytes in (("unit-ball search", budget * (max(ks) + 1) * 8),
                          ("pure-state cross-check", 5 * state_count * d * 16),
                          ("dense re-evaluation", 4 * d * d * 16)):

@@ -5,6 +5,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from cliffcert import __version__, cli
@@ -286,6 +287,38 @@ class TestVerifyMemory:
         forbid_sampling(monkeypatch)
         assert main(argv) == 1
         assert "memory budget" in capsys.readouterr().err
+
+
+class TestProjectionPositivity:
+    def test_factorization_alone_decides_passing_states(self, monkeypatch, capsys):
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        code, doc = run_json(capsys, ["verify", "--n", "3"])
+        assert code == 0
+        assert doc["residuals"]["projection-positivity"] == 0.0
+
+    def test_indefinite_matrix_is_sized_by_eigvalsh(self, monkeypatch, capsys):
+        # a trace-one Hermitian matrix with eigenvalues (-0.25, 0.25, 0.4, 0.6)
+        u, _ = np.linalg.qr(np.arange(16.0).reshape(4, 4) ** 1.5 + 1j * np.eye(4))
+        bad = (u * [-0.25, 0.25, 0.4, 0.6]) @ u.conj().T
+        real = cli.matrix_from_expectations
+        chunks = []
+
+        def with_bad(g, gens):
+            out = real(g, gens)
+            if out.ndim == 3:  # a projection chunk, not the rotor suite's single state
+                out[len(out) // 2] = bad
+                chunks.append(out)
+            return out
+
+        monkeypatch.setattr(cli, "matrix_from_expectations", with_bad)
+        code, doc = run_json(capsys, ["verify", "--n", "2", "--samples", "40"])
+        check = next(c for c in doc["results"] if c["name"] == "projection-positivity")
+        assert code == 1 and not check["passed"]
+        assert check["residual"] == -np.linalg.eigvalsh(chunks[0])[:, 0].min()
+        assert check["residual"] == pytest.approx(0.25, abs=1e-14)
 
 
 def config_items(**given):

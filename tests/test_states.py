@@ -34,7 +34,7 @@ from cliffcert import (
 )
 from cliffcert import states
 from cliffcert.pauli import PauliString, expect, scatter
-from cliffcert.tolerances import RECONSTRUCTION
+from cliffcert.tolerances import PSD, RECONSTRUCTION
 
 I2 = np.eye(2, dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -49,6 +49,13 @@ def bell_state() -> DensityMatrix:
 def mixed(n: int) -> DensityMatrix:
     d = 2**n
     return DensityMatrix.from_matrix(np.eye(d, dtype=complex) / d)
+
+
+def with_least_eigenvalue(least: float) -> np.ndarray:
+    """A dense unit-trace Hermitian 4 x 4 matrix whose least eigenvalue is ``least``."""
+    u, _ = np.linalg.qr(random_pure_states(2, 4, seed=11).T)
+    eigs = np.array([least, 0.2, 0.3, 0.5 - least])
+    return (u * eigs) @ u.conj().T
 
 
 class TestValidation:
@@ -83,6 +90,34 @@ class TestValidation:
     def test_renormalizes_trace_drift(self):
         rho = DensityMatrix.from_matrix((1.0 + 5e-11) * np.eye(2, dtype=complex) / 2)
         assert abs(np.trace(rho.mat) - 1.0) <= 1e-14
+
+    def test_least_eigenvalue_against_psd(self):
+        DensityMatrix.from_matrix(with_least_eigenvalue(-0.5 * PSD))
+        with pytest.raises(ValidationError, match=r"minimum eigenvalue -2\.000e-09 below -1e-09"):
+            DensityMatrix.from_matrix(with_least_eigenvalue(-2.0 * PSD))
+
+    def test_output_is_read_only_normalized_input(self):
+        m = (1.0 + 5e-11) * with_least_eigenvalue(0.1)
+        rho = DensityMatrix.from_matrix(m)
+        assert not rho.mat.flags.writeable and not np.shares_memory(rho.mat, m)
+        assert np.array_equal(rho.mat, m / np.trace(m).real)
+
+    def test_accepted_states_need_no_eigensolver(self, monkeypatch):
+        # rho + PSD * 1 factors for each, so positivity is decided without eigvalsh
+        gens = jordan_wigner(3)
+        g = np.zeros(7)
+        g[[0, 2, 5]] = (0.6, 0.48, 0.64)  # a unit vector: a singular state on the sphere
+        psi = random_pure_states(3, 1, seed=2)[0]
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        for rho in (DensityMatrix.from_matrix(with_least_eigenvalue(-0.5 * PSD)),
+                    DensityMatrix.from_matrix(np.outer(psi, psi.conj())),
+                    from_gvector(GVector(3, g), gens),
+                    project_bloch(bell_state(), jordan_wigner(2))):
+            assert abs(np.trace(rho.mat) - 1.0) <= 1e-14
 
 
 class TestExpand:

@@ -64,19 +64,16 @@ from .states import (
     vector_expectations,
 )
 from .uncertainty import (
-    ConcavityProfile,
     EntropyReport,
     bias_entropy,
     bias_entropy_d1,
     bias_entropy_d2,
     closed_form_kind,
     closed_form_min,
-    concavity_profile,
     entropy_average,
     entropy_of_expectations,
     find_minimizer,
     find_minimizers,
-    has_closed_form,
     maassen_uffink_bound,
     observable_entropy,
     renyi_entropy,

@@ -45,7 +45,8 @@ from .states import (
     random_state_batch,
 )
 from .tolerances import CONCAVITY, LIFT, MEMORY_BUDGET, OPTIMIZATION, PSD, RECONSTRUCTION
-from .uncertainty import bias_entropy, concavity_profile, find_minimizer, find_minimizers
+from .uncertainty import (bias_entropy, bias_entropy_d1, bias_entropy_d2, find_minimizer,
+                          find_minimizers)
 
 THREADS_ENV = "CLIFFCERT_THREADS"
 _CHUNK = 256
@@ -69,8 +70,6 @@ def _bounded(kind, low, high=math.inf):
 
 
 def _alpha_type(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
     try:
         value = float(text)
     except ValueError as exc:
@@ -331,10 +330,10 @@ def _fd_curvature(t: np.ndarray) -> np.ndarray:
 
 def _suite_concavity() -> list[dict]:
     grid = np.linspace(0.001, 0.999, 997)
-    prof = concavity_profile(grid)
-    curv_max = float(prof.curvature.max())
-    slope_rel = float(np.max(np.abs(prof.slope - _fd_slope(grid)) / np.abs(prof.slope)))
-    curv_rel = float(np.max(np.abs(prof.curvature - _fd_curvature(grid)) / np.abs(prof.curvature)))
+    slope, curvature = bias_entropy_d1(grid), bias_entropy_d2(grid)
+    curv_max = float(curvature.max())
+    slope_rel = float(np.max(np.abs(slope - _fd_slope(grid)) / np.abs(slope)))
+    curv_rel = float(np.max(np.abs(curvature - _fd_curvature(grid)) / np.abs(curvature)))
     return [
         _check("concavity-sign", curv_max <= CONCAVITY, max(0.0, curv_max),
                "analytic curvature must be nonpositive"),

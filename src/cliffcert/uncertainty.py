@@ -5,7 +5,9 @@ two-outcome distribution ((1+g)/2, (1-g)/2), so the average Renyi entropy
 over the first K observables depends on the state only through its
 expectation vector.  Combined with the unit-ball characterization of
 admissible vectors this turns state-space minimization into a K-dimensional
-ball search with closed-form answers:
+ball search.  Each order's formulas (the two-outcome entropy and its slope,
+the n-outcome entropy, the closed form) are one record that ``_order``
+picks, the one place that branches on the order.  The closed forms:
 
     alpha = 1   : min = 1 - 1/K            (one expectation at +-1)
     alpha = 2   : min = 1 - log2(1 + 1/K)  (all expectations at 1/sqrt(K))
@@ -19,7 +21,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,10 +56,6 @@ def _check_order(alpha) -> float:
     return float(alpha)
 
 
-def _is_shannon(alpha) -> bool:
-    return not math.isinf(alpha) and abs(float(alpha) - 1.0) < _SHANNON_EPS
-
-
 def _xlog2x(p: np.ndarray) -> np.ndarray:
     """``p log2 p`` with ``0 log2 0 = 0``, in one output array."""
     pos = p > 0.0
@@ -63,46 +63,95 @@ def _xlog2x(p: np.ndarray) -> np.ndarray:
     return np.multiply(p, out, out=out, where=pos)
 
 
+class _Order(NamedTuple):
+    """One Renyi order's formulas: ``term(g)``, the two-outcome entropy at
+    expectation ``g``, and ``slope(g)``, its derivative; ``entropy(p)`` of a
+    normalized probability vector; ``bound(K)``, the closed form of the
+    K-average minimum, and its ``kind``, both ``None`` for a general order."""
+
+    term: Callable[[np.ndarray], np.ndarray]
+    slope: Callable[[np.ndarray], np.ndarray]
+    entropy: Callable[[np.ndarray], float]
+    bound: Callable[[int], float] | None = None
+    kind: str | None = None
+
+
+def _clipped(term, slope, entropy, bound=None, kind=None) -> _Order:
+    """``term`` taken on ``g`` clipped to [-1, 1], ``slope`` 1e-12 inside it, where it is finite."""
+    return _Order(lambda g: term(np.clip(g, -1.0, 1.0)),
+                  lambda g: slope(np.clip(g, -1.0 + 1e-12, 1.0 - 1e-12)), entropy, bound, kind)
+
+
+def _power(a: float) -> _Order:
+    """A general order ``a``, through the power sums ``p**a + q**a`` and ``sum(p**a)``."""
+
+    def term(g):
+        p, q = (1.0 + g) / 2.0, (1.0 - g) / 2.0
+        return np.log2(p**a + q**a) / (1.0 - a)
+
+    def slope(g):
+        p, q = (1.0 + g) / 2.0, (1.0 - g) / 2.0
+        return a * (p ** (a - 1.0) - q ** (a - 1.0)) / (2.0 * (1.0 - a) * _LN2 * (p**a + q**a))
+
+    return _clipped(term, slope, lambda p: float(np.log2(np.sum(p**a)) / (1.0 - a)))
+
+
+# The orders with a closed form: the min-entropy, Shannon and the collision entropy.
+_MIN_ENTROPY = _clipped(
+    lambda g: -np.log2((1.0 + np.abs(g)) / 2.0),
+    lambda g: -np.sign(g) / ((1.0 + np.abs(g)) * _LN2),
+    lambda p: float(-np.log2(p.max())),
+    lambda K: 1.0 - math.log2(1.0 + 1.0 / math.sqrt(K)), "proven-lower-bound")
+_SHANNON = _clipped(
+    lambda g: -(_xlog2x((1.0 + g) / 2.0) + _xlog2x((1.0 - g) / 2.0)),
+    lambda g: 0.5 * np.log2((1.0 - g) / (1.0 + g)),
+    lambda p: float(-np.sum(_xlog2x(p))),
+    lambda K: 1.0 - 1.0 / K, "exact-minimum")
+_COLLISION = _clipped(
+    lambda g: -np.log2((1.0 + g * g) / 2.0),
+    lambda g: -2.0 * g / ((1.0 + g * g) * _LN2),
+    _power(2.0).entropy,
+    lambda K: 1.0 - math.log2(1.0 + 1.0 / K), "exact-minimum")
+
+
+def _order(alpha) -> _Order:
+    """The formulas of the Renyi order ``alpha``: the one place that branches on it."""
+    a = _check_order(alpha)
+    if math.isinf(a):
+        return _MIN_ENTROPY
+    if abs(a - 1.0) < _SHANNON_EPS:
+        return _SHANNON
+    if a == 2.0:
+        return _COLLISION
+    return _power(a)
+
+
+def _finite(x, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{what} must be finite")
+    return x
+
+
 def renyi_entropy(p, alpha) -> float:
     """Renyi entropy (bits) of a probability vector; ``alpha -> 1`` is Shannon.
 
     Entries may dip to ``-PSD`` (clamped to zero) and the sum may drift
-    from 1 by ``TRACE``; anything worse is rejected.
+    from 1 by ``TRACE``; anything worse, or a non-finite entry, is rejected.
     """
-    alpha = _check_order(alpha)
-    probs = np.asarray(p, dtype=float)
+    order = _order(alpha)
+    probs = _finite(p, "probabilities")
     if np.any(probs < -PSD):
         raise DomainError(f"negative probability beyond tolerance: {probs.min():.3e}")
     total = float(probs.sum())
     if abs(total - 1.0) > TRACE:
         raise DomainError(f"probabilities sum to {total}, not 1")
-    probs = np.clip(probs, 0.0, None) / total
-    if math.isinf(alpha):
-        return float(-np.log2(probs.max()))
-    if _is_shannon(alpha):
-        return float(-np.sum(_xlog2x(probs)))
-    return float(np.log2(np.sum(probs**alpha)) / (1.0 - alpha))
+    return order.entropy(np.clip(probs, 0.0, None) / total)
 
 
 def entropy_of_expectations(g, alpha) -> np.ndarray:
-    """Vectorized two-outcome entropy for observables with expectations ``g``."""
-    return _terms(np.asarray(g, dtype=float), _check_order(alpha))
-
-
-def _terms(g: np.ndarray, alpha: float) -> np.ndarray:
-    """:func:`entropy_of_expectations` for a float array and a checked order."""
-    g = np.clip(g, -1.0, 1.0)
-    if math.isinf(alpha):
-        return -np.log2((1.0 + np.abs(g)) / 2.0)
-    if _is_shannon(alpha):
-        p = (1.0 + g) / 2.0
-        q = (1.0 - g) / 2.0
-        return -(_xlog2x(p) + _xlog2x(q))
-    if alpha == 2.0:
-        return -np.log2((1.0 + g * g) / 2.0)
-    p = (1.0 + g) / 2.0
-    q = (1.0 - g) / 2.0
-    return np.log2(p**alpha + q**alpha) / (1.0 - alpha)
+    """Vectorized two-outcome entropy for observables with (finite) expectations ``g``."""
+    return _order(alpha).term(_finite(g, "expectations"))
 
 
 def observable_entropy(rho: DensityMatrix, g: PauliString, alpha) -> float:
@@ -126,52 +175,29 @@ def entropy_average(rho: DensityMatrix, gens: GeneratorSet, K: int, alpha) -> fl
     return float(entropy_of_expectations(g, alpha).mean())
 
 
-def has_closed_form(alpha) -> bool:
-    return math.isinf(alpha) or _is_shannon(alpha) or float(alpha) == 2.0
+def _closed_form(alpha) -> _Order:
+    order = _order(alpha)
+    if order.bound is None:
+        raise DomainError(f"no closed form for alpha = {alpha}; supported: 1, 2, inf")
+    return order
 
 
 def closed_form_kind(alpha) -> str:
     """``exact-minimum`` for alpha in {1, 2}; ``proven-lower-bound`` for inf."""
-    if math.isinf(alpha):
-        return "proven-lower-bound"
-    if _is_shannon(alpha) or float(alpha) == 2.0:
-        return "exact-minimum"
-    raise DomainError(f"no closed form for alpha = {alpha}")
+    return _closed_form(alpha).kind
 
 
 def closed_form_min(K: int, alpha) -> float:
     """Closed-form bound (bits) on the K-observable entropy average."""
     if K < 1:
         raise DomainError("K must be at least 1")
-    if math.isinf(alpha):
-        return 1.0 - math.log2(1.0 + 1.0 / math.sqrt(K))
-    if _is_shannon(alpha):
-        return 1.0 - 1.0 / K
-    if float(alpha) == 2.0:
-        return 1.0 - math.log2(1.0 + 1.0 / K)
-    raise DomainError(f"no closed form for alpha = {alpha}; supported: 1, 2, inf")
+    return _closed_form(alpha).bound(K)
 
 
-def _ball_objective(g, alpha) -> np.ndarray:
+def _ball_objective(g, order: _Order) -> np.ndarray:
     """Average entropy as a function of a (stack of) expectation vector(s)."""
-    t = _terms(g, alpha)
+    t = order.term(g)
     return np.add.reduce(t, axis=-1) / t.shape[-1]
-
-
-def _objective_gradient(g: np.ndarray, alpha) -> np.ndarray:
-    g = np.clip(g, -1.0 + 1e-12, 1.0 - 1e-12)
-    if math.isinf(alpha):
-        d = -np.sign(g) / ((1.0 + np.abs(g)) * _LN2)
-    elif _is_shannon(alpha):
-        d = 0.5 * np.log2((1.0 - g) / (1.0 + g))
-    elif float(alpha) == 2.0:
-        d = -2.0 * g / ((1.0 + g * g) * _LN2)
-    else:
-        a = float(alpha)
-        p = (1.0 + g) / 2.0
-        q = (1.0 - g) / 2.0
-        d = a * (p ** (a - 1.0) - q ** (a - 1.0)) / (2.0 * (1.0 - a) * _LN2 * (p**a + q**a))
-    return d / g.size
 
 
 def _project_ball(g: np.ndarray) -> np.ndarray:
@@ -179,17 +205,17 @@ def _project_ball(g: np.ndarray) -> np.ndarray:
     return g / nrm if nrm > 1.0 else g
 
 
-def _projected_descent(g0, alpha, max_iter: int = 1000) -> tuple[np.ndarray, float]:
+def _projected_descent(g0, order: _Order, max_iter: int = 1000) -> tuple[np.ndarray, float]:
     """Projected gradient descent on the closed unit ball with backtracking."""
     g = _project_ball(np.array(g0, dtype=float))
-    f = float(_ball_objective(g, alpha))
+    f = float(_ball_objective(g, order))
     for _ in range(max_iter):
-        grad = _objective_gradient(g, alpha)
+        grad = order.slope(g) / g.size
         step = 1.0
         moved = False
         while step > 1e-14:
             cand = _project_ball(g - step * grad)
-            fc = float(_ball_objective(cand, alpha))
+            fc = float(_ball_objective(cand, order))
             if fc < f and fc <= f - 1e-4 * float(np.dot(grad, g - cand)):
                 g, f = cand, fc
                 moved = True
@@ -242,12 +268,12 @@ def _ball_draws(seed, ks, budget: int):
         yield K, stream[:budget * K].reshape(budget, K), rng
 
 
-def _best_in_ball(dirs: np.ndarray, uniform: np.ndarray, alpha: float) -> np.ndarray:
+def _best_in_ball(dirs: np.ndarray, uniform: np.ndarray, order: _Order) -> np.ndarray:
     """The best of the points ``dirs_i uniform_i**(1/K) / |dirs_i|``, first on ties.
 
     The points are built and scored ``_BALL_CHUNK`` rows at a time, with the
     same arithmetic as on the whole array, so the result does not depend on
-    the chunk size.  ``alpha`` must already be checked.
+    the chunk size.
     """
     budget, K = dirs.shape
     best = best_val = None
@@ -256,7 +282,7 @@ def _best_in_ball(dirs: np.ndarray, uniform: np.ndarray, alpha: float) -> np.nda
         norms = np.sqrt(_row_sums(d * d))
         norms[norms == 0.0] = 1.0
         points = d * (uniform[start:start + _BALL_CHUNK] ** (1.0 / K) / norms)[:, None]
-        vals = _row_sums(_terms(points, alpha)) / K
+        vals = _row_sums(order.term(points)) / K
         i = int(np.argmin(vals))
         if best is None or vals[i] < best_val:
             best, best_val = points[i].copy(), vals[i]
@@ -269,7 +295,7 @@ def _search_ball(seed, K: int, budget: int, alpha) -> np.ndarray:
     The one-K case of the search :func:`find_minimizers` runs for a sweep.
     """
     [(_, dirs, rng)] = _ball_draws(seed, {K}, budget)
-    return _best_in_ball(dirs, rng.random(budget), _check_order(alpha))
+    return _best_in_ball(dirs, rng.random(budget), _order(alpha))
 
 
 def _cross_check_rows(gens: GeneratorSet, count: int, seed) -> np.ndarray:
@@ -359,6 +385,7 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
         raise DomainError(f"sample budget must be an integer of at least 1, got {budget!r}")
     budget = int(budget)
     alpha = _check_order(alpha)
+    order = _order(alpha)
     if not ks:
         return []
     state_count = min(2000, budget)
@@ -376,15 +403,15 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
                 f"{MEMORY_BUDGET / 2**30:.0f} GiB memory budget")
 
     seed_ball, seed_states = np.random.SeedSequence(seed).spawn(2)
-    best = {K: _best_in_ball(dirs, rng.random(budget), alpha)
+    best = {K: _best_in_ball(dirs, rng.random(budget), order)
             for K, dirs, rng in _ball_draws(seed_ball, set(ks), budget)}
     state_gs = _cross_check_rows(gens, state_count, seed_states)
 
     reports = []
     for K in ks:
-        g_ball, _ = _projected_descent(best[K], alpha)
+        g_ball, _ = _projected_descent(best[K], order)
         gs = state_gs[:, :K]
-        g_state, f_state = _projected_descent(gs[int(np.argmin(_ball_objective(gs, alpha)))], alpha)
+        g_state, f_state = _projected_descent(gs[int(np.argmin(_ball_objective(gs, order)))], order)
 
         padded = np.zeros(size)
         padded[:K] = g_ball
@@ -392,43 +419,44 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
         rho_min = from_gvector(argmin_g, gens)
         numeric_min = entropy_average(rho_min, gens, K, alpha)
 
-        if has_closed_form(alpha):
-            bound = closed_form_min(K, alpha)
-            kind = closed_form_kind(alpha)
-            gap = numeric_min - bound
-        else:
-            bound, kind, gap = None, None, None
+        bound = order.bound(K) if order.bound else None
 
         reports.append(EntropyReport(
             n=gens.n,
             K=K,
             alpha=alpha,
             closed_form_bound=bound,
-            bound_kind=kind,
+            bound_kind=order.kind,
             numeric_min=numeric_min,
             argmin_g=argmin_g,
             samples=budget,
             seed=seed,
-            gap=gap,
+            gap=None if bound is None else numeric_min - bound,
             cross_check_min=float(f_state),
         ))
     return reports
 
 
-def bias_entropy(t) -> np.ndarray | float:
-    """Shannon entropy (bits) of a binary outcome with squared bias ``t``.
-
-    The outcome probabilities are ``(1 +- sqrt(t))/2``.
-    """
+def _squared_bias(t, interior: bool) -> np.ndarray:
+    """``t`` as a float array, refused outside [0, 1], or outside (0, 1) when ``interior``."""
     t = np.asarray(t, dtype=float)
-    b = np.sqrt(t)
-    val = -(_xlog2x((1.0 + b) / 2.0) + _xlog2x((1.0 - b) / 2.0))
+    if not np.all((t > 0.0) & (t < 1.0) if interior else (t >= 0.0) & (t <= 1.0)):
+        raise DomainError(f"squared bias must lie in {'(0, 1)' if interior else '[0, 1]'}")
+    return t
+
+
+def bias_entropy(t) -> np.ndarray | float:
+    """Shannon entropy (bits) of a binary outcome with squared bias ``t`` in [0, 1].
+
+    That is the Shannon term at expectation ``sqrt(t)``, outcomes ``(1 +- sqrt(t))/2``.
+    """
+    val = _SHANNON.term(np.sqrt(_squared_bias(t, interior=False)))
     return float(val) if val.ndim == 0 else val
 
 
 def bias_entropy_d1(t) -> np.ndarray | float:
     """First derivative of :func:`bias_entropy` on (0, 1)."""
-    t = np.asarray(t, dtype=float)
+    t = _squared_bias(t, interior=True)
     b = np.sqrt(t)
     val = (np.log(1.0 - b) - np.log(1.0 + b)) / (4.0 * _LN2 * b)
     return float(val) if val.ndim == 0 else val
@@ -436,35 +464,10 @@ def bias_entropy_d1(t) -> np.ndarray | float:
 
 def bias_entropy_d2(t) -> np.ndarray | float:
     """Second derivative of :func:`bias_entropy` on (0, 1); nonpositive."""
-    t = np.asarray(t, dtype=float)
+    t = _squared_bias(t, interior=True)
     b = np.sqrt(t)
     val = (np.log((1.0 + b) / (1.0 - b)) - 2.0 * b / (1.0 - t)) / (8.0 * _LN2 * t**1.5)
     return float(val) if val.ndim == 0 else val
-
-
-@dataclass(frozen=True)
-class ConcavityProfile:
-    """Analytic value/slope/curvature of the bias-entropy function on a grid."""
-
-    t: np.ndarray
-    value: np.ndarray
-    slope: np.ndarray
-    curvature: np.ndarray
-
-
-def concavity_profile(grid) -> ConcavityProfile:
-    """Evaluate ``bias_entropy`` and its two derivatives on points in (0, 1)."""
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise DomainError("grid must be a non-empty 1-D array")
-    if np.any(t <= 0.0) or np.any(t >= 1.0):
-        raise DomainError("grid points must lie strictly inside (0, 1)")
-    return ConcavityProfile(
-        t=t,
-        value=np.asarray(bias_entropy(t)),
-        slope=np.asarray(bias_entropy_d1(t)),
-        curvature=np.asarray(bias_entropy_d2(t)),
-    )
 
 
 def maassen_uffink_bound(basis_a: np.ndarray, basis_b: np.ndarray) -> float:

@@ -128,7 +128,7 @@ class TestMinimize:
         assert main(command + ["--n", "1", *spelling, "--samples", "100"]) == 2
         assert "argument --alpha: Renyi order must be positive, got -inf" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("alpha", ["inf", "0.5"])
+    @pytest.mark.parametrize("alpha", ["inf", "0.5", "Infinity", "INF"])
     @pytest.mark.parametrize("command", [["minimize", "--K", "2"], ["sweep", "--k-min", "1", "--k-max", "2"]])
     def test_positive_alpha_accepted(self, command, alpha):
         assert main(command + ["--n", "1", "--alpha", alpha, "--samples", "100", "--format", "json"]) == 0

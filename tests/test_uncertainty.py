@@ -20,7 +20,6 @@ from cliffcert import (
     bias_entropy_d2,
     closed_form_kind,
     closed_form_min,
-    concavity_profile,
     eigenprojectors,
     entropy_average,
     entropy_of_expectations,
@@ -237,6 +236,8 @@ ORDER_CALLS = {
     "entropy_of_expectations": lambda a: entropy_of_expectations(np.array([0.3, -0.2]), a),
     "find_minimizer": lambda a: find_minimizer(jordan_wigner(1), 3, a, budget=50, seed=0),
     "find_minimizers": lambda a: find_minimizers(jordan_wigner(1), [1, 3], a, budget=50, seed=0),
+    "closed_form_min": lambda a: closed_form_min(3, a),
+    "closed_form_kind": lambda a: closed_form_kind(a),
 }
 
 
@@ -265,6 +266,17 @@ class TestInputValidation:
     def test_every_k_checked(self):
         with pytest.raises(DomainError):
             find_minimizers(jordan_wigner(1), [1, 2, 4], 1, budget=50, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("alpha", [1, 2, math.inf, 0.5])
+    def test_non_finite_entropy_input_is_domain_error(self, bad, alpha):
+        # a NaN once came out as -0.0, which reads as zero entropy
+        with pytest.raises(DomainError, match="must be finite"):
+            renyi_entropy([bad, 1.0], alpha)
+        with pytest.raises(DomainError, match="must be finite"):
+            entropy_of_expectations([bad], alpha)
+        with pytest.raises(DomainError, match="must be finite"):
+            entropy_of_expectations(np.array([[0.3, 0.1], [0.2, bad]]), alpha)
 
 
 def whole_array_ball_best(seed, K, budget, alpha):
@@ -440,6 +452,72 @@ class TestSharedStreams:
         assert abs(rep.cross_check_min - rep.closed_form_bound) <= OPTIMIZATION
 
 
+def branch_term(g, alpha):
+    """The two-outcome entropy as one branching function computed it, kept as the oracle."""
+    g = np.clip(g, -1.0, 1.0)
+    if math.isinf(alpha):
+        return -np.log2((1.0 + np.abs(g)) / 2.0)
+    if abs(alpha - 1.0) < 1e-12:
+        p = (1.0 + g) / 2.0
+        q = (1.0 - g) / 2.0
+        return -(where_xlog2x(p) + where_xlog2x(q))
+    if alpha == 2.0:
+        return -np.log2((1.0 + g * g) / 2.0)
+    p = (1.0 + g) / 2.0
+    q = (1.0 - g) / 2.0
+    return np.log2(p**alpha + q**alpha) / (1.0 - alpha)
+
+
+def branch_slope(g, alpha):
+    """The descent's per-term slope as one branching function computed it, kept as the oracle."""
+    g = np.clip(g, -1.0 + 1e-12, 1.0 - 1e-12)
+    if math.isinf(alpha):
+        return -np.sign(g) / ((1.0 + np.abs(g)) * math.log(2.0))
+    if abs(alpha - 1.0) < 1e-12:
+        return 0.5 * np.log2((1.0 - g) / (1.0 + g))
+    if alpha == 2.0:
+        return -2.0 * g / ((1.0 + g * g) * math.log(2.0))
+    a = alpha
+    p = (1.0 + g) / 2.0
+    q = (1.0 - g) / 2.0
+    return a * (p ** (a - 1.0) - q ** (a - 1.0)) / (2.0 * (1.0 - a) * math.log(2.0) * (p**a + q**a))
+
+
+TABLE_ORDERS = [1.0, 1.0 + 1e-13, 2.0, math.inf, 0.5, 1.5, 3.0]
+
+
+class TestOrderTable:
+    GRID = np.concatenate([
+        [0.0, -0.0, 1.0, -1.0, 1.0 - 1e-12, -(1.0 - 1e-12), 5e-324, -5e-324, 1e-310,
+         2.2250738585072014e-308, 1.0 + 2.0**-52, -1.0 - 2.0**-52, 0.5, -0.5],
+        np.random.default_rng(12).uniform(-1.0, 1.0, 196),
+    ])
+
+    @pytest.mark.parametrize("alpha", TABLE_ORDERS)
+    def test_term_and_slope_are_the_branch_formulas(self, alpha):
+        order = uncertainty._order(alpha)
+        for g in (self.GRID, self.GRID.reshape(-1, 7)):
+            assert order.term(g).tobytes() == branch_term(g, alpha).tobytes()
+            assert order.slope(g).tobytes() == branch_slope(g, alpha).tobytes()
+        assert entropy_of_expectations(self.GRID, alpha).tobytes() == (
+            branch_term(self.GRID, alpha).tobytes())
+
+    @pytest.mark.parametrize("alpha", TABLE_ORDERS)
+    def test_closed_form_exactly_for_one_two_and_inf(self, alpha):
+        order = uncertainty._order(alpha)
+        assert (order.bound is None) == (order.kind is None)
+        assert (order.bound is not None) == (alpha in (1.0, 1.0 + 1e-13, 2.0, math.inf))
+        if order.bound is not None:
+            assert closed_form_min(5, alpha) == order.bound(5)
+            assert closed_form_kind(alpha) == order.kind
+
+    def test_near_one_is_shannon(self):
+        assert uncertainty._order(1.0 + 1e-13) is uncertainty._order(1)
+        assert closed_form_min(4, 1.0 + 1e-13) == closed_form_min(4, 1) == 0.75
+        p = [0.3, 0.6, 0.1]
+        assert renyi_entropy(p, 1.0 + 1e-13) == renyi_entropy(p, 1)
+
+
 class TestConcavity:
     def test_limit_at_zero(self):
         assert bias_entropy(1e-12) == pytest.approx(1.0, abs=1e-9)
@@ -452,16 +530,16 @@ class TestConcavity:
 
     def test_profile_matches_finite_differences(self):
         grid = np.linspace(0.01, 0.99, 197)
-        prof = concavity_profile(grid)
-        assert np.max(prof.curvature) <= 1e-12
+        slope, curvature = bias_entropy_d1(grid), bias_entropy_d2(grid)
+        assert np.max(curvature) <= 1e-12
         h = np.minimum(np.minimum(grid / 3.0, 5e-4), np.maximum(1.5e-5, 0.01 * (1.0 - grid)))
         f = bias_entropy
         fd1 = (-f(grid + 2 * h) + 8 * f(grid + h) - 8 * f(grid - h) + f(grid - 2 * h)) / (12 * h)
         fd2 = (
             -f(grid + 2 * h) + 16 * f(grid + h) - 30 * f(grid) + 16 * f(grid - h) - f(grid - 2 * h)
         ) / (12 * h * h)
-        assert np.max(np.abs(prof.slope - fd1) / np.abs(prof.slope)) <= 1e-6
-        assert np.max(np.abs(prof.curvature - fd2) / np.abs(prof.curvature)) <= 1e-6
+        assert np.max(np.abs(slope - fd1) / np.abs(slope)) <= 1e-6
+        assert np.max(np.abs(curvature - fd2) / np.abs(curvature)) <= 1e-6
 
     def test_slope_matches_direct_formula(self):
         t = 0.3
@@ -471,10 +549,28 @@ class TestConcavity:
         assert bias_entropy_d1(t) == pytest.approx(direct, abs=1e-15)
 
     def test_grid_domain_errors(self):
-        with pytest.raises(DomainError):
-            concavity_profile([0.0, 0.5])
-        with pytest.raises(DomainError):
-            concavity_profile([0.5, 1.0])
+        for derivative in (bias_entropy_d1, bias_entropy_d2):
+            with pytest.raises(DomainError):
+                derivative([0.0, 0.5])
+            with pytest.raises(DomainError):
+                derivative([0.5, 1.0])
+
+    @pytest.mark.parametrize("t", [1.5, -0.25, 1.0 + 2.0**-52, math.nan, [0.5, 2.0]])
+    def test_bias_entropy_refuses_outside_unit_interval(self, t):
+        # 1.5 once gave -0.171 bits with a RuntimeWarning
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            bias_entropy(t)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, -1e-300, math.nan])
+    def test_derivatives_refuse_the_closed_ends(self, t):
+        for derivative in (bias_entropy_d1, bias_entropy_d2):
+            with pytest.raises(DomainError, match=r"\(0, 1\)"):
+                derivative(t)
+
+    def test_ends_and_the_shannon_term(self):
+        assert bias_entropy(0.0) == 1.0 and bias_entropy(1.0) == 0.0
+        t = np.linspace(0.0, 1.0, 1001)
+        assert bias_entropy(t).tobytes() == entropy_of_expectations(np.sqrt(t), 1).tobytes()
 
 
 class TestMaassenUffink:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, pauli
 from .clifford import jordan_wigner
-from .errors import CapacityError, CliffcertError
+from .errors import CliffcertError, check_budget
 from .pauli import PauliString
 from .rotors import conjugation_residual, euler_decompose, lift, recompose, reduce_to_axis
 from .states import (
@@ -346,11 +346,8 @@ def _suite_concavity() -> list[dict]:
 def _check_projection_memory(n: int, samples: int, threads: int) -> None:
     """Refuse, by arithmetic, projection chunks in flight that exceed ``MEMORY_BUDGET``."""
     sizes = _chunk_sizes(samples)
-    nbytes = _PROJECTION_ARRAYS * sizes[0] * 4**n * 16 * min(threads, len(sizes))
-    if nbytes > MEMORY_BUDGET:
-        raise CapacityError(
-            f"projection chunks of {sizes[0]} states need {nbytes / 2**30:.1f} GiB, "
-            f"above the {MEMORY_BUDGET / 2**30:.0f} GiB memory budget")
+    check_budget(f"projection at {sizes[0]} states per chunk",
+                 _PROJECTION_ARRAYS * sizes[0] * 4**n * 16 * min(threads, len(sizes)), MEMORY_BUDGET)
 
 
 def cmd_verify(cfg: dict):

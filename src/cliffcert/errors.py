@@ -19,6 +19,13 @@ class CapacityError(CliffcertError, ValueError):
     """
 
 
+def check_budget(what: str, nbytes: float, budget: float) -> None:
+    """Raise :class:`CapacityError` when ``what`` needs more than ``budget`` bytes."""
+    if nbytes > budget:
+        raise CapacityError(f"{what} needs {nbytes / 2**30:.1f} GiB, above the "
+                            f"{budget / 2**30:.0f} GiB memory budget")
+
+
 class ParseError(CliffcertError, ValueError):
     """A Pauli label or serialized document could not be parsed."""
 

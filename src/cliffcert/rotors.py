@@ -25,12 +25,13 @@ together with G_0 - under a 2n-generator lift the pseudoscalar therefore
 picks up the factor det T.
 
 A plane rotor is a sum of two signed Pauli strings, a flip is one, and the
-one rotor built by the axis reduction is a sum of at most 2n+1.  The lift
-applies its factors, through the basis-action kernel of :mod:`pauli`, to
-one row only, which gives the vacuum column of U, and fills the other
-columns by n doublings through the lifted creation operators: O(N d**2)
-in all for N observables.  Dense rotors are rendered by scatter, never
-through products of dense observables.
+one rotor built by the axis reduction, which takes any expectation vector
+onto G_1 (folding in the flip G_0 G_1 when g_1 < 0), is a sum of at most
+2n+1.  The lift applies its factors, through the basis-action kernel of
+:mod:`pauli`, to one row only, which gives the vacuum column of U, and
+fills the other columns by n doublings through the lifted creation
+operators: O(N d**2) in all for N observables.  Dense rotors are rendered
+by scatter, never through products of dense observables.
 """
 
 from __future__ import annotations
@@ -42,22 +43,17 @@ import numpy as np
 
 from . import pauli
 from .clifford import GeneratorSet
-from .errors import CapacityError, DimensionMismatchError, DomainError, OrientationError
+from .errors import DimensionMismatchError, DomainError, OrientationError, check_budget
 from .pauli import PauliString
 from .states import DensityMatrix, extended_expectations
 from .tolerances import MEMORY_BUDGET, ORTHOGONALITY
 
 _TWO_PI = 2.0 * math.pi
 
-# Degenerate-case guards for reduce_to_axis: a squared expectation-vector
-# length ell below _NEGLIGIBLE is treated as zero; the antipodal
-# pre-rotation triggers once c = 1 + g_1/sqrt(ell), half the rotor's
-# midpoint normalization, drops under _ANTIPODAL.  The rotor's rounding
-# error grows like 1e-16 / c (at n = 2: 7e-12 at c = 1e-5, and at c = 2e-8
-# the reduced state fails its trace check), so no rotor is built with c
-# under 1e-2.
+# reduce_to_axis treats a squared expectation-vector length below this as
+# zero and skips the rotor; any longer vector gets one rotor whose
+# normalization is at least sqrt(2), whatever the sign of g_1.
 _NEGLIGIBLE = 1e-24
-_ANTIPODAL = 1e-2
 # Complex d x d arrays that lift holds at its peak: U and the last doubling's
 # d x d/2 term.
 _LIFT_ARRAYS = 1.5
@@ -71,7 +67,7 @@ class OrthoTransform:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {m.shape}")
         res = np.max(np.abs(m @ m.T - np.eye(m.shape[0])))
-        if res > tol:
+        if not res <= tol:  # also refuses NaN
             raise DomainError(f"matrix is not orthogonal: residual {res:.3e}")
         m.setflags(write=False)
         self.mat = m
@@ -99,6 +95,9 @@ def rotation_matrix(size: int, j: int, k: int, theta: float) -> np.ndarray:
     """R_jk(theta) on 1-based axes: column j rotates toward column k."""
     if j == k:
         raise DomainError("plane rotation needs two distinct axes")
+    for axis in (j, k):
+        if not 1 <= axis <= size:
+            raise DomainError(f"axis {axis} out of range 1..{size}")
     m = np.eye(size)
     c, s = math.cos(theta), math.sin(theta)
     m[j - 1, j - 1] = c
@@ -130,7 +129,7 @@ def euler_decompose(t) -> EulerFactorization:
                 rk = -s * w[j - 1] + c * w[k - 1]
                 w[j - 1], w[k - 1] = rj, rk
             angles.append((j, k, theta % _TWO_PI))
-    if np.max(np.abs(w - np.eye(size))) > 1e-8:
+    if not np.max(np.abs(w - np.eye(size))) <= 1e-8:
         raise DomainError("angle extraction failed to reduce the matrix")
     return EulerFactorization(size, trans.det_sign, tuple(angles))
 
@@ -227,11 +226,7 @@ def lift(t, gens: GeneratorSet) -> np.ndarray:
         raise DimensionMismatchError(
             f"transform size {trans.size} matches neither 2n={2 * n} nor 2n+1={2 * n + 1}"
         )
-    nbytes = _LIFT_ARRAYS * d * d * 16
-    if nbytes > MEMORY_BUDGET:
-        raise CapacityError(
-            f"lift at n = {n} needs {nbytes / 2**30:.1f} GiB, above the "
-            f"{MEMORY_BUDGET / 2**30:.0f} GiB memory budget")
+    check_budget(f"lift at n = {n}", _LIFT_ARRAYS * d * d * 16, MEMORY_BUDGET)
 
     fact = euler_decompose(trans)
     row = np.zeros((1, d), dtype=complex)
@@ -257,40 +252,45 @@ def lift(t, gens: GeneratorSet) -> np.ndarray:
     return u
 
 
-def _vector_rotor(gens: GeneratorSet, coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """Rotor G_axis m_hat taking the unit vector ``coeffs`` onto G_axis.
+def _vector_rotor(gens: GeneratorSet, coeffs: np.ndarray) -> np.ndarray:
+    """Rotor taking the unit vector ``coeffs`` onto G_1 by conjugation.
 
     ``coeffs`` holds extended coefficients of a unit vector g_hat in the
-    observable span; m_hat is the normalized midpoint (g_hat + G_axis).
-    Requires 1 + <g_hat, G_axis> bounded away from zero.  Expanded as
-    ``((1 + c_axis) 1 + sum_{k != axis} c_k G_axis G_k) / sqrt(2(1 + c_axis))``
-    and rendered by scatter.
+    observable span.  With ``s = sign(c_1)`` (+1 when c_1 = 0), the rotor
+    ``R = ((1 + |c_1|) 1 + s sum_{k != 1} c_k G_1 G_k) / sqrt(2(1 + |c_1|))``
+    takes s g_hat onto G_1 through the normalized midpoint of the two, and
+    its normalization never drops below sqrt(2).  For s = -1 the flip
+    ``F_1 = G_0 G_1``, which negates G_1 and G_0 (whose coefficient R has
+    already cleared), is folded into the strings: ``F_1 R`` is still a sum
+    of at most 2n+1 signed Pauli strings, rendered by scatter.
     """
-    g_axis = gens.extended(axis)
+    g_1 = gens.gammas[0]
+    sign = -1.0 if coeffs[1] < 0.0 else 1.0
     ops = [PauliString.identity(gens.n)]
-    weights = [1.0 + coeffs[axis]]
+    weights = [1.0 + sign * coeffs[1]]
     for k in np.flatnonzero(coeffs):
-        if k != axis:
-            ops.append(pauli.mul(g_axis, gens.extended(int(k))))
-            weights.append(coeffs[k])
-    return pauli.scatter(np.array(weights) / math.sqrt(2.0 * (1.0 + coeffs[axis])), ops)
+        if k != 1:
+            ops.append(pauli.mul(g_1, gens.extended(int(k))))
+            weights.append(sign * coeffs[k])
+    if sign < 0.0:
+        flip = _flip_string(gens, 1)
+        ops = [pauli.mul(flip, op) for op in ops]
+    return pauli.scatter(np.array(weights) / math.sqrt(2.0 * weights[0]), ops)
 
 
 def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatrix, np.ndarray, float]:
     """Rotate a state's expectation vector onto the first generator axis.
 
     One rotor built from the whole extended expectation vector,
-    pseudoscalar included, moves it onto G_1; averaging over the sign
+    pseudoscalar included, moves it onto G_1 (see :func:`_vector_rotor`,
+    which flips G_1 for a vector with g_1 < 0); averaging over the sign
     flips F_j for j = 2..2n then erases every remaining graded coefficient
     except the identity and G_1.
 
     Returns ``(rho_hat, U, ell)`` where ``ell`` is the squared length of
     the expectation vector, ``rho_hat = (1/d)(1 + sqrt(ell) G_1)``, and
     ``U^H rho_hat U`` equals the Bloch projection of the input.  States
-    with no expectation-vector weight skip the rotation; a vector with
-    ``1 + g_1/sqrt(ell)`` under ``_ANTIPODAL`` (near anti-parallel to G_1)
-    is first rotated by pi in the (1,2) plane, away from the midpoint
-    singularity.
+    with no expectation-vector weight skip the rotation.
     """
     n = gens.n
     work = np.asarray(rho.mat, dtype=complex)
@@ -298,17 +298,8 @@ def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatri
     ell = float(np.dot(g, g))
 
     if ell > _NEGLIGIBLE:
-        coeffs = g / math.sqrt(ell)
-        pre = None
-        if 1.0 + coeffs[1] < _ANTIPODAL:
-            # the pi rotation negates G_1 and G_2 and fixes every other observable
-            pre = plane_rotor(gens, 1, 2, math.pi)
-            work = pre @ work @ pre.conj().T
-            coeffs[1:3] = -coeffs[1:3]
-        u = _vector_rotor(gens, coeffs, axis=1)
+        u = _vector_rotor(gens, g / math.sqrt(ell))
         work = u @ work @ u.conj().T
-        if pre is not None:
-            u = u @ pre
     else:
         u = np.eye(2**n, dtype=complex)
 

@@ -29,6 +29,8 @@ violation.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,6 +251,13 @@ def project_bloch(rho: DensityMatrix, gens: GeneratorSet) -> DensityMatrix:
     return DensityMatrix.from_matrix(matrix_from_expectations(g, gens))
 
 
+def _check_count(K, size: float = math.inf) -> int:
+    """The observable count ``K`` as an int: an integer in 1..size, numpy's included, bool refused."""
+    if isinstance(K, bool) or not isinstance(K, numbers.Integral) or not 1 <= K <= size:
+        raise DomainError(f"K must be an integer in 1..{size}, got {K!r}")
+    return int(K)
+
+
 def gvector(rho: DensityMatrix, gens: GeneratorSet, K: int | None = None) -> GVector:
     """Expectations of the first ``K`` observables (extended order), rest zero.
 
@@ -256,10 +265,7 @@ def gvector(rho: DensityMatrix, gens: GeneratorSet, K: int | None = None) -> GVe
     outcome distribution.
     """
     size = 2 * gens.n + 1
-    if K is None:
-        K = size
-    if not 1 <= K <= size:
-        raise DomainError(f"K must lie in 1..{size}, got {K}")
+    K = size if K is None else _check_count(K, size)
     full = extended_expectations(rho.mat, gens)
     vals = np.zeros(size)
     vals[:K] = full[:K]

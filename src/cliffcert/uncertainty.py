@@ -29,11 +29,12 @@ import numpy as np
 
 from . import pauli
 from .clifford import GeneratorSet
-from .errors import CapacityError, DomainError
+from .errors import DomainError, check_budget
 from .pauli import PauliString
 from .states import (
     DensityMatrix,
     GVector,
+    _check_count,
     extended_expectations,
     from_gvector,
     random_pure_states,
@@ -168,9 +169,7 @@ def observable_entropy(rho: DensityMatrix, g: PauliString, alpha) -> float:
 
 def entropy_average(rho: DensityMatrix, gens: GeneratorSet, K: int, alpha) -> float:
     """Mean entropy over the first K observables in extended order."""
-    size = 2 * gens.n + 1
-    if not 1 <= K <= size:
-        raise DomainError(f"K must lie in 1..{size}, got {K}")
+    K = _check_count(K, 2 * gens.n + 1)
     g = extended_expectations(rho.mat, gens)[:K]
     return float(entropy_of_expectations(g, alpha).mean())
 
@@ -189,8 +188,7 @@ def closed_form_kind(alpha) -> str:
 
 def closed_form_min(K: int, alpha) -> float:
     """Closed-form bound (bits) on the K-observable entropy average."""
-    if K < 1:
-        raise DomainError("K must be at least 1")
+    K = _check_count(K)
     return _closed_form(alpha).bound(K)
 
 
@@ -377,10 +375,7 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
     state would hold more than ``MEMORY_BUDGET`` bytes at once.
     """
     size = 2 * gens.n + 1
-    ks = list(ks)
-    for K in ks:
-        if not 1 <= K <= size:
-            raise DomainError(f"K must lie in 1..{size}, got {K}")
+    ks = [_check_count(K, size) for K in ks]
     if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
         raise DomainError(f"sample budget must be an integer of at least 1, got {budget!r}")
     budget = int(budget)
@@ -397,10 +392,7 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
     for what, nbytes in (("unit-ball search", budget * (max(ks) + 1) * 8),
                          ("pure-state cross-check", 5 * state_count * d * 16),
                          ("dense re-evaluation", 4 * d * d * 16)):
-        if nbytes > MEMORY_BUDGET:
-            raise CapacityError(
-                f"{what} needs {nbytes / 2**30:.1f} GiB, above the "
-                f"{MEMORY_BUDGET / 2**30:.0f} GiB memory budget")
+        check_budget(what, nbytes, MEMORY_BUDGET)
 
     seed_ball, seed_states = np.random.SeedSequence(seed).spawn(2)
     best = {K: _best_in_ball(dirs, rng.random(budget), order)
@@ -482,7 +474,7 @@ def maassen_uffink_bound(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise DomainError(f"{name} must be a square matrix of column vectors")
         res = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-        if res > ORTHOGONALITY:
+        if not res <= ORTHOGONALITY:  # also refuses NaN
             raise DomainError(f"{name} is not unitary: residual {res:.3e}")
     if a.shape != b.shape:
         raise DomainError("bases must have matching dimensions")

@@ -48,6 +48,22 @@ class TestEuler:
         with pytest.raises(DomainError):
             euler_decompose(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
+    def test_rejects_nan(self):
+        # a NaN residual compares False against any tolerance
+        nan_rotation = rotation_matrix(3, 1, 2, 0.3)
+        nan_rotation[2, 0] = np.nan
+        with pytest.raises(DomainError):
+            OrthoTransform(nan_rotation)
+        with pytest.raises(DomainError):
+            euler_decompose(nan_rotation)
+        with pytest.raises(DomainError):
+            lift(np.full((3, 3), np.nan), jordan_wigner(1))
+
+    def test_rotation_axes_out_of_range(self):
+        for j, k in ((1, 4), (0, 2), (3, -1)):
+            with pytest.raises(DomainError, match="out of range"):
+                rotation_matrix(3, j, k, 0.2)
+
     def test_identity(self):
         fact = euler_decompose(np.eye(4))
         assert fact.reflection_flag == 1
@@ -317,7 +333,7 @@ def ball_vectors(draw):
     """``(n, g)``: a unit-ball vector with pseudoscalar weight, or one near -G_1.
 
     Near -G_1 the weight off G_1 sits on G_0 or on G_2, and ``1 + c_1 = eps``
-    falls in any decade from 1e-12 to 1, across the antipodal guard.
+    falls in any decade from 1e-12 to 1.
     """
     n = draw(st.integers(1, 3))
     radius = draw(st.floats(0.05, 1.0))
@@ -348,6 +364,25 @@ class TestReduceToAxis:
         assert np.max(np.abs(rho_hat.mat - target)) <= 1e-8
         proj = project_bloch(rho, gens)
         assert np.max(np.abs(u.conj().T @ rho_hat.mat @ u - proj.mat)) <= 1e-8
+
+    def test_near_antipodal_states_reduce_to_working_precision(self):
+        # c_1 = -(1 - 10**-k), k = 0..12 in half-decades, with the weight off
+        # G_1 on the pseudoscalar or on a generator
+        worst_unitary = worst_projection = 0.0
+        for n in range(1, 6):
+            gens = jordan_wigner(n)
+            d = 2**n
+            for k in sorted({0, 2, 2 * n}):
+                for half_decades in range(25):
+                    _, g = near_minus_g1(n, 10.0 ** (-half_decades / 2), k, 0.9)
+                    rho = from_gvector(GVector(n, g), gens)
+                    rho_hat, u, _ = reduce_to_axis(rho, gens)
+                    proj = project_bloch(rho, gens)
+                    worst_unitary = max(worst_unitary, np.max(np.abs(u.conj().T @ u - np.eye(d))))
+                    worst_projection = max(worst_projection,
+                                           np.max(np.abs(u.conj().T @ rho_hat.mat @ u - proj.mat)))
+        assert worst_unitary <= 1e-15
+        assert worst_projection <= 1e-15
 
     def test_one_rotor_per_state(self, monkeypatch):
         built = []
@@ -407,7 +442,7 @@ class TestReduceToAxis:
             assert np.max(np.abs(u.conj().T @ rho_hat.mat @ u - proj.mat)) <= 1e-8
 
     def test_antiparallel_expectation_vector(self):
-        # g exactly opposite the target axis hits the midpoint singularity
+        # g exactly opposite the target axis: the rotor is the flip G_0 G_1 alone
         gens = jordan_wigner(2)
         rho = from_gvector(GVector(2, np.array([0.0, -0.9, 0.0, 0.0, 0.0])), gens)
         rho_hat, u, ell = reduce_to_axis(rho, gens)

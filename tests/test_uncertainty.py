@@ -28,6 +28,7 @@ from cliffcert import (
     find_minimizers,
     from_gvector,
     from_label,
+    gvector,
     jordan_wigner,
     maassen_uffink_bound,
     observable_entropy,
@@ -159,6 +160,48 @@ class TestClosedForms:
             closed_form_min(0, 1)
         with pytest.raises(DomainError):
             closed_form_min(3, 1.5)
+
+
+class TestObservableCount:
+    """One check of K: bool and non-integral counts are refused, numpy integers accepted."""
+
+    BAD = [2.5, True, False, 3.0, "3"]
+
+    @pytest.mark.parametrize("K", BAD)
+    def test_closed_form_refuses(self, K):
+        with pytest.raises(DomainError, match="K must"):
+            closed_form_min(K, 1)
+
+    @pytest.mark.parametrize("K", BAD)
+    def test_entropy_average_refuses(self, K):
+        gens = jordan_wigner(2)
+        with pytest.raises(DomainError, match="K must"):
+            entropy_average(random_state(2, seed=1), gens, K, 1)
+
+    @pytest.mark.parametrize("K", BAD)
+    def test_gvector_refuses(self, K):
+        gens = jordan_wigner(2)
+        with pytest.raises(DomainError, match="K must"):
+            gvector(random_state(2, seed=1), gens, K)
+
+    @pytest.mark.parametrize("K", BAD)
+    def test_minimizer_refuses_before_drawing(self, K, monkeypatch):
+        forbid_draws(monkeypatch)
+        with pytest.raises(DomainError, match="K must"):
+            find_minimizer(jordan_wigner(2), K, 1, 100, 1)
+        with pytest.raises(DomainError, match="K must"):
+            find_minimizers(jordan_wigner(2), [3, K], 1, 100, 1)
+
+    def test_numpy_integers_are_counts(self):
+        gens = jordan_wigner(2)
+        rho = random_state(2, seed=1)
+        for K in (np.int64(3), np.uint8(3), np.int32(3)):
+            assert closed_form_min(K, 1) == closed_form_min(3, 1)
+            assert entropy_average(rho, gens, K, 2) == entropy_average(rho, gens, 3, 2)
+            assert gvector(rho, gens, K).values.tobytes() == gvector(rho, gens, 3).values.tobytes()
+            report = find_minimizer(gens, K, 2, 500, 1)
+            assert type(report.K) is int
+            assert report.to_dict() == find_minimizer(gens, 3, 2, 500, 1).to_dict()
 
 
 class TestMinimizer:
@@ -594,3 +637,9 @@ class TestMaassenUffink:
     def test_rejects_non_unitary(self):
         with pytest.raises(DomainError):
             maassen_uffink_bound(np.eye(2) * 1.5, np.eye(2))
+
+    def test_rejects_nan_basis(self):
+        basis = np.eye(2, dtype=complex)
+        basis[0, 1] = np.nan
+        with pytest.raises(DomainError, match="not unitary"):
+            maassen_uffink_bound(np.eye(2), basis)

@@ -37,6 +37,7 @@ by scatter, never through products of dense observables.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,15 @@ class OrthoTransform:
         return f"OrthoTransform(size={self.size}, det_sign={self.det_sign:+d})"
 
 
+def _check_index(idx, lo: int, hi: int, what: str) -> int:
+    """``idx`` as an int in lo..hi: an integer, numpy's included; bools and non-integers refused."""
+    if isinstance(idx, bool) or not isinstance(idx, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {idx!r}")
+    if not lo <= idx <= hi:
+        raise DomainError(f"{what} {idx} out of range {lo}..{hi}")
+    return int(idx)
+
+
 def _as_transform(t) -> OrthoTransform:
     return t if isinstance(t, OrthoTransform) else OrthoTransform(t)
 
@@ -93,11 +103,9 @@ class EulerFactorization:
 
 def rotation_matrix(size: int, j: int, k: int, theta: float) -> np.ndarray:
     """R_jk(theta) on 1-based axes: column j rotates toward column k."""
+    j, k = (_check_index(axis, 1, size, "axis") for axis in (j, k))
     if j == k:
         raise DomainError("plane rotation needs two distinct axes")
-    for axis in (j, k):
-        if not 1 <= axis <= size:
-            raise DomainError(f"axis {axis} out of range 1..{size}")
     m = np.eye(size)
     c, s = math.cos(theta), math.sin(theta)
     m[j - 1, j - 1] = c
@@ -165,11 +173,9 @@ def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float,
     O(d) per row: O(d**2) for a ``d x d`` factor (the identity by default).
     """
     size = gens.extended_size
+    j, k = (_check_index(idx, 0, size - 1, "extended index") for idx in (j, k))
     if j == k:
         raise DomainError("rotation plane needs two distinct indices")
-    for idx in (j, k):
-        if not 0 <= idx < size:
-            raise DomainError(f"extended index {idx} out of range 0..{size - 1}")
     if u is None:
         u = np.eye(2**gens.n, dtype=complex)
     bivector = pauli.mul(gens.extended(k), gens.extended(j))
@@ -181,8 +187,7 @@ def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float,
 
 def flip_unitary(gens: GeneratorSet, j: int) -> np.ndarray:
     """G_0 G_j: conjugation negates G_j and G_0, fixing all other generators."""
-    if not 1 <= j <= 2 * gens.n:
-        raise DomainError(f"generator index {j} out of range 1..{2 * gens.n}")
+    j = _check_index(j, 1, 2 * gens.n, "generator index")
     return pauli.scatter([1.0], [_flip_string(gens, j)])
 
 

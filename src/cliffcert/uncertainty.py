@@ -14,6 +14,13 @@ picks, the one place that branches on the order.  The closed forms:
     alpha = inf : >=    1 - log2(1 + 1/sqrt(K))   (proven lower bound;
                   tightness is observed numerically, not asserted)
 
+The same shape arguments bound the K-average on the sphere of radius r: the
+Shannon term is concave in t = g**2, so the least average sits at a vertex,
+1 + (H(r) - 1)/K; the collision and min-entropy terms are convex in t, so by
+Jensen it sits at the equal spread, H(r/sqrt(K)).  The ball search skips
+every point whose radius floor lies above the best value found so far.
+General orders have no floor, and their search scores every point.
+
 All entropies are in bits.
 """
 
@@ -48,6 +55,10 @@ _SHANNON_EPS = 1e-12  # alpha within this of 1 is treated as Shannon
 # Rows of the unit-ball search built and scored at once: the search's working
 # set beyond its draws is a few arrays of this many rows, whatever the budget.
 _BALL_CHUNK = 8192
+# A ball row is scored while its radius floor is at most the running best plus
+# this: far above the ~1e-15 between the floor at the row's radius and the
+# value of its built point, whose norm and entropy terms carry rounding.
+_FLOOR_SLACK = 1e-9
 
 
 def _check_order(alpha) -> float:
@@ -68,19 +79,39 @@ class _Order(NamedTuple):
     """One Renyi order's formulas: ``term(g)``, the two-outcome entropy at
     expectation ``g``, and ``slope(g)``, its derivative; ``entropy(p)`` of a
     normalized probability vector; ``bound(K)``, the closed form of the
-    K-average minimum, and its ``kind``, both ``None`` for a general order."""
+    K-average minimum, and its ``kind``; ``floor(r, K)``, the least K-average
+    over the sphere of radius ``r`` (vectorized in ``r``, decreasing in it,
+    and ``bound(K)`` at r = 1).  The last three are ``None`` for a general
+    order."""
 
     term: Callable[[np.ndarray], np.ndarray]
     slope: Callable[[np.ndarray], np.ndarray]
     entropy: Callable[[np.ndarray], float]
     bound: Callable[[int], float] | None = None
     kind: str | None = None
+    floor: Callable[[np.ndarray, int], np.ndarray] | None = None
 
 
-def _clipped(term, slope, entropy, bound=None, kind=None) -> _Order:
-    """``term`` taken on ``g`` clipped to [-1, 1], ``slope`` 1e-12 inside it, where it is finite."""
-    return _Order(lambda g: term(np.clip(g, -1.0, 1.0)),
-                  lambda g: slope(np.clip(g, -1.0 + 1e-12, 1.0 - 1e-12)), entropy, bound, kind)
+def _vertex_floor(term):
+    """The floor of an order concave in ``t = g**2``: on the simplex sum t_j = r**2
+    a concave sum is least at a vertex, one ``g_j = r`` and the rest 0."""
+    return lambda r, K: 1.0 + (term(r) - 1.0) / K
+
+
+def _spread_floor(term):
+    """The floor of an order convex in ``t = g**2``: by Jensen the K-average is
+    least at the equal spread, every ``g_j = r/sqrt(K)``."""
+    return lambda r, K: term(r / math.sqrt(K))
+
+
+def _clipped(term, slope, entropy, bound=None, kind=None, floor=None) -> _Order:
+    """``term`` taken on ``g`` clipped to [-1, 1], ``slope`` 1e-12 inside it, where it is
+    finite; ``floor``, if given, builds the floor from the clipped ``term``."""
+    def clipped(g):
+        return term(np.clip(g, -1.0, 1.0))
+
+    return _Order(clipped, lambda g: slope(np.clip(g, -1.0 + 1e-12, 1.0 - 1e-12)), entropy,
+                  bound, kind, floor and floor(clipped))
 
 
 def _power(a: float) -> _Order:
@@ -102,17 +133,17 @@ _MIN_ENTROPY = _clipped(
     lambda g: -np.log2((1.0 + np.abs(g)) / 2.0),
     lambda g: -np.sign(g) / ((1.0 + np.abs(g)) * _LN2),
     lambda p: float(-np.log2(p.max())),
-    lambda K: 1.0 - math.log2(1.0 + 1.0 / math.sqrt(K)), "proven-lower-bound")
+    lambda K: 1.0 - math.log2(1.0 + 1.0 / math.sqrt(K)), "proven-lower-bound", _spread_floor)
 _SHANNON = _clipped(
     lambda g: -(_xlog2x((1.0 + g) / 2.0) + _xlog2x((1.0 - g) / 2.0)),
     lambda g: 0.5 * np.log2((1.0 - g) / (1.0 + g)),
     lambda p: float(-np.sum(_xlog2x(p))),
-    lambda K: 1.0 - 1.0 / K, "exact-minimum")
+    lambda K: 1.0 - 1.0 / K, "exact-minimum", _vertex_floor)
 _COLLISION = _clipped(
     lambda g: -np.log2((1.0 + g * g) / 2.0),
     lambda g: -2.0 * g / ((1.0 + g * g) * _LN2),
     _power(2.0).entropy,
-    lambda K: 1.0 - math.log2(1.0 + 1.0 / K), "exact-minimum")
+    lambda K: 1.0 - math.log2(1.0 + 1.0 / K), "exact-minimum", _spread_floor)
 
 
 def _order(alpha) -> _Order:
@@ -271,15 +302,25 @@ def _best_in_ball(dirs: np.ndarray, uniform: np.ndarray, order: _Order) -> np.nd
 
     The points are built and scored ``_BALL_CHUNK`` rows at a time, with the
     same arithmetic as on the whole array, so the result does not depend on
-    the chunk size.
+    the chunk size.  After the first chunk, a row whose radius
+    ``uniform_i**(1/K)`` has its order's floor above the running best plus
+    ``_FLOOR_SLACK`` cannot hold the best point, so it is neither built nor
+    scored; the rows left keep their order, and the result keeps its bits.
+    A general order has no floor and every row is scored.
     """
     budget, K = dirs.shape
     best = best_val = None
     for start in range(0, budget, _BALL_CHUNK):
         d = dirs[start:start + _BALL_CHUNK]
+        radii = uniform[start:start + _BALL_CHUNK] ** (1.0 / K)
+        if best is not None and order.floor is not None:
+            keep = order.floor(radii, K) <= best_val + _FLOOR_SLACK
+            if not keep.any():
+                continue
+            d, radii = d[keep], radii[keep]
         norms = np.sqrt(_row_sums(d * d))
         norms[norms == 0.0] = 1.0
-        points = d * (uniform[start:start + _BALL_CHUNK] ** (1.0 / K) / norms)[:, None]
+        points = d * (radii / norms)[:, None]
         vals = _row_sums(order.term(points)) / K
         i = int(np.argmin(vals))
         if best is None or vals[i] < best_val:
@@ -291,6 +332,8 @@ def _search_ball(seed, K: int, budget: int, alpha) -> np.ndarray:
     """The best of ``budget`` uniform points of the unit K-ball, first on ties.
 
     The one-K case of the search :func:`find_minimizers` runs for a sweep.
+    Points whose radius floor lies above the running best are skipped (see
+    :func:`_best_in_ball`); general orders have no floor and are not pruned.
     """
     [(_, dirs, rng)] = _ball_draws(seed, {K}, budget)
     return _best_in_ball(dirs, rng.random(budget), _order(alpha))
@@ -353,8 +396,11 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
 
     The ball is searched in chunks of ``_BALL_CHUNK`` points, so memory
     beyond the ``budget x K`` draws stays a few chunk-sized arrays; the
-    result does not depend on the chunk size.  This is the one-K case of
-    :func:`find_minimizers`.
+    result does not depend on the chunk size.  After the first chunk, a
+    point whose radius floor (the order's least K-average on the sphere of
+    its radius) lies above the best value so far is skipped, which leaves
+    the result's bits as they are; general orders have no floor and every
+    point is scored.  This is the one-K case of :func:`find_minimizers`.
     """
     return find_minimizers(gens, [K], alpha, budget, seed)[0]
 

@@ -64,6 +64,14 @@ class TestEuler:
             with pytest.raises(DomainError, match="out of range"):
                 rotation_matrix(3, j, k, 0.2)
 
+    def test_rotation_axes_must_be_integers(self):
+        # a fractional axis once reached numpy's indexing as a bare IndexError
+        for j, k in ((1.5, 2), (1, 2.0), (True, 2), (3, False)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                rotation_matrix(3, j, k, 0.1)
+        got = rotation_matrix(3, np.int64(1), np.uint8(3), 0.1)
+        assert got.tobytes() == rotation_matrix(3, 1, 3, 0.1).tobytes()
+
     def test_identity(self):
         fact = euler_decompose(np.eye(4))
         assert fact.reflection_flag == 1
@@ -156,6 +164,15 @@ class TestPlaneRotor:
             out = plane_rotor(gens, j, k, 1.1, row)
             assert out.shape == (1, 8)
             assert np.max(np.abs(out - row @ plane_rotor(gens, j, k, 1.1))) <= 1e-15
+
+    def test_indices_must_be_integers(self):
+        # a bool once passed the range check as the index 0 or 1
+        gens = jordan_wigner(1)
+        for j, k in ((True, 2), (1, False), (1.0, 2), (0, 2.5)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                plane_rotor(gens, j, k, 0.3)
+        got = plane_rotor(gens, np.int32(1), np.int64(2), 0.3)
+        assert got.tobytes() == plane_rotor(gens, 1, 2, 0.3).tobytes()
 
     def test_rejects_equal_indices(self):
         gens = jordan_wigner(1)
@@ -306,6 +323,13 @@ class TestFlips:
             flip_unitary(gens, 0)
         with pytest.raises(DomainError):
             flip_unitary(gens, 5)
+
+    def test_index_must_be_an_integer(self):
+        gens = jordan_wigner(2)
+        for j in (True, 1.0, 2.5, "1"):
+            with pytest.raises(DomainError, match="must be an integer"):
+                flip_unitary(gens, j)
+        assert flip_unitary(gens, np.int64(3)).tobytes() == flip_unitary(gens, 3).tobytes()
 
     def test_flip_averaging_strips_indexed_terms(self):
         gens = jordan_wigner(2)

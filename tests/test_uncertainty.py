@@ -357,10 +357,28 @@ class TestChunkedBallSearch:
     @pytest.mark.parametrize("alpha", ORDERS)
     @pytest.mark.parametrize("K", [1, 2, 7, 8, 13])
     def test_equals_whole_array_search(self, K, alpha):
-        budget = 2 * uncertainty._BALL_CHUNK + 123
+        # enough chunks that the radius floor prunes most of them
+        budget = 20 * uncertainty._BALL_CHUNK + 123
         seed = np.random.SeedSequence(5)
         got = uncertainty._search_ball(seed, K, budget, alpha)
         assert got.tobytes() == whole_array_ball_best(seed, K, budget, alpha).tobytes()
+
+    @pytest.mark.parametrize("alpha, pruned", [(1, True), (2, True), (math.inf, True), (3.0, False)])
+    def test_floor_prunes_rows_it_rules_out(self, alpha, pruned):
+        budget, K = 20 * uncertainty._BALL_CHUNK, 7
+        [(_, dirs, rng)] = uncertainty._ball_draws(np.random.SeedSequence(3), {K}, budget)
+        uniform = rng.random(budget)
+        order = uncertainty._order(alpha)
+        scored = []
+
+        def counted(g):
+            scored.append(len(g))
+            return order.term(g)
+
+        got = uncertainty._best_in_ball(dirs, uniform, order._replace(term=counted))
+        assert got.tobytes() == uncertainty._best_in_ball(dirs, uniform, order).tobytes()
+        # a general order has no floor, so its search scores every row
+        assert sum(scored) < budget / 2 if pruned else sum(scored) == budget
 
     @pytest.mark.parametrize("alpha", ORDERS)
     def test_sweep_equals_independent_calls(self, alpha):
@@ -396,6 +414,39 @@ class TestChunkedBallSearch:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+FLOOR_ORDERS = [1, 2, math.inf]
+# The floor and the K-average are computed by different formulas, so where a
+# point attains the floor (the vertex, the equal spread) they part by a few ulps.
+FLOOR_ROUNDING = 1e-15
+
+
+class TestRadiusFloor:
+    """``_Order.floor(r, K)``: the least K-average over the sphere of radius r."""
+
+    @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
+    @pytest.mark.parametrize("K", range(1, 14))
+    def test_floor_is_a_lower_bound(self, K, alpha):
+        order = uncertainty._order(alpha)
+        rng = np.random.default_rng(K)
+        dirs = rng.standard_normal((300, K))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        vertex = np.eye(K)[:1]
+        spread = np.full((1, K), 1.0 / math.sqrt(K))
+        for r in (0.0, 0.5, 1.0 - 1e-12, 1.0):
+            points = r * np.vstack([vertex, spread, dirs])
+            floor = order.floor(np.array([r]), K)[0]
+            assert np.all(floor <= uncertainty._ball_objective(points, order) + FLOOR_ROUNDING)
+        assert abs(order.floor(np.array([1.0]), K)[0] - order.bound(K)) <= 1e-15
+
+    @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
+    def test_floor_decreases_in_the_radius(self, alpha):
+        # so the zero point, of value term(0) = 1, lies on or above every floor
+        r = np.linspace(0.0, 1.0, 1001)
+        for K in (1, 2, 7, 13):
+            floor = uncertainty._order(alpha).floor(r, K)
+            assert floor[0] == 1.0 and np.all(np.diff(floor) <= 0.0)
 
 
 def where_xlog2x(p):

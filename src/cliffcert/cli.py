@@ -11,7 +11,8 @@ Report document schema (JSON): top-level keys ``tool_version``, ``command``,
 every flag's value, the default where a command does not take the flag.
 CSV output is one table per command (``_table``) with '.' decimals, no
 thousands separators, and a mandatory header row; text output is the same
-table, aligned.  Exit codes: 0 success, 1 invariant failure, 2 usage error.
+table, aligned.  Exit codes: 0 success, 1 invariant failure, 2 usage error
+(an ``--out`` path that cannot be written is one, refused before the run).
 
 All randomized commands are reproducible from (seed, samples); sampling is
 split into fixed-size chunks with independently derived seeds, so results
@@ -531,6 +532,20 @@ def _text(doc: dict, header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _out_problem(path: str | None) -> str | None:
+    """Why the report could not be written to ``path``, checked before the command runs."""
+    if not path:
+        return None
+    if os.path.isdir(path):
+        return "is a directory"
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        return f"no directory {folder}"
+    if not os.access(folder, os.W_OK | os.X_OK):
+        return f"directory {folder} is not writable"
+    return None
+
+
 _COMMANDS = {
     "verify": cmd_verify,
     "minimize": cmd_minimize,
@@ -549,6 +564,10 @@ def main(argv=None) -> int:
             parser.error(problem)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
+    problem = _out_problem(config["out"])
+    if problem:
+        print(f"error: cannot write --out {config['out']}: {problem}", file=sys.stderr)
+        return 2
     start = time.perf_counter()
     try:
         code, results, residuals = _COMMANDS[args.command](config)
@@ -569,8 +588,13 @@ def main(argv=None) -> int:
         header, rows = _table(args.command, results)
         text = _csv(header, rows) if config["format"] == "csv" else _text(doc, header, rows)
     if config["out"]:
-        with open(config["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config["out"], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {config['out']}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -17,9 +17,11 @@ picks, the one place that branches on the order.  The closed forms:
 The same shape arguments bound the K-average on the sphere of radius r: the
 Shannon term is concave in t = g**2, so the least average sits at a vertex,
 1 + (H(r) - 1)/K; the collision and min-entropy terms are convex in t, so by
-Jensen it sits at the equal spread, H(r/sqrt(K)).  The ball search skips
-every point whose radius floor lies above the best value found so far.
-General orders have no floor, and their search scores every point.
+Jensen it sits at the equal spread, H(r/sqrt(K)).  The floor decreases in
+r, so the best value of the ball search's first chunk fixes one radius cut:
+no later point inside it can be the best, and none is read.  Of the points
+outside it, those whose floor lies above the best value so far are skipped
+too.  General orders have no floor, and their search scores every point.
 
 All entropies are in bits.
 """
@@ -59,6 +61,10 @@ _BALL_CHUNK = 8192
 # this: far above the ~1e-15 between the floor at the row's radius and the
 # value of its built point, whose norm and entropy terms carry rounding.
 _FLOOR_SLACK = 1e-9
+# The radius cut takes the floor on this many radii of [0, 1], and compares the
+# uniform draws with it this many chunks at a time (a 64 KiB mask at most).
+_CUT_RADII = 1025
+_CUT_CHUNKS = 8
 
 
 def _check_order(alpha) -> float:
@@ -107,11 +113,15 @@ def _spread_floor(term):
 def _clipped(term, slope, entropy, bound=None, kind=None, floor=None) -> _Order:
     """``term`` taken on ``g`` clipped to [-1, 1], ``slope`` 1e-12 inside it, where it is
     finite; ``floor``, if given, builds the floor from the clipped ``term``."""
+    # np.minimum(np.maximum(...)) is np.clip's arithmetic, bit for bit, without
+    # the cost of its Python wrapper on the descents' short vectors.
     def clipped(g):
-        return term(np.clip(g, -1.0, 1.0))
+        return term(np.minimum(np.maximum(g, -1.0), 1.0))
 
-    return _Order(clipped, lambda g: slope(np.clip(g, -1.0 + 1e-12, 1.0 - 1e-12)), entropy,
-                  bound, kind, floor and floor(clipped))
+    def clipped_slope(g):
+        return slope(np.minimum(np.maximum(g, -1.0 + 1e-12), 1.0 - 1e-12))
+
+    return _Order(clipped, clipped_slope, entropy, bound, kind, floor and floor(clipped))
 
 
 def _power(a: float) -> _Order:
@@ -297,34 +307,79 @@ def _ball_draws(seed, ks, budget: int):
         yield K, stream[:budget * K].reshape(budget, K), rng
 
 
+def _best_row(d: np.ndarray, radii: np.ndarray, order: _Order) -> tuple[np.ndarray, float]:
+    """The best of the points ``d_i radii_i / |d_i|``, first on ties, and its value.
+
+    Every step acts row by row, so a point and its value have the same bits
+    whichever rows are built with it."""
+    norms = np.sqrt(_row_sums(d * d))
+    norms[norms == 0.0] = 1.0
+    points = d * (radii / norms)[:, None]
+    vals = _row_sums(order.term(points)) / d.shape[1]
+    i = int(np.argmin(vals))
+    return points[i].copy(), vals[i]
+
+
+def _radius_cut(order: _Order, K: int, best_val: float) -> float:
+    """A ``uniform`` value at or below which every row's floor exceeds ``best_val + _FLOOR_SLACK``.
+
+    The floor is taken on ``_CUT_RADII`` radii of [0, 1].  It decreases in
+    the radius, so the radii whose floor lies above ``best_val + 2
+    _FLOOR_SLACK`` come first, and every radius below the last of them,
+    ``r``, has its floor above that too, up to rounding far below
+    ``_FLOOR_SLACK``.  A row's radius is ``uniform**(1/K)``, so the cut is
+    ``r**K``, lowered by a relative 1e-9 that covers the rounding of both
+    powers.  Returns -1, which cuts nothing, when no radius qualifies.
+    """
+    r = np.linspace(0.0, 1.0, _CUT_RADII)
+    above = int(np.count_nonzero(order.floor(r, K) > best_val + 2.0 * _FLOOR_SLACK))
+    return float(r[above - 1] ** K * (1.0 - 1e-9)) if above else -1.0
+
+
+def _rows_above(uniform: np.ndarray, cut: float):
+    """The rows after the first chunk whose ``uniform`` lies above ``cut``, ascending.
+
+    Yields index arrays of at most ``_BALL_CHUNK`` rows.  The comparison is
+    taken ``_CUT_CHUNKS`` chunks at a time, so neither its boolean mask nor
+    an index array grows with the budget.
+    """
+    block = _CUT_CHUNKS * _BALL_CHUNK
+    for start in range(_BALL_CHUNK, uniform.size, block):
+        rows = start + np.flatnonzero(uniform[start:start + block] > cut)
+        for part in range(0, rows.size, _BALL_CHUNK):
+            yield rows[part:part + _BALL_CHUNK]
+
+
 def _best_in_ball(dirs: np.ndarray, uniform: np.ndarray, order: _Order) -> np.ndarray:
     """The best of the points ``dirs_i uniform_i**(1/K) / |dirs_i|``, first on ties.
 
-    The points are built and scored ``_BALL_CHUNK`` rows at a time, with the
-    same arithmetic as on the whole array, so the result does not depend on
-    the chunk size.  After the first chunk, a row whose radius
-    ``uniform_i**(1/K)`` has its order's floor above the running best plus
-    ``_FLOOR_SLACK`` cannot hold the best point, so it is neither built nor
-    scored; the rows left keep their order, and the result keeps its bits.
-    A general order has no floor and every row is scored.
+    The first ``_BALL_CHUNK`` rows are built and scored in full; their best
+    value fixes one radius cut (:func:`_radius_cut`), at or below which no
+    later row can hold the best point, so only the later rows whose
+    ``uniform`` lies above the cut are read.  Of those, a row whose radius floor lies above
+    the running best plus ``_FLOOR_SLACK`` is neither built nor scored either.
+    The rows left are built and scored ``_BALL_CHUNK`` at a time, in their
+    order and with the same arithmetic as on the whole array, so the result
+    keeps its bits and does not depend on the chunk size.  A general order
+    has no floor: every row is scored, one chunk at a time.
     """
     budget, K = dirs.shape
-    best = best_val = None
-    for start in range(0, budget, _BALL_CHUNK):
-        d = dirs[start:start + _BALL_CHUNK]
-        radii = uniform[start:start + _BALL_CHUNK] ** (1.0 / K)
-        if best is not None and order.floor is not None:
+    best, best_val = _best_row(dirs[:_BALL_CHUNK], uniform[:_BALL_CHUNK] ** (1.0 / K), order)
+    if order.floor is None:
+        groups = (slice(start, start + _BALL_CHUNK)
+                  for start in range(_BALL_CHUNK, budget, _BALL_CHUNK))
+    else:
+        groups = _rows_above(uniform, _radius_cut(order, K, best_val))
+    for rows in groups:
+        radii = uniform[rows] ** (1.0 / K)
+        if order.floor is not None:
             keep = order.floor(radii, K) <= best_val + _FLOOR_SLACK
             if not keep.any():
                 continue
-            d, radii = d[keep], radii[keep]
-        norms = np.sqrt(_row_sums(d * d))
-        norms[norms == 0.0] = 1.0
-        points = d * (radii / norms)[:, None]
-        vals = _row_sums(order.term(points)) / K
-        i = int(np.argmin(vals))
-        if best is None or vals[i] < best_val:
-            best, best_val = points[i].copy(), vals[i]
+            rows, radii = rows[keep], radii[keep]
+        point, val = _best_row(dirs[rows], radii, order)
+        if val < best_val:
+            best, best_val = point, val
     return best
 
 
@@ -332,7 +387,8 @@ def _search_ball(seed, K: int, budget: int, alpha) -> np.ndarray:
     """The best of ``budget`` uniform points of the unit K-ball, first on ties.
 
     The one-K case of the search :func:`find_minimizers` runs for a sweep.
-    Points whose radius floor lies above the running best are skipped (see
+    Points inside the radius cut that the first chunk fixes, or whose radius
+    floor lies above the running best, are skipped (see
     :func:`_best_in_ball`); general orders have no floor and are not pruned.
     """
     [(_, dirs, rng)] = _ball_draws(seed, {K}, budget)
@@ -396,11 +452,13 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
 
     The ball is searched in chunks of ``_BALL_CHUNK`` points, so memory
     beyond the ``budget x K`` draws stays a few chunk-sized arrays; the
-    result does not depend on the chunk size.  After the first chunk, a
-    point whose radius floor (the order's least K-average on the sphere of
-    its radius) lies above the best value so far is skipped, which leaves
-    the result's bits as they are; general orders have no floor and every
-    point is scored.  This is the one-K case of :func:`find_minimizers`.
+    result does not depend on the chunk size.  The radius floor (the
+    order's least K-average on the sphere of a radius) decreases in the
+    radius, so the first chunk's best value fixes one radius cut, and no
+    later point inside it is read; of the points outside it, one whose floor
+    lies above the best value so far is skipped.  Neither step changes the
+    result's bits.  General orders have no floor and every point is scored.
+    This is the one-K case of :func:`find_minimizers`.
     """
     return find_minimizers(gens, [K], alpha, budget, seed)[0]
 

@@ -225,6 +225,26 @@ class TestFlagValues:
     def test_bad_tol_psd_is_usage_error(self, value):
         assert main(["verify", "--n", "1", "--samples", "40", "--tol-psd", value]) == 2
 
+    @pytest.mark.parametrize("where", ["missing_dir/x.json", "."])
+    def test_unwritable_out_is_refused_before_the_run(self, tmp_path, monkeypatch, capsys, where):
+        def no_run(cfg):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, "sweep", no_run)
+        out = tmp_path / where
+        argv = ["sweep", "--n", "2", "--k-min", "1", "--k-max", "3", "--alpha", "2",
+                "--samples", "2000", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_failure_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # a directory that vanishes between the check and the write
+        monkeypatch.setattr(cli, "_out_problem", lambda path: None)
+        out = tmp_path / "missing_dir" / "x.json"
+        assert main(["verify", "--n", "1", "--samples", "40", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}")
+
 
 def shift_gaps(monkeypatch, shift):
     """Move every minimizer report's gap by ``shift``, as the CLI sees it."""

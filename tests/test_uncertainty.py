@@ -449,6 +449,83 @@ class TestRadiusFloor:
             assert floor[0] == 1.0 and np.all(np.diff(floor) <= 0.0)
 
 
+def per_chunk_best_in_ball(dirs, uniform, order):
+    """The search that tests every row's radius floor, chunk by chunk, kept as the oracle."""
+    budget, K = dirs.shape
+    chunk = uncertainty._BALL_CHUNK
+    best = best_val = None
+    for start in range(0, budget, chunk):
+        d = dirs[start:start + chunk]
+        radii = uniform[start:start + chunk] ** (1.0 / K)
+        if best is not None and order.floor is not None:
+            keep = order.floor(radii, K) <= best_val + uncertainty._FLOOR_SLACK
+            if not keep.any():
+                continue
+            d, radii = d[keep], radii[keep]
+        norms = np.sqrt(uncertainty._row_sums(d * d))
+        norms[norms == 0.0] = 1.0
+        points = d * (radii / norms)[:, None]
+        vals = uncertainty._row_sums(order.term(points)) / K
+        i = int(np.argmin(vals))
+        if best is None or vals[i] < best_val:
+            best, best_val = points[i].copy(), vals[i]
+    return best
+
+
+class TestRadiusCut:
+    """One radius cut, from the first chunk's best, in place of a floor per row."""
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    @pytest.mark.parametrize("K", [1, 2, 7, 8, 13])
+    def test_equals_per_chunk_search(self, K, alpha):
+        budget = 20 * uncertainty._BALL_CHUNK + 123
+        [(_, dirs, rng)] = uncertainty._ball_draws(np.random.SeedSequence(11), {K}, budget)
+        uniform = rng.random(budget)
+        order = uncertainty._order(alpha)
+        got = uncertainty._best_in_ball(dirs, uniform, order)
+        assert got.tobytes() == per_chunk_best_in_ball(dirs, uniform, order).tobytes()
+
+    @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
+    def test_floor_reads_few_rows(self, alpha):
+        budget, K = 20 * uncertainty._BALL_CHUNK, 7
+        [(_, dirs, rng)] = uncertainty._ball_draws(np.random.SeedSequence(3), {K}, budget)
+        uniform = rng.random(budget)
+        order = uncertainty._order(alpha)
+        seen = []
+
+        def counted(r, K):
+            seen.append(np.size(r))
+            return order.floor(r, K)
+
+        got = uncertainty._best_in_ball(dirs, uniform, order._replace(floor=counted))
+        assert got.tobytes() == uncertainty._best_in_ball(dirs, uniform, order).tobytes()
+        assert sum(seen) < budget / 4
+
+    @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
+    @pytest.mark.parametrize("K", range(1, 14))
+    def test_cut_drops_only_rows_the_floor_rules_out(self, K, alpha):
+        order = uncertainty._order(alpha)
+        rng = np.random.default_rng([K, 7])
+        grid = np.linspace(0.0, 1.0, uncertainty._CUT_RADII)
+        # best values across [bound(K), 1], and some within a few slacks of a
+        # grid radius's floor; at 2 slacks below, the cut moves to the next radius
+        floors = order.floor(grid[rng.integers(0, grid.size, 20)], K)
+        edges = np.concatenate([floors - c * uncertainty._FLOOR_SLACK for c in (0, 1, 2, 3)])
+        bests = np.concatenate([
+            rng.uniform(order.bound(K), 1.0, 40),
+            edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+            [order.bound(K), 1.0],
+        ])
+        for best in bests:
+            cut = uncertainty._radius_cut(order, K, best)
+            planted = [cut, np.nextafter(cut, -1.0), np.nextafter(cut, 2.0),
+                       cut * (1.0 - 1e-12), cut * (1.0 + 1e-12), cut / (1.0 - 1e-9)]
+            uniform = np.clip(np.concatenate([rng.random(200), planted]), 0.0, 1.0)
+            dropped = uniform[uniform <= cut]
+            radii = dropped ** (1.0 / K)
+            assert np.all(order.floor(radii, K) > best + uncertainty._FLOOR_SLACK)
+
+
 def where_xlog2x(p):
     """The two-``np.where`` form of ``p log2 p``, kept as the oracle."""
     return np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)

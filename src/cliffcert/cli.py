@@ -180,9 +180,15 @@ def _order_label(alpha: float):
     return "inf" if math.isinf(alpha) else alpha
 
 
+def _workers(threads: int, chunks: int) -> int:
+    """Threads that work on ``chunks`` chunks: no more than the chunks or the CPUs."""
+    return min(threads, chunks, os.cpu_count() or 1)
+
+
 def _map_chunks(fn, items, threads: int):
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = _workers(threads, len(items))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
@@ -348,7 +354,7 @@ def _check_projection_memory(n: int, samples: int, threads: int) -> None:
     """Refuse, by arithmetic, projection chunks in flight that exceed ``MEMORY_BUDGET``."""
     sizes = _chunk_sizes(samples)
     check_budget(f"projection at {sizes[0]} states per chunk",
-                 _PROJECTION_ARRAYS * sizes[0] * 4**n * 16 * min(threads, len(sizes)), MEMORY_BUDGET)
+                 _PROJECTION_ARRAYS * sizes[0] * 4**n * 16 * _workers(threads, len(sizes)), MEMORY_BUDGET)
 
 
 def cmd_verify(cfg: dict):

@@ -63,6 +63,8 @@ class DensityMatrix:
         tol_tr: float = TRACE,
         tol_psd: float = PSD,
     ) -> "DensityMatrix":
+        for name, tol in (("tol_herm", tol_herm), ("tol_tr", tol_tr), ("tol_psd", tol_psd)):
+            _check_tolerance(tol, name)
         m = np.asarray(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {m.shape}")
@@ -258,6 +260,12 @@ def _check_count(K, size: float = math.inf) -> int:
     return int(K)
 
 
+def _check_tolerance(tol, name: str) -> None:
+    """Refuse a tolerance that is not a real ``>= 0``: a NaN turns every comparison with it off."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0.0:
+        raise DomainError(f"{name} must be a non-negative number, got {tol!r}")
+
+
 def gvector(rho: DensityMatrix, gens: GeneratorSet, K: int | None = None) -> GVector:
     """Expectations of the first ``K`` observables (extended order), rest zero.
 
@@ -278,6 +286,7 @@ def from_gvector(g: GVector, gens: GeneratorSet, *, tol_psd: float = PSD) -> Den
     Rejects coefficient vectors with ``sum g_j**2 > 1 + tol_psd``, where
     positivity is no longer guaranteed.
     """
+    _check_tolerance(tol_psd, "tol_psd")
     if g.n != gens.n:
         raise DomainError(f"coefficient vector is for n={g.n}, generators for n={gens.n}")
     norm_sq = g.norm_squared

@@ -18,10 +18,9 @@ The same shape arguments bound the K-average on the sphere of radius r: the
 Shannon term is concave in t = g**2, so the least average sits at a vertex,
 1 + (H(r) - 1)/K; the collision and min-entropy terms are convex in t, so by
 Jensen it sits at the equal spread, H(r/sqrt(K)).  The floor decreases in
-r, so the best value of the ball search's first chunk fixes one radius cut:
-no later point inside it can be the best, and none is read.  Of the points
-outside it, those whose floor lies above the best value so far are skipped
-too.  General orders have no floor, and their search scores every point.
+r, so the ball search skips the points inside a radius cut that falls with
+the running best (``_best_in_ball``).  General orders have no floor, and
+their search scores every point.
 
 All entropies are in bits.
 """
@@ -57,12 +56,13 @@ _SHANNON_EPS = 1e-12  # alpha within this of 1 is treated as Shannon
 # Rows of the unit-ball search built and scored at once: the search's working
 # set beyond its draws is a few arrays of this many rows, whatever the budget.
 _BALL_CHUNK = 8192
-# A ball row is scored while its radius floor is at most the running best plus
+# The radius cut drops only rows whose floor lies above the running best plus
 # this: far above the ~1e-15 between the floor at the row's radius and the
 # value of its built point, whose norm and entropy terms carry rounding.
 _FLOOR_SLACK = 1e-9
-# The radius cut takes the floor on this many radii of [0, 1], and compares the
-# uniform draws with it this many chunks at a time (a 64 KiB mask at most).
+# The radius cut takes the floor on this many radii of [0, 1], and the search
+# compares the uniform draws with it at most this many chunks ahead (a 64 KiB
+# mask at most).
 _CUT_RADII = 1025
 _CUT_CHUNKS = 8
 
@@ -329,57 +329,48 @@ def _radius_cut(order: _Order, K: int, best_val: float) -> float:
     ``r``, has its floor above that too, up to rounding far below
     ``_FLOOR_SLACK``.  A row's radius is ``uniform**(1/K)``, so the cut is
     ``r**K``, lowered by a relative 1e-9 that covers the rounding of both
-    powers.  Returns -1, which cuts nothing, when no radius qualifies.
+    powers.  Returns -1, which cuts nothing, when no radius qualifies or the
+    order has no floor.
     """
+    if order.floor is None:
+        return -1.0
     r = np.linspace(0.0, 1.0, _CUT_RADII)
     above = int(np.count_nonzero(order.floor(r, K) > best_val + 2.0 * _FLOOR_SLACK))
     return float(r[above - 1] ** K * (1.0 - 1e-9)) if above else -1.0
 
 
-def _rows_above(uniform: np.ndarray, cut: float):
-    """The rows after the first chunk whose ``uniform`` lies above ``cut``, ascending.
-
-    Yields index arrays of at most ``_BALL_CHUNK`` rows.  The comparison is
-    taken ``_CUT_CHUNKS`` chunks at a time, so neither its boolean mask nor
-    an index array grows with the budget.
-    """
-    block = _CUT_CHUNKS * _BALL_CHUNK
-    for start in range(_BALL_CHUNK, uniform.size, block):
-        rows = start + np.flatnonzero(uniform[start:start + block] > cut)
-        for part in range(0, rows.size, _BALL_CHUNK):
-            yield rows[part:part + _BALL_CHUNK]
-
-
 def _best_in_ball(dirs: np.ndarray, uniform: np.ndarray, order: _Order) -> np.ndarray:
     """The best of the points ``dirs_i uniform_i**(1/K) / |dirs_i|``, first on ties.
 
-    The first ``_BALL_CHUNK`` rows are built and scored in full; their best
-    value fixes one radius cut (:func:`_radius_cut`), at or below which no
-    later row can hold the best point, so only the later rows whose
-    ``uniform`` lies above the cut are read.  Of those, a row whose radius floor lies above
-    the running best plus ``_FLOOR_SLACK`` is neither built nor scored either.
-    The rows left are built and scored ``_BALL_CHUNK`` at a time, in their
-    order and with the same arithmetic as on the whole array, so the result
-    keeps its bits and does not depend on the chunk size.  A general order
-    has no floor: every row is scored, one chunk at a time.
+    The rows are scored ``_BALL_CHUNK`` at a time, in order, and each time
+    the best value improves the radius cut (:func:`_radius_cut`) is taken
+    again from it, so the cut falls with the running best.  No row at or
+    below the cut can hold the best point.  While there is no cut (at the
+    start, and always for an order without a floor) the next chunk is read
+    as it lies; once there is one, the next ``_BALL_CHUNK`` rows whose
+    ``uniform`` lies above it are gathered, from at most ``_CUT_CHUNKS``
+    chunks ahead, so no mask or index array grows with the budget.  Every
+    row is built and scored with the same arithmetic as on the whole array,
+    so the result keeps its bits and does not depend on the chunk size.
     """
     budget, K = dirs.shape
-    best, best_val = _best_row(dirs[:_BALL_CHUNK], uniform[:_BALL_CHUNK] ** (1.0 / K), order)
-    if order.floor is None:
-        groups = (slice(start, start + _BALL_CHUNK)
-                  for start in range(_BALL_CHUNK, budget, _BALL_CHUNK))
-    else:
-        groups = _rows_above(uniform, _radius_cut(order, K, best_val))
-    for rows in groups:
-        radii = uniform[rows] ** (1.0 / K)
-        if order.floor is not None:
-            keep = order.floor(radii, K) <= best_val + _FLOOR_SLACK
-            if not keep.any():
+    best, best_val, cut = None, math.inf, -1.0
+    start = 0
+    while start < budget:
+        if cut < 0.0:
+            rows = slice(start, start + _BALL_CHUNK)
+            start += _BALL_CHUNK
+        else:
+            block = _CUT_CHUNKS * _BALL_CHUNK
+            above = np.flatnonzero(uniform[start:start + block] > cut)[:_BALL_CHUNK]
+            rows = start + above
+            start = int(rows[-1]) + 1 if above.size == _BALL_CHUNK else start + block
+            if not above.size:
                 continue
-            rows, radii = rows[keep], radii[keep]
-        point, val = _best_row(dirs[rows], radii, order)
+        point, val = _best_row(dirs[rows], uniform[rows] ** (1.0 / K), order)
         if val < best_val:
             best, best_val = point, val
+            cut = _radius_cut(order, K, best_val)
     return best
 
 
@@ -387,9 +378,9 @@ def _search_ball(seed, K: int, budget: int, alpha) -> np.ndarray:
     """The best of ``budget`` uniform points of the unit K-ball, first on ties.
 
     The one-K case of the search :func:`find_minimizers` runs for a sweep.
-    Points inside the radius cut that the first chunk fixes, or whose radius
-    floor lies above the running best, are skipped (see
-    :func:`_best_in_ball`); general orders have no floor and are not pruned.
+    Points inside a radius cut that falls with the running best are skipped
+    (see :func:`_best_in_ball`); general orders have no floor and are not
+    pruned.
     """
     [(_, dirs, rng)] = _ball_draws(seed, {K}, budget)
     return _best_in_ball(dirs, rng.random(budget), _order(alpha))
@@ -452,12 +443,10 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
 
     The ball is searched in chunks of ``_BALL_CHUNK`` points, so memory
     beyond the ``budget x K`` draws stays a few chunk-sized arrays; the
-    result does not depend on the chunk size.  The radius floor (the
-    order's least K-average on the sphere of a radius) decreases in the
-    radius, so the first chunk's best value fixes one radius cut, and no
-    later point inside it is read; of the points outside it, one whose floor
-    lies above the best value so far is skipped.  Neither step changes the
-    result's bits.  General orders have no floor and every point is scored.
+    result does not depend on the chunk size.  The points inside a radius
+    cut, which falls with the running best, are skipped without changing the
+    result's bits (see :func:`_best_in_ball`).  General orders have no floor
+    and every point is scored.
     This is the one-K case of :func:`find_minimizers`.
     """
     return find_minimizers(gens, [K], alpha, budget, seed)[0]

@@ -10,6 +10,7 @@ import pytest
 
 from cliffcert import __version__, cli
 from cliffcert.cli import main
+from cliffcert.errors import CapacityError
 from cliffcert.tolerances import OPTIMIZATION, PSD
 
 SCHEMA_KEYS = {"tool_version", "command", "config", "results", "residuals", "wall_time_ms"}
@@ -300,6 +301,8 @@ class TestVerifyMemory:
     def test_chunks_in_flight_count(self, monkeypatch, capsys):
         # one 256-state chunk at n = 3 holds 5 x 256 x 64 x 16 bytes = 1.25 MiB
         monkeypatch.setattr(cli, "MEMORY_BUDGET", 2**21)
+        # two chunks in flight whatever the machine's CPU count
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = ["verify", "--n", "3", "--samples", "512", "--format", "json"]
         assert main(argv) == 0
         capsys.readouterr()
@@ -307,6 +310,58 @@ class TestVerifyMemory:
         forbid_sampling(monkeypatch)
         assert main(argv) == 1
         assert "memory budget" in capsys.readouterr().err
+
+
+class FakePool:
+    """A ``ThreadPoolExecutor`` stand-in that records ``max_workers`` and starts no thread."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestThreadPool:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(FakePool, "workers", [])
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        return FakePool.workers
+
+    def test_pool_is_capped_by_the_cpus(self, pool):
+        # 3,907 chunks of a million states: one thread each, up to the requested 100000
+        items = list(range(len(cli._chunk_sizes(1_000_000))))
+        assert cli._map_chunks(lambda i: i + 1, items, 100_000) == [i + 1 for i in items]
+        assert pool == [3]
+
+    def test_pool_is_capped_by_the_chunks(self, pool):
+        assert cli._map_chunks(abs, [-1, -2], 100_000) == [1, 2]
+        assert cli._map_chunks(abs, [-1], 100_000) == [1]
+        assert pool == [2]
+
+    def test_config_keeps_the_requested_threads(self, pool, monkeypatch, capsys):
+        monkeypatch.setenv("CLIFFCERT_THREADS", "100000")
+        code, doc = run_json(capsys, ["verify", "--n", "1", "--samples", "1024"])
+        assert code == 0 and doc["config"]["threads"] == 100_000
+        assert pool == [3]
+
+    def test_memory_check_counts_the_capped_pool(self, pool, monkeypatch):
+        # three 256-state chunks at n = 3 fit the budget, four do not
+        monkeypatch.setattr(cli, "MEMORY_BUDGET", 3 * 5 * 256 * 64 * 16)
+        cli._check_projection_memory(3, 4 * 256, 100_000)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        with pytest.raises(CapacityError):
+            cli._check_projection_memory(3, 4 * 256, 100_000)
 
 
 class TestProjectionPositivity:

@@ -83,6 +83,17 @@ class TestValidation:
         with pytest.raises(ValidationError):
             DensityMatrix.from_matrix(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1e-9, -np.inf, True, "1e-9"])
+    @pytest.mark.parametrize("mat, name", [
+        (np.diag([2.0, -1.0]), "tol_psd"),  # not positive
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "tol_herm"),  # not Hermitian
+        (np.diag([0.5, 0.5]), "tol_tr"),
+    ])
+    def test_rejects_bad_tolerance(self, mat, name, bad):
+        # a NaN tolerance turned its comparison off and let the matrix through
+        with pytest.raises(DomainError, match=name):
+            DensityMatrix.from_matrix(mat, **{name: bad})
+
     def test_accepts_tiny_negative_noise(self):
         rho = DensityMatrix.from_matrix(np.diag([1.0 + 1e-12, -1e-12]).astype(complex))
         assert rho.n == 1
@@ -394,6 +405,12 @@ class TestFromGVector:
     def test_wrong_n(self):
         with pytest.raises(DomainError):
             from_gvector(GVector(1, np.zeros(3)), jordan_wigner(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-9])
+    def test_rejects_bad_tolerance(self, bad):
+        # with tol_psd = NaN, (1 + 3 G_1)/2 came back with eigenvalue -1
+        with pytest.raises(DomainError, match="tol_psd"):
+            from_gvector(GVector(1, np.array([0.0, 3.0, 0.0])), jordan_wigner(1), tol_psd=bad)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-1, 1), min_size=5, max_size=5))

@@ -473,7 +473,7 @@ def per_chunk_best_in_ball(dirs, uniform, order):
 
 
 class TestRadiusCut:
-    """One radius cut, from the first chunk's best, in place of a floor per row."""
+    """One radius cut, taken again each time the running best improves, in place of a floor per row."""
 
     @pytest.mark.parametrize("alpha", ORDERS)
     @pytest.mark.parametrize("K", [1, 2, 7, 8, 13])
@@ -487,19 +487,23 @@ class TestRadiusCut:
 
     @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
     def test_floor_reads_few_rows(self, alpha):
-        budget, K = 20 * uncertainty._BALL_CHUNK, 7
-        [(_, dirs, rng)] = uncertainty._ball_draws(np.random.SeedSequence(3), {K}, budget)
-        uniform = rng.random(budget)
+        budget = 20 * uncertainty._BALL_CHUNK
         order = uncertainty._order(alpha)
-        seen = []
+        grid = np.linspace(0.0, 1.0, uncertainty._CUT_RADII)
+        for K in (7, 13):
+            [(_, dirs, rng)] = uncertainty._ball_draws(np.random.SeedSequence(3), {K}, budget)
+            uniform = rng.random(budget)
+            seen = []
 
-        def counted(r, K):
-            seen.append(np.size(r))
-            return order.floor(r, K)
+            def counted(r, K):
+                seen.append(np.copy(r))
+                return order.floor(r, K)
 
-        got = uncertainty._best_in_ball(dirs, uniform, order._replace(floor=counted))
-        assert got.tobytes() == uncertainty._best_in_ball(dirs, uniform, order).tobytes()
-        assert sum(seen) < budget / 4
+            got = uncertainty._best_in_ball(dirs, uniform, order._replace(floor=counted))
+            assert got.tobytes() == uncertainty._best_in_ball(dirs, uniform, order).tobytes()
+            # the floor is read only by the cut, on its grid, never row by row
+            assert seen and all(np.array_equal(r, grid) for r in seen)
+            assert sum(r.size for r in seen) < budget / 4
 
     @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
     @pytest.mark.parametrize("K", range(1, 14))

@@ -375,10 +375,8 @@ def cmd_verify(cfg: dict):
 
 
 def _off_bound(report, tol_opt: float) -> bool:
-    """Below the closed form by more than ``tol_opt``, or above an exact minimum by more."""
-    if report.gap is None:
-        return False
-    return report.gap < -tol_opt or (report.bound_kind == "exact-minimum" and report.gap > tol_opt)
+    """More than ``tol_opt`` from the closed form, which is an exact minimum, on either side."""
+    return report.gap is not None and abs(report.gap) > tol_opt
 
 
 def cmd_minimize(cfg: dict):

@@ -168,9 +168,10 @@ def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float,
 
     ``j`` and ``k`` are extended indices (0 = pseudoscalar); every other
     observable in the extended set is fixed.  Returns ``u @ R`` for the
-    rotor ``R = cos(theta/2) 1 + sin(theta/2) G_k G_j``.  The left factor
-    ``u`` may be any ``(..., d)`` array, a ``1 x d`` row included, and costs
-    O(d) per row: O(d**2) for a ``d x d`` factor (the identity by default).
+    rotor ``R = cos(theta/2) 1 + sin(theta/2) G_k G_j``, applying the cached
+    actions of G_k, then G_j.  The left factor ``u`` may be any ``(..., d)``
+    array, a ``1 x d`` row included, and costs O(d) per row: O(d**2) for a
+    ``d x d`` factor (the identity by default).
     """
     size = gens.extended_size
     j, k = (_check_index(idx, 0, size - 1, "extended index") for idx in (j, k))
@@ -178,8 +179,7 @@ def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float,
         raise DomainError("rotation plane needs two distinct indices")
     if u is None:
         u = np.eye(2**gens.n, dtype=complex)
-    bivector = pauli.mul(gens.extended(k), gens.extended(j))
-    out = pauli.apply(bivector, u, "right")
+    out = pauli.apply(gens.actions[j], pauli.apply(gens.actions[k], u, "right"), "right")
     out *= math.sin(theta / 2.0)
     out += math.cos(theta / 2.0) * u
     return out
@@ -318,24 +318,21 @@ def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatri
 
 
 def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
-    """Worst-case entrywise error of ``U G_j U^H - sum_i T_ij G_i``.
+    """Worst-case entrywise error of ``U G_j U^H - sum_i T_ij G_i`` over the extended set.
 
-    For a 2n-sized transform the generators are checked and the
-    pseudoscalar must acquire det T; for 2n+1 the whole extended set is
-    checked.  Used by the verification suites.
+    A 2n-sized transform acts on the generators, and the pseudoscalar must
+    acquire det T, so it is checked as the extended transform
+    ``diag(det T, T)``.  Used by the verification suites.
     """
     trans = _as_transform(t)
-    n = gens.n
-    acts = gens.actions
+    size = gens.extended_size
+    if trans.size not in (size - 1, size):
+        raise DimensionMismatchError("transform size matches neither 2n nor 2n+1")
+    mat = np.zeros((size, size))
+    mat[0, 0] = trans.det_sign
+    mat[size - trans.size:, size - trans.size:] = trans.mat  # all of mat for a 2n+1 transform
     uh = u.conj().T
-
-    def residual(j: int, coeffs, ops) -> float:
-        target = pauli.scatter(coeffs, ops)
-        return float(np.max(np.abs(pauli.apply(acts[j], u, "right") @ uh - target)))
-
-    if trans.size == 2 * n + 1:
-        return max(residual(j, trans.mat[:, j], acts) for j in range(trans.size))
-    if trans.size == 2 * n:
-        worst = max(residual(j, trans.mat[:, j - 1], acts[1:]) for j in range(1, 2 * n + 1))
-        return max(worst, residual(0, [trans.det_sign], acts[:1]))
-    raise DimensionMismatchError("transform size matches neither 2n nor 2n+1")
+    acts = gens.actions
+    return max(float(np.max(np.abs(pauli.apply(act, u, "right") @ uh
+                                   - pauli.scatter(mat[:, j], acts))))
+               for j, act in enumerate(acts))

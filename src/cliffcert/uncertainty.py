@@ -6,23 +6,23 @@ over the first K observables depends on the state only through its
 expectation vector.  Combined with the unit-ball characterization of
 admissible vectors this turns state-space minimization into a K-dimensional
 ball search.  Each order's formulas (the two-outcome entropy and its slope,
-the n-outcome entropy, the closed form) are one record that ``_order``
-picks, the one place that branches on the order.  The closed forms:
+the n-outcome entropy, the radius floor) are one record that ``_order``
+picks, the one place that branches on the order.  The floor is the least
+K-average on the sphere of radius r: at a vertex, 1 + (H(r) - 1)/K, for the
+Shannon term, which is concave in t = g**2, and by Jensen at the equal
+spread, H(r/sqrt(K)), for the collision and min-entropy terms, which are
+convex in t.  A state realizes either point at r = 1, so the floor there is
+the exact minimum, the closed form:
 
-    alpha = 1   : min = 1 - 1/K            (one expectation at +-1)
-    alpha = 2   : min = 1 - log2(1 + 1/K)  (all expectations at 1/sqrt(K))
-    alpha = inf : >=    1 - log2(1 + 1/sqrt(K))   (proven lower bound;
-                  tightness is observed numerically, not asserted)
+    alpha = 1   : min = 1 - 1/K                (one expectation at +-1)
+    alpha = 2   : min = 1 - log2(1 + 1/K)      (all expectations at 1/sqrt(K))
+    alpha = inf : min = 1 - log2(1 + 1/sqrt(K))  (the same: -log2((1 + sqrt t)/2)
+                  decreases and is convex in t, so Jensen applies)
 
-The same shape arguments bound the K-average on the sphere of radius r: the
-Shannon term is concave in t = g**2, so the least average sits at a vertex,
-1 + (H(r) - 1)/K; the collision and min-entropy terms are convex in t, so by
-Jensen it sits at the equal spread, H(r/sqrt(K)).  The floor decreases in
-r, so the ball search skips the points inside a radius cut that falls with
-the running best (``_best_in_ball``).  General orders have no floor, and
-their search scores every point.
-
-All entropies are in bits.
+The floor decreases in r, so the ball search skips the points inside a
+radius cut that falls with the running best (``_best_in_ball``); general
+orders have no floor, and their search scores every point.  All entropies
+are in bits.
 """
 
 from __future__ import annotations
@@ -84,17 +84,15 @@ def _xlog2x(p: np.ndarray) -> np.ndarray:
 class _Order(NamedTuple):
     """One Renyi order's formulas: ``term(g)``, the two-outcome entropy at
     expectation ``g``, and ``slope(g)``, its derivative; ``entropy(p)`` of a
-    normalized probability vector; ``bound(K)``, the closed form of the
-    K-average minimum, and its ``kind``; ``floor(r, K)``, the least K-average
-    over the sphere of radius ``r`` (vectorized in ``r``, decreasing in it,
-    and ``bound(K)`` at r = 1).  The last three are ``None`` for a general
-    order."""
+    normalized probability vector; ``floor(r, K)``, the least K-average over
+    the sphere of radius ``r`` (vectorized in ``r`` and decreasing in it).
+    At r = 1 the floor is attained by a state, so it is the closed form of
+    the K-average minimum, an exact minimum.  ``floor`` is ``None`` for a
+    general order."""
 
     term: Callable[[np.ndarray], np.ndarray]
     slope: Callable[[np.ndarray], np.ndarray]
     entropy: Callable[[np.ndarray], float]
-    bound: Callable[[int], float] | None = None
-    kind: str | None = None
     floor: Callable[[np.ndarray, int], np.ndarray] | None = None
 
 
@@ -110,7 +108,7 @@ def _spread_floor(term):
     return lambda r, K: term(r / math.sqrt(K))
 
 
-def _clipped(term, slope, entropy, bound=None, kind=None, floor=None) -> _Order:
+def _clipped(term, slope, entropy, floor=None) -> _Order:
     """``term`` taken on ``g`` clipped to [-1, 1], ``slope`` 1e-12 inside it, where it is
     finite; ``floor``, if given, builds the floor from the clipped ``term``."""
     # np.minimum(np.maximum(...)) is np.clip's arithmetic, bit for bit, without
@@ -121,39 +119,53 @@ def _clipped(term, slope, entropy, bound=None, kind=None, floor=None) -> _Order:
     def clipped_slope(g):
         return slope(np.minimum(np.maximum(g, -1.0 + 1e-12), 1.0 - 1e-12))
 
-    return _Order(clipped, clipped_slope, entropy, bound, kind, floor and floor(clipped))
+    return _Order(clipped, clipped_slope, entropy, floor and floor(clipped))
 
 
 def _power(a: float) -> _Order:
-    """A general order ``a``, through the power sums ``p**a + q**a`` and ``sum(p**a)``."""
+    """A general order ``a``: ``log2(p**a + q**a) = a log2(m) + log2(1 + r**a)``, with
+    ``s = 1 + |g|``, ``m = s/2``, ``r = (1 - |g|)/s``, so no sum underflows at a large order."""
 
     def term(g):
-        p, q = (1.0 + g) / 2.0, (1.0 - g) / 2.0
-        return np.log2(p**a + q**a) / (1.0 - a)
+        # in place on two arrays (0-d included): the ball search's hot path for general orders
+        r = np.abs(g, out=np.empty(np.shape(g)))
+        s = r.copy()
+        s += 1.0
+        np.subtract(1.0, r, out=r)
+        r /= s
+        r **= a
+        r += 1.0
+        np.log2(r, out=r)
+        s *= 0.5
+        np.log2(s, out=s)
+        s *= a
+        s += r
+        s /= 1.0 - a
+        return s
 
     def slope(g):
-        p, q = (1.0 + g) / 2.0, (1.0 - g) / 2.0
-        return a * (p ** (a - 1.0) - q ** (a - 1.0)) / (2.0 * (1.0 - a) * _LN2 * (p**a + q**a))
+        b = np.abs(g)
+        s = 1.0 + b
+        r = (1.0 - b) / s
+        return np.sign(g) * a * (1.0 - r ** (a - 1.0)) / ((1.0 - a) * _LN2 * s * (1.0 + r**a))
 
-    return _clipped(term, slope, lambda p: float(np.log2(np.sum(p**a)) / (1.0 - a)))
+    return _clipped(term, slope, lambda p: float(
+        (a * np.log2(p.max()) + np.log2(np.sum((p / p.max()) ** a))) / (1.0 - a)))
 
 
-# The orders with a closed form: the min-entropy, Shannon and the collision entropy.
+# The orders with a floor, and so a closed form: min-entropy, Shannon and collision.
 _MIN_ENTROPY = _clipped(
     lambda g: -np.log2((1.0 + np.abs(g)) / 2.0),
     lambda g: -np.sign(g) / ((1.0 + np.abs(g)) * _LN2),
-    lambda p: float(-np.log2(p.max())),
-    lambda K: 1.0 - math.log2(1.0 + 1.0 / math.sqrt(K)), "proven-lower-bound", _spread_floor)
+    lambda p: float(-np.log2(p.max())), _spread_floor)
 _SHANNON = _clipped(
     lambda g: -(_xlog2x((1.0 + g) / 2.0) + _xlog2x((1.0 - g) / 2.0)),
     lambda g: 0.5 * np.log2((1.0 - g) / (1.0 + g)),
-    lambda p: float(-np.sum(_xlog2x(p))),
-    lambda K: 1.0 - 1.0 / K, "exact-minimum", _vertex_floor)
+    lambda p: float(-np.sum(_xlog2x(p))), _vertex_floor)
 _COLLISION = _clipped(
     lambda g: -np.log2((1.0 + g * g) / 2.0),
     lambda g: -2.0 * g / ((1.0 + g * g) * _LN2),
-    _power(2.0).entropy,
-    lambda K: 1.0 - math.log2(1.0 + 1.0 / K), "exact-minimum", _spread_floor)
+    _power(2.0).entropy, _spread_floor)
 
 
 def _order(alpha) -> _Order:
@@ -217,20 +229,21 @@ def entropy_average(rho: DensityMatrix, gens: GeneratorSet, K: int, alpha) -> fl
 
 def _closed_form(alpha) -> _Order:
     order = _order(alpha)
-    if order.bound is None:
+    if order.floor is None:
         raise DomainError(f"no closed form for alpha = {alpha}; supported: 1, 2, inf")
     return order
 
 
 def closed_form_kind(alpha) -> str:
-    """``exact-minimum`` for alpha in {1, 2}; ``proven-lower-bound`` for inf."""
-    return _closed_form(alpha).kind
+    """``exact-minimum`` for alpha in {1, 2, inf}: each closed form is a floor a state attains."""
+    _closed_form(alpha)
+    return "exact-minimum"
 
 
 def closed_form_min(K: int, alpha) -> float:
-    """Closed-form bound (bits) on the K-observable entropy average."""
+    """The least K-observable entropy average (bits): the order's floor at radius 1."""
     K = _check_count(K)
-    return _closed_form(alpha).bound(K)
+    return float(_closed_form(alpha).floor(1.0, K))
 
 
 def _ball_objective(g, order: _Order) -> np.ndarray:
@@ -375,13 +388,8 @@ def _best_in_ball(dirs: np.ndarray, uniform: np.ndarray, order: _Order) -> np.nd
 
 
 def _search_ball(seed, K: int, budget: int, alpha) -> np.ndarray:
-    """The best of ``budget`` uniform points of the unit K-ball, first on ties.
-
-    The one-K case of the search :func:`find_minimizers` runs for a sweep.
-    Points inside a radius cut that falls with the running best are skipped
-    (see :func:`_best_in_ball`); general orders have no floor and are not
-    pruned.
-    """
+    """The best of ``budget`` uniform points of the unit K-ball, first on ties: the
+    one-K case of the search (:func:`_best_in_ball`) that :func:`find_minimizers` runs."""
     [(_, dirs, rng)] = _ball_draws(seed, {K}, budget)
     return _best_in_ball(dirs, rng.random(budget), _order(alpha))
 
@@ -441,12 +449,8 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
     covers every admissible expectation vector.  The reported minimum is
     re-evaluated by building the minimizing state and measuring it densely.
 
-    The ball is searched in chunks of ``_BALL_CHUNK`` points, so memory
-    beyond the ``budget x K`` draws stays a few chunk-sized arrays; the
-    result does not depend on the chunk size.  The points inside a radius
-    cut, which falls with the running best, are skipped without changing the
-    result's bits (see :func:`_best_in_ball`).  General orders have no floor
-    and every point is scored.
+    The ball is searched in chunks of ``_BALL_CHUNK`` points, pruned by a
+    radius cut without changing the result's bits (:func:`_best_in_ball`).
     This is the one-K case of :func:`find_minimizers`.
     """
     return find_minimizers(gens, [K], alpha, budget, seed)[0]
@@ -504,14 +508,14 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
         rho_min = from_gvector(argmin_g, gens)
         numeric_min = entropy_average(rho_min, gens, K, alpha)
 
-        bound = order.bound(K) if order.bound else None
+        bound = None if order.floor is None else float(order.floor(1.0, K))
 
         reports.append(EntropyReport(
             n=gens.n,
             K=K,
             alpha=alpha,
             closed_form_bound=bound,
-            bound_kind=order.kind,
+            bound_kind=None if bound is None else closed_form_kind(alpha),
             numeric_min=numeric_min,
             argmin_g=argmin_g,
             samples=budget,

@@ -149,9 +149,9 @@ def test_criterion_06_min_entropy_tightness(k):
     err = abs(rep.numeric_min - bound)
     ok = err <= 1e-6
     _report(6, f"min-entropy bound tightness (K={k})", ok,
-            f"err {err:.2e}; proven lower bound observed tight")
+            f"err {err:.2e}; exact minimum reached")
     assert err <= 1e-6
-    assert rep.bound_kind == "proven-lower-bound"
+    assert rep.bound_kind == "exact-minimum"
 
 
 def test_criterion_07_rotor_lifting():

@@ -101,7 +101,7 @@ class TestMinimize:
         )
         assert code == 0
         assert doc["config"]["alpha"] == "inf"
-        assert doc["results"]["bound_kind"] == "proven-lower-bound"
+        assert doc["results"]["bound_kind"] == "exact-minimum"
 
     def test_k_exceeding_extended_set(self, capsys):
         assert main(["minimize", "--n", "2", "--K", "6"]) == 2
@@ -278,10 +278,29 @@ class TestExitCheck:
         assert gap > 0.0
         assert main(argv + ["--tol-opt", repr(gap / 2)]) == 1
 
-    def test_alpha_inf_stays_one_sided(self, monkeypatch):
+    def test_alpha_inf_is_two_sided(self, monkeypatch):
         shift_gaps(monkeypatch, 2.0 * OPTIMIZATION)
         assert main(["minimize", "--n", "2", "--K", "4", "--alpha", "inf",
-                     "--samples", "2000", "--seed", "3", "--format", "json"]) == 0
+                     "--samples", "2000", "--seed", "3", "--format", "json"]) == 1
+
+
+class TestLargeOrder:
+    """General orders far above 1075, where a power sum of probabilities underflows to 0."""
+
+    @pytest.mark.parametrize("command", [
+        ["minimize", "--n", "2", "--K", "5"],
+        ["sweep", "--n", "2", "--k-min", "1", "--k-max", "5"],
+    ])
+    def test_alpha_1e6_runs(self, capsys, command):
+        code, doc = run_json(capsys, command + ["--alpha", "1e6", "--samples", "2000"])
+        assert code == 0
+        rows = doc["results"] if command[0] == "sweep" else [doc["results"]]
+        for row in rows:
+            # H_alpha lies between H_inf and alpha/(alpha - 1) H_inf, so the
+            # minimum lies just above the min-entropy's
+            floor = 1.0 - math.log2(1.0 + 1.0 / math.sqrt(row["K"]))
+            assert row["numeric_min"] >= floor - 1e-12
+            assert row["numeric_min"] <= floor * (1.0 + 2e-6) + 1e-9
 
 
 def forbid_sampling(monkeypatch):

@@ -155,6 +155,23 @@ class TestPlaneRotor:
                 b = direct @ d @ direct.conj().T
                 assert np.max(np.abs(a - b)) <= 1e-12
 
+    def test_applies_the_cached_generator_actions(self, monkeypatch):
+        # G_k G_j is applied as two cached tables: no product string is formed
+        # and no action is tabulated per call
+        def forbidden(*args):
+            raise AssertionError("plane_rotor built a string or a table")
+
+        gens = jordan_wigner(3)
+        rng = np.random.default_rng(8)
+        row = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+        gens.actions  # the set's tables, cached before the guard
+        monkeypatch.setattr(rotors.pauli, "mul", forbidden)
+        monkeypatch.setattr(rotors.pauli, "action", forbidden)
+        for j, k in ((0, 3), (2, 6), (5, 1), (6, 0)):
+            direct = _rotor_direct(gens, j, k, 0.7)
+            assert np.max(np.abs(plane_rotor(gens, j, k, 0.7) - direct)) <= 1e-15
+            assert np.max(np.abs(plane_rotor(gens, j, k, 0.7, row) - row @ direct)) <= 1e-15
+
     def test_row_factor_is_the_row_of_the_product(self):
         # a 1 x d row is multiplied in at O(d), as lift does for its vacuum column
         gens = jordan_wigner(3)
@@ -206,6 +223,19 @@ class TestLift:
                 u = lift(t, gens)
                 assert conjugation_residual(u, t, gens) <= 1e-8
                 assert np.max(np.abs(u @ g0 @ u.conj().T + g0)) <= 1e-10
+
+    @pytest.mark.parametrize("det_sign", [1, -1])
+    def test_generator_transform_is_checked_as_its_extension(self, det_sign):
+        # a 2n transform T is checked as the extended transform diag(det T, T)
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 4):
+            gens = jordan_wigner(n)
+            t = random_orthogonal(rng, 2 * n, det_sign=det_sign)
+            ext = np.zeros((2 * n + 1, 2 * n + 1))
+            ext[0, 0] = det_sign
+            ext[1:, 1:] = t
+            for u in (lift(t, gens), lift(ext, gens), np.eye(2**n)):
+                assert conjugation_residual(u, t, gens) == conjugation_residual(u, ext, gens)
 
     def test_rejects_extended_reflection(self):
         gens = jordan_wigner(1)

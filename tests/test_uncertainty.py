@@ -68,6 +68,19 @@ class TestRenyi:
     def test_clamps_tiny_negatives(self):
         assert renyi_entropy([1.0 + 1e-12, -1e-12], 2) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha", [600.0, 2000.0, 1e6, 1e300])
+    def test_large_orders_stay_finite(self, alpha):
+        # each power sum underflows to 0 at these orders unless its largest term is factored out
+        assert renyi_entropy([0.5, 0.5], alpha) == pytest.approx(1.0, abs=1e-14)
+        assert renyi_entropy([0.25] * 4, alpha) == pytest.approx(2.0, abs=1e-14)
+        # with m = max p and S = sum((p/m)**alpha), H_alpha - H_inf = (H_inf - log2 S)/(alpha - 1),
+        # and 1 <= S <= 1/m, so 0 <= H_alpha - H_inf <= H_inf/(alpha - 1); m = 0.65 in both
+        h_inf = -math.log2(0.65)
+        terms = entropy_of_expectations([0.0, 0.3, -0.3, 1.0], alpha)
+        assert terms[0] == pytest.approx(1.0, abs=1e-14) and terms[3] == 0.0 and terms[1] == terms[2]
+        for h in (renyi_entropy([0.65, 0.3, 0.05], alpha), terms[1]):
+            assert -1e-15 <= h - h_inf <= h_inf / (alpha - 1.0) + 1e-15
+
     def test_errors(self):
         with pytest.raises(DomainError):
             renyi_entropy([0.9, -0.1], 1)
@@ -151,7 +164,7 @@ class TestClosedForms:
     def test_kind_flags(self):
         assert closed_form_kind(1) == "exact-minimum"
         assert closed_form_kind(2) == "exact-minimum"
-        assert closed_form_kind(math.inf) == "proven-lower-bound"
+        assert closed_form_kind(math.inf) == "exact-minimum"
         with pytest.raises(DomainError):
             closed_form_kind(1.5)
 
@@ -223,7 +236,7 @@ class TestMinimizer:
     def test_min_entropy_tightness_observed(self):
         gens = jordan_wigner(2)
         rep = find_minimizer(gens, 4, math.inf, budget=20000, seed=7)
-        assert rep.bound_kind == "proven-lower-bound"
+        assert rep.bound_kind == "exact-minimum"
         assert abs(rep.numeric_min - closed_form_min(4, math.inf)) <= 1e-6
         assert np.max(np.abs(np.abs(rep.argmin_g.values[:4]) - 0.5)) <= 1e-3
 
@@ -426,7 +439,7 @@ class TestRadiusFloor:
     """``_Order.floor(r, K)``: the least K-average over the sphere of radius r."""
 
     @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
-    @pytest.mark.parametrize("K", range(1, 14))
+    @pytest.mark.parametrize("K", range(1, 30))
     def test_floor_is_a_lower_bound(self, K, alpha):
         order = uncertainty._order(alpha)
         rng = np.random.default_rng(K)
@@ -438,7 +451,10 @@ class TestRadiusFloor:
             points = r * np.vstack([vertex, spread, dirs])
             floor = order.floor(np.array([r]), K)[0]
             assert np.all(floor <= uncertainty._ball_objective(points, order) + FLOOR_ROUNDING)
-        assert abs(order.floor(np.array([1.0]), K)[0] - order.bound(K)) <= 1e-15
+        # at r = 1 the floor is the paper's closed form
+        paper = {1: 1.0 - 1.0 / K, 2: 1.0 - math.log2(1.0 + 1.0 / K),
+                 math.inf: 1.0 - math.log2(1.0 + 1.0 / math.sqrt(K))}[alpha]
+        assert abs(order.floor(np.array([1.0]), K)[0] - paper) <= 1e-15
 
     @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
     def test_floor_decreases_in_the_radius(self, alpha):
@@ -516,9 +532,9 @@ class TestRadiusCut:
         floors = order.floor(grid[rng.integers(0, grid.size, 20)], K)
         edges = np.concatenate([floors - c * uncertainty._FLOOR_SLACK for c in (0, 1, 2, 3)])
         bests = np.concatenate([
-            rng.uniform(order.bound(K), 1.0, 40),
+            rng.uniform(closed_form_min(K, alpha), 1.0, 40),
             edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
-            [order.bound(K), 1.0],
+            [closed_form_min(K, alpha), 1.0],
         ])
         for best in bests:
             cut = uncertainty._radius_cut(order, K, best)
@@ -638,9 +654,9 @@ def branch_term(g, alpha):
         return -(where_xlog2x(p) + where_xlog2x(q))
     if alpha == 2.0:
         return -np.log2((1.0 + g * g) / 2.0)
-    p = (1.0 + g) / 2.0
-    q = (1.0 - g) / 2.0
-    return np.log2(p**alpha + q**alpha) / (1.0 - alpha)
+    b = np.abs(g)
+    s = 1.0 + b
+    return (alpha * np.log2(0.5 * s) + np.log2(1.0 + ((1.0 - b) / s) ** alpha)) / (1.0 - alpha)
 
 
 def branch_slope(g, alpha):
@@ -653,9 +669,10 @@ def branch_slope(g, alpha):
     if alpha == 2.0:
         return -2.0 * g / ((1.0 + g * g) * math.log(2.0))
     a = alpha
-    p = (1.0 + g) / 2.0
-    q = (1.0 - g) / 2.0
-    return a * (p ** (a - 1.0) - q ** (a - 1.0)) / (2.0 * (1.0 - a) * math.log(2.0) * (p**a + q**a))
+    b = np.abs(g)
+    s = 1.0 + b
+    r = (1.0 - b) / s
+    return np.sign(g) * a * (1.0 - r ** (a - 1.0)) / ((1.0 - a) * math.log(2.0) * s * (1.0 + r**a))
 
 
 TABLE_ORDERS = [1.0, 1.0 + 1e-13, 2.0, math.inf, 0.5, 1.5, 3.0]
@@ -677,14 +694,28 @@ class TestOrderTable:
         assert entropy_of_expectations(self.GRID, alpha).tobytes() == (
             branch_term(self.GRID, alpha).tobytes())
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0, 0.01, 10.0, 500.0])
+    def test_general_term_is_the_direct_formula(self, alpha):
+        # the largest probability factored out of p**a + q**a changes only the rounding
+        g = np.clip(self.GRID, -1.0, 1.0)
+        p, q = (1.0 + g) / 2.0, (1.0 - g) / 2.0
+        with np.errstate(divide="ignore"):
+            direct = np.log2(p**alpha + q**alpha) / (1.0 - alpha)
+        finite = np.isfinite(direct)
+        assert finite.sum() > 200
+        assert np.max(np.abs(uncertainty._order(alpha).term(g)[finite] - direct[finite])) <= 1e-14
+
     @pytest.mark.parametrize("alpha", TABLE_ORDERS)
     def test_closed_form_exactly_for_one_two_and_inf(self, alpha):
         order = uncertainty._order(alpha)
-        assert (order.bound is None) == (order.kind is None)
-        assert (order.bound is not None) == (alpha in (1.0, 1.0 + 1e-13, 2.0, math.inf))
-        if order.bound is not None:
-            assert closed_form_min(5, alpha) == order.bound(5)
-            assert closed_form_kind(alpha) == order.kind
+        assert uncertainty._Order._fields == ("term", "slope", "entropy", "floor")
+        assert (order.floor is not None) == (alpha in (1.0, 1.0 + 1e-13, 2.0, math.inf))
+        if order.floor is not None:
+            assert closed_form_min(5, alpha) == float(order.floor(1.0, 5))
+            assert closed_form_kind(alpha) == "exact-minimum"
+        else:
+            with pytest.raises(DomainError, match="no closed form"):
+                closed_form_kind(alpha)
 
     def test_near_one_is_shannon(self):
         assert uncertainty._order(1.0 + 1e-13) is uncertainty._order(1)

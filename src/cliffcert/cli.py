@@ -52,7 +52,8 @@ from .uncertainty import (bias_entropy, bias_entropy_d1, bias_entropy_d2, find_m
 THREADS_ENV = "CLIFFCERT_THREADS"
 _CHUNK = 256
 # Complex d x d arrays per state that one projection chunk holds at its peak
-# (tracemalloc over one chunk of the projection suite: 3.5 to 5.0 at n = 3..8).
+# (tracemalloc over one 256-state chunk: 3.0 at n = 3..4, where one
+# Hilbert-Schmidt chunk is the whole batch, 2.5 at n = 5, 1.5 at n = 6..8).
 _PROJECTION_ARRAYS = 5
 _BENCH_SITES = (1_000, 10_000, 100_000)
 
@@ -233,13 +234,11 @@ def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int
 
     def work(item):
         count, seed = item
-        mats = random_state_batch(gens.n, count, seed, "mixed-hs")
-        g = extended_expectations(mats, gens)
+        g = extended_expectations(random_state_batch(gens.n, count, seed, "mixed-hs"), gens)
         proj = matrix_from_expectations(g, gens)
         shortfall = _psd_shortfall(proj, 0.0)
         norm_sq = float((g * g).sum(axis=1).max())
-        g_again = extended_expectations(proj, gens)
-        idem = float(np.max(np.abs(matrix_from_expectations(g_again, gens) - proj)))
+        idem = float(np.max(np.abs(extended_expectations(proj, gens) - g)))
         traces = np.trace(proj, axis1=1, axis2=2)
         tr_res = float(np.max(np.abs(traces - 1.0)))
         return shortfall, norm_sq, idem, tr_res

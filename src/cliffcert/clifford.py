@@ -34,9 +34,14 @@ from itertools import combinations
 import numpy as np
 
 from . import pauli
-from .errors import DomainError
+from .errors import DomainError, check_budget
 from .pauli import PauliString
-from .tolerances import DENSE_GUARD
+from .tolerances import DENSE_GUARD, MEMORY_BUDGET
+
+# Bytes per basis row held at the peak of building the table, or of expanding
+# or reconstructing a state through it: tracemalloc measured 150 to 240 at
+# n = 5..8, mostly the index-set tuples and the expansion's dictionary.
+_BASIS_ROW_BYTES = 256
 
 
 class GeneratorSet:
@@ -191,8 +196,12 @@ def graded_basis(gens: GeneratorSet) -> GradedBasis:
     With one grade-phase unit per pair ``a < b``, that is the quadratic form
     ``s^T W s (mod 4)`` of each membership row ``s``, where W (``form``) holds
     ``p_a`` on the diagonal and ``1 + 2 popcount(z_a & x_b)`` above it.
+
+    Raises :class:`CapacityError`, before anything is built, when the
+    ``4**n`` rows would need more than ``MEMORY_BUDGET`` bytes (n >= 13).
     """
     n = gens.n
+    check_budget(f"graded basis at n = {n}", 4**n * _BASIS_ROW_BYTES, MEMORY_BUDGET)
     size = 2 * n
     gx = np.array([g.x for g in gens.gammas], dtype=np.uint8)
     gz = np.array([g.z for g in gens.gammas], dtype=np.uint8)

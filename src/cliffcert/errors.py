@@ -15,7 +15,8 @@ class CapacityError(CliffcertError, ValueError):
     The minimizer checks its unit-ball draws, its pure-state cross-check and
     the dense re-evaluation of the minimizing state against
     ``tolerances.MEMORY_BUDGET`` before it draws anything; ``verify`` checks
-    its projection chunks, and ``rotors.lift`` its unitary, the same way.
+    its projection chunks, ``rotors.lift`` its unitary, and
+    ``clifford.graded_basis`` its rows, the same way.
     """
 
 

@@ -333,9 +333,9 @@ def _psd_shortfall(mats: np.ndarray, shift: float, scale: float = 1.0) -> float:
 
 
 _ENSEMBLES = ("pure-haar", "mixed-hs")
-# Bytes of one chunk of Hilbert-Schmidt states, so that a chunk's G, its
-# conjugate and G G^H stay a few MiB whatever the number of states.  Every
-# step after the draw is per state, so the size does not change any bit.
+# Bytes of one chunk of Hilbert-Schmidt states, so that a chunk's conjugate
+# G^H and G G^H stay a few MiB whatever the number of states.  Every step
+# after the draw is per state, so the size does not change any bit.
 _HS_CHUNK_BYTES = 2**21
 
 
@@ -366,10 +366,9 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     ``pure-haar`` draws Haar-random pure states; ``mixed-hs`` draws from
     the Hilbert-Schmidt measure (square Ginibre matrix G, normalized
     G G^H).  For ``mixed-hs`` the real and then the imaginary parts of all
-    ``count`` matrices G are drawn whole; G, ``G G^H`` and the division by
-    the trace are formed one chunk of states at a time and copied into the
-    output, so no other ``(count, d, d)`` complex stack is held.
-    Deterministic given the seed.
+    ``count`` matrices G are drawn whole into the returned array, and each
+    chunk of states is overwritten by its ``G G^H`` over the trace; beside
+    it the peak holds one float draw, half its size.  Deterministic given the seed.
     """
     if ensemble not in _ENSEMBLES:
         raise DomainError(f"unknown ensemble {ensemble!r}; choose from {_ENSEMBLES}")
@@ -380,16 +379,14 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
         return np.einsum("si,sj->sij", psi, psi.conj())
     rng = np.random.default_rng(seed)
     d = 2**n
-    real = rng.standard_normal((count, d, d))
-    imag = rng.standard_normal((count, d, d))
     out = np.empty((count, d, d), dtype=complex)
+    out.real = rng.standard_normal((count, d, d))
+    out.imag = rng.standard_normal((count, d, d))
     step = _hs_chunk_states(n)
     for start in range(0, count, step):
-        stop = start + step
-        gin = real[start:stop] + 1j * imag[start:stop]
+        gin = out[start:start + step]
         w = gin @ gin.conj().swapaxes(-1, -2)
-        w /= np.trace(w, axis1=1, axis2=2).real[:, None, None]
-        out[start:stop] = w
+        np.divide(w, np.trace(w, axis1=1, axis2=2).real[:, None, None], out=gin)
     return out
 
 

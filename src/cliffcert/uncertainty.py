@@ -123,34 +123,51 @@ def _clipped(term, slope, entropy, floor=None) -> _Order:
 
 
 def _power(a: float) -> _Order:
-    """A general order ``a``: ``log2(p**a + q**a) = a log2(m) + log2(1 + r**a)``, with
-    ``s = 1 + |g|``, ``m = s/2``, ``r = (1 - |g|)/s``, so no sum underflows at a large order."""
+    """A general order ``a``, written around the largest probability ``m``:
+
+        H_a = -log2(m) - log1p(sum_i p_i expm1((a - 1) ln(p_i/m))) / ((a - 1) ln 2),
+
+    summed over ``p_i > 0``.  No power sum underflows at a large order, and
+    nothing cancels as ``a -> 1``, where the form tends to Shannon's.  Two
+    outcomes have ``q = (1 - |g|)/2``, ``m = 1 - q`` and one term, at
+    ``r = q/m``."""
+    c = a - 1.0
 
     def term(g):
         # in place on two arrays (0-d included): the ball search's hot path for general orders
-        r = np.abs(g, out=np.empty(np.shape(g)))
-        s = r.copy()
-        s += 1.0
-        np.subtract(1.0, r, out=r)
-        r /= s
-        r **= a
-        r += 1.0
-        np.log2(r, out=r)
-        s *= 0.5
-        np.log2(s, out=s)
-        s *= a
-        s += r
-        s /= 1.0 - a
-        return s
+        q = np.abs(g, out=np.empty(np.shape(g)))
+        q *= -0.5
+        q += 0.5
+        e = np.subtract(1.0, q, out=np.empty(q.shape))
+        np.divide(q, e, out=e)
+        # Every r > 0 is at least 2**-54, so only r = 0 is raised, to a ratio whose
+        # (a - 1) ln r stays below exp's overflow for a < 1: there q = 0 times a
+        # finite expm1 is 0, not 0 * inf.  A masked log (where=) would skip SIMD.
+        np.maximum(e, 1e-300, out=e)
+        np.log2(e, out=e)
+        e *= c * _LN2
+        np.expm1(e, out=e)
+        e *= q
+        np.log1p(e, out=e)
+        e /= -c * _LN2
+        np.subtract(1.0, q, out=q)
+        np.log2(q, out=q)
+        e -= q
+        return e
 
     def slope(g):
         b = np.abs(g)
         s = 1.0 + b
         r = (1.0 - b) / s
-        return np.sign(g) * a * (1.0 - r ** (a - 1.0)) / ((1.0 - a) * _LN2 * s * (1.0 + r**a))
+        return np.sign(g) * a * np.expm1(c * np.log(r)) / (c * _LN2 * s * (1.0 + r**a))
 
-    return _clipped(term, slope, lambda p: float(
-        (a * np.log2(p.max()) + np.log2(np.sum((p / p.max()) ** a))) / (1.0 - a)))
+    def entropy(p):
+        top = p.max()
+        kept = p[p > 0.0]
+        return float(-(np.log2(top) + np.log1p(np.sum(kept * np.expm1(c * np.log(kept / top))))
+                       / (c * _LN2)))
+
+    return _clipped(term, slope, entropy)
 
 
 # The orders with a floor, and so a closed form: min-entropy, Shannon and collision.

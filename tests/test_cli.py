@@ -4,11 +4,12 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cliffcert import __version__, cli
+from cliffcert import __version__, cli, jordan_wigner
 from cliffcert.cli import main
 from cliffcert.errors import CapacityError
 from cliffcert.tolerances import OPTIMIZATION, PSD
@@ -329,6 +330,38 @@ class TestVerifyMemory:
         forbid_sampling(monkeypatch)
         assert main(argv) == 1
         assert "memory budget" in capsys.readouterr().err
+
+
+class TestProjectionSuite:
+    def test_chunk_holds_at_most_two_stacks(self):
+        # 256 states at n = 6: the states and their draw, then the projection alone
+        stack = 256 * 64**2 * 16
+        gens = jordan_wigner(6)
+        gens.actions  # cached tables, built before the trace
+        tracemalloc.start()
+        try:
+            checks = cli._suite_projection(gens, np.random.SeedSequence(5), 256, PSD, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c["passed"] for c in checks)
+        assert peak <= 2 * stack
+
+    def test_idempotency_sees_a_dropped_generator(self, monkeypatch, capsys):
+        # a renderer that drops G_2 renders its own output back the same way, so
+        # only the expectations of the projection reveal it
+        real = cli.matrix_from_expectations
+
+        def without_g2(g, gens):
+            g = np.array(g, dtype=float)
+            g[..., 2] = 0.0
+            return real(g, gens)
+
+        monkeypatch.setattr(cli, "matrix_from_expectations", without_g2)
+        code, doc = run_json(capsys, ["verify", "--n", "2", "--samples", "40"])
+        check = next(c for c in doc["results"] if c["name"] == "projection-idempotent")
+        assert code == 1 and not check["passed"]
+        assert check["residual"] > 0.01
 
 
 class FakePool:

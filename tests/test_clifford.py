@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from cliffcert import (
+    CapacityError,
     DomainError,
     GeneratorSet,
     PauliString,
     anticommutes,
+    clifford,
     eigenprojectors,
+    expand,
     from_label,
     graded_basis,
     jordan_wigner,
     mul,
+    random_state,
     to_dense,
 )
 
@@ -201,6 +205,40 @@ class TestGradedBasis:
             for j, b in enumerate(dense):
                 tr = np.trace(a @ b)
                 assert tr == (4.0 if i == j else 0.0)
+
+
+class TestGradedBasisBudget:
+    """The 4**n rows are refused by arithmetic, before any is built."""
+
+    # 256 bytes a row: n = 2 needs 4 KiB and fits, n = 3 needs 16 KiB and does not
+    BELOW_N3 = 4**3 * 256 - 1
+
+    def test_graded_basis_is_refused(self, monkeypatch):
+        monkeypatch.setattr(clifford, "MEMORY_BUDGET", self.BELOW_N3)
+        assert len(graded_basis(jordan_wigner(2))) == 16
+        with pytest.raises(CapacityError, match="graded basis at n = 3"):
+            graded_basis(jordan_wigner(3))
+
+    def test_expand_and_reconstruct_are_refused(self, monkeypatch):
+        gens = jordan_wigner(3)
+        rho = random_state(3, 1)
+        expansion = expand(rho, gens)
+        monkeypatch.setattr(clifford, "MEMORY_BUDGET", self.BELOW_N3)
+        with pytest.raises(CapacityError, match="graded basis at n = 3"):
+            expand(rho, gens)
+        with pytest.raises(CapacityError, match="graded basis at n = 3"):
+            expansion.reconstruct(gens)
+
+    def test_n13_is_refused_before_any_index_set(self, monkeypatch):
+        # 4**13 rows of 256 bytes are 16 GiB against the 4 GiB budget
+        gens = jordan_wigner(13)
+
+        def no_combinations(*args):
+            raise AssertionError("an index set was built")
+
+        monkeypatch.setattr(clifford, "combinations", no_combinations)
+        with pytest.raises(CapacityError, match="16.0 GiB"):
+            graded_basis(gens)
 
 
 class TestEigenprojectors:

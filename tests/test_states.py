@@ -465,6 +465,17 @@ class TestSampling:
         for count in (5, chunk, 2 * chunk + 5):
             assert np.array_equal(random_state_batch(n, count, 3), whole_hs_batch(n, count, 3))
 
+    def test_mixed_hs_holds_one_stack_and_a_draw(self):
+        # the returned stack, plus one float draw of half its size
+        stack = 256 * 64**2 * 16
+        tracemalloc.start()
+        try:
+            random_state_batch(6, 256, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * stack
+
     def test_pure_states_are_rank_one(self):
         mats = random_state_batch(2, 20, seed=2, ensemble="pure-haar")
         eigs = np.linalg.eigvalsh(mats)

@@ -26,6 +26,7 @@ as one :class:`GradedBasis` table of masks and phases.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,12 +112,14 @@ class GeneratorSet:
 def jordan_wigner(n: int) -> GeneratorSet:
     """Build the generator set for ``n`` qubits.
 
-    Raises a domain error for ``n < 1``.  The pseudoscalar phase follows
+    Raises a domain error unless ``n`` is an integer of at least 1 (numpy's
+    included, bools refused).  The pseudoscalar phase follows
     the grade-2n Hermitizing convention (module docstring), which reduces
     to ``i * G_1 G_2 = -Z`` at ``n = 1``.
     """
-    if n < 1:
-        raise DomainError("qubit count must be at least 1")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"qubit count must be an integer of at least 1, got {n!r}")
+    n = int(n)
     gammas = []
     for j in range(1, n + 1):
         x = np.zeros(n, dtype=np.uint8)

@@ -65,8 +65,8 @@ class OrthoTransform:
 
     def __init__(self, mat, *, tol: float = ORTHOGONALITY):
         m = np.asarray(mat, dtype=float).copy()
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError(f"expected a square matrix, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise DomainError(f"expected a non-empty square matrix, got shape {m.shape}")
         res = np.max(np.abs(m @ m.T - np.eye(m.shape[0])))
         if not res <= tol:  # also refuses NaN
             raise DomainError(f"matrix is not orthogonal: residual {res:.3e}")

@@ -344,6 +344,15 @@ def _hs_chunk_states(n: int) -> int:
     return max(16, _HS_CHUNK_BYTES // (16 * 4**n))
 
 
+def _check_sampling(n, count) -> tuple[int, int]:
+    """``n`` in 1..DENSE_GUARD and ``count >= 0`` as ints: integers, numpy's included, bools refused."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= DENSE_GUARD:
+        raise DomainError(f"dense sampling limited to n in 1..{DENSE_GUARD}, got {n!r}")
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+        raise DomainError(f"state count must be a non-negative integer, got {count!r}")
+    return int(n), int(count)
+
+
 def random_pure_states(n: int, count: int, seed) -> np.ndarray:
     """``count`` Haar-random unit state vectors, shape ``(count, d)``.
 
@@ -351,8 +360,7 @@ def random_pure_states(n: int, count: int, seed) -> np.ndarray:
     ``default_rng(seed)``; the ``pure-haar`` states of
     :func:`random_state_batch` are the outer products of these vectors.
     """
-    if n > DENSE_GUARD:
-        raise DomainError(f"dense sampling limited to n <= {DENSE_GUARD}")
+    n, count = _check_sampling(n, count)
     rng = np.random.default_rng(seed)
     d = 2**n
     psi = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
@@ -372,8 +380,7 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     """
     if ensemble not in _ENSEMBLES:
         raise DomainError(f"unknown ensemble {ensemble!r}; choose from {_ENSEMBLES}")
-    if n > DENSE_GUARD:
-        raise DomainError(f"dense sampling limited to n <= {DENSE_GUARD}")
+    n, count = _check_sampling(n, count)
     if ensemble == "pure-haar":
         psi = random_pure_states(n, count, seed)
         return np.einsum("si,sj->sij", psi, psi.conj())

@@ -167,6 +167,12 @@ def _power(a: float) -> _Order:
         return float(-(np.log2(top) + np.log1p(np.sum(kept * np.expm1(c * np.log(kept / top))))
                        / (c * _LN2)))
 
+    # A product (a - 1) ln x is at most 745 (a - 1) in size (745 bounds -ln of
+    # every positive double), so only an order this large overflows one, to
+    # -inf, where expm1(-inf) = -1 is the right limit.  The warning is
+    # silenced; no bit moves.
+    if c > 1e305:
+        term, slope, entropy = (np.errstate(over="ignore")(f) for f in (term, slope, entropy))
     return _clipped(term, slope, entropy)
 
 
@@ -311,32 +317,6 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _ball_draws(seed, ks, budget: int):
-    """Directions of the unit-ball search for each distinct K of ``ks``, and their radii.
-
-    Yields ``(K, dirs, rng)`` in ascending K: ``dirs`` equals a fresh
-    ``default_rng(seed)``'s ``standard_normal((budget, K))``, and ``rng``
-    stands where that generator stands after it, so ``rng.random(budget)``
-    draws the radii.  Those directions are the first ``budget*K`` normals
-    of one stream, so the stream is drawn once, ``max(ks)`` segments of
-    ``budget`` normals, and each K's directions are a view of it.  The
-    ziggurat takes a variable number of words per normal, so the generator
-    state after each K's segment is saved, not computed.  Only the saved
-    states are held; the radii are left to the caller, one K at a time.
-    """
-    rng = np.random.default_rng(seed)
-    top = max(ks)
-    stream = np.empty(budget * top)
-    saved = {}
-    for k in range(1, top + 1):
-        rng.standard_normal(out=stream[(k - 1) * budget:k * budget])
-        if k in ks:
-            saved[k] = rng.bit_generator.state
-    for K, state in saved.items():
-        rng.bit_generator.state = state
-        yield K, stream[:budget * K].reshape(budget, K), rng
-
-
 def _best_row(d: np.ndarray, radii: np.ndarray, order: _Order) -> tuple[np.ndarray, float]:
     """The best of the points ``d_i radii_i / |d_i|``, first on ties, and its value.
 
@@ -404,22 +384,19 @@ def _best_in_ball(dirs: np.ndarray, uniform: np.ndarray, order: _Order) -> np.nd
     return best
 
 
-def _search_ball(seed, K: int, budget: int, alpha) -> np.ndarray:
-    """The best of ``budget`` uniform points of the unit K-ball, first on ties: the
-    one-K case of the search (:func:`_best_in_ball`) that :func:`find_minimizers` runs."""
-    [(_, dirs, rng)] = _ball_draws(seed, {K}, budget)
-    return _best_in_ball(dirs, rng.random(budget), _order(alpha))
+def _ball_bests(seed_dirs, seed_radii, ks, budget: int, order: _Order) -> dict[int, np.ndarray]:
+    """The best point of the unit-ball search (:func:`_best_in_ball`) for each distinct K of ``ks``.
 
-
-def _cross_check_rows(gens: GeneratorSet, count: int, seed) -> np.ndarray:
-    """Extended expectations of ``count`` Haar-random pure states, shape ``(count, 2n+1)``.
-
-    Each state vector is measured directly, O(K d) per state, so no
-    ``(count, d, d)`` array is built.  The rows equal, up to rounding,
-    :func:`extended_expectations` of ``random_state_batch(n, count, seed,
-    "pure-haar")``: the same vectors, taken as density matrices.
+    Each K's directions are ``default_rng(seed_dirs).standard_normal((budget,
+    K))``, the first ``budget*K`` normals of one stream, so the stream is
+    drawn once, ``budget * max(ks)`` normals, and each K reads a view of it.
+    Every K shares the ``budget`` uniforms of ``default_rng(seed_radii)``.
+    So each K sees the points a search of its own would draw, and both
+    draws are freed on return.
     """
-    return vector_expectations(random_pure_states(gens.n, count, seed), gens)
+    dirs = np.random.default_rng(seed_dirs).standard_normal(budget * max(ks))
+    uniform = np.random.default_rng(seed_radii).random(budget)
+    return {K: _best_in_ball(dirs[:budget * K].reshape(budget, K), uniform, order) for K in set(ks)}
 
 
 @dataclass(frozen=True)
@@ -477,12 +454,14 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
     """:func:`find_minimizer` for each K in ``ks``, each random stream drawn once.
 
     The ball directions of every K are views of one stream of
-    ``budget * max(ks)`` normals, and the radii of each K come from the
-    generator state saved after its directions, so each K sees the points
-    a search of its own would draw.  The cross-check's pure-state vectors
-    are drawn and measured once, keeping only their ``2n+1`` expectations,
-    which each K slices.  Every report equals the one :func:`find_minimizer`
-    gives for its K, in the order of ``ks``; an empty ``ks`` draws nothing.
+    ``budget * max(ks)`` normals, and every K shares one draw of ``budget``
+    uniform radii from a stream of its own, so each K sees the points a
+    search of its own would draw (:func:`_ball_bests`).  Both draws are
+    freed before the cross-check's pure-state vectors are drawn; those are
+    measured once on their state vectors, O(K d) each with no ``(count, d,
+    d)`` array, keeping only their ``2n+1`` expectations, which each K
+    slices.  Every report equals the one :func:`find_minimizer` gives for
+    its K, in the order of ``ks``; an empty ``ks`` draws nothing.
 
     Raises :class:`CapacityError`, before anything is drawn, when the ball
     search, the cross-check or the dense re-evaluation of the minimizing
@@ -499,7 +478,7 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
         return []
     state_count = min(2000, budget)
     d = 2**gens.n
-    # The direction stream plus one K's radii; the state vectors plus the
+    # The direction stream plus the radii; the state vectors plus the
     # temporaries of their draw, norm and measurement; the re-evaluated
     # state plus the temporaries of its validation (the normalized, shifted
     # copy, and the Cholesky factorization's copy and factor).
@@ -508,10 +487,9 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
                          ("dense re-evaluation", 4 * d * d * 16)):
         check_budget(what, nbytes, MEMORY_BUDGET)
 
-    seed_ball, seed_states = np.random.SeedSequence(seed).spawn(2)
-    best = {K: _best_in_ball(dirs, rng.random(budget), order)
-            for K, dirs, rng in _ball_draws(seed_ball, set(ks), budget)}
-    state_gs = _cross_check_rows(gens, state_count, seed_states)
+    seed_dirs, seed_states, seed_radii = np.random.SeedSequence(seed).spawn(3)
+    best = _ball_bests(seed_dirs, seed_radii, ks, budget, order)
+    state_gs = vector_expectations(random_pure_states(gens.n, state_count, seed_states), gens)
 
     reports = []
     for K in ks:
@@ -585,8 +563,8 @@ def maassen_uffink_bound(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     a = np.asarray(basis_a, dtype=complex)
     b = np.asarray(basis_b, dtype=complex)
     for name, u in (("basis_a", a), ("basis_b", b)):
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise DomainError(f"{name} must be a square matrix of column vectors")
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size:
+            raise DomainError(f"{name} must be a non-empty square matrix of column vectors")
         res = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
         if not res <= ORTHOGONALITY:  # also refuses NaN
             raise DomainError(f"{name} is not unitary: residual {res:.3e}")

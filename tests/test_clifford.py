@@ -75,6 +75,17 @@ class TestJordanWigner:
         with pytest.raises(DomainError):
             jordan_wigner(0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_qubit_counts(self, n):
+        # 2.5 reached numpy's array sizing as a bare TypeError; True ran as n = 1
+        with pytest.raises(DomainError, match="must be an integer"):
+            jordan_wigner(n)
+
+    def test_numpy_integer_qubit_count(self):
+        gens = jordan_wigner(np.int64(3))
+        assert type(gens.n) is int
+        assert gens.extended_list() == jordan_wigner(3).extended_list()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_extended_anticommutation_exact(self, n):
         gens = jordan_wigner(n)

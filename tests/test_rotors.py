@@ -59,6 +59,14 @@ class TestEuler:
         with pytest.raises(DomainError):
             lift(np.full((3, 3), np.nan), jordan_wigner(1))
 
+    def test_rejects_empty_transform(self):
+        # a 0 x 0 residual reached numpy's zero-size reduction as a bare ValueError
+        empty, gens = np.zeros((0, 0)), jordan_wigner(1)
+        for call in (lambda: OrthoTransform(empty), lambda: euler_decompose(empty),
+                     lambda: lift(empty, gens), lambda: conjugation_residual(np.eye(2), empty, gens)):
+            with pytest.raises(DomainError, match="non-empty square matrix"):
+                call()
+
     def test_rotation_axes_out_of_range(self):
         for j, k in ((1, 4), (0, 2), (3, -1)):
             with pytest.raises(DomainError, match="out of range"):

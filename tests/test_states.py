@@ -491,6 +491,23 @@ class TestSampling:
         b = random_state(2, seed=99).mat
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n, count", [(2, -1), (2, 2.0), (2, True), (2, "3"), (0, 1),
+                                          (15, 1), (-1, 1), (2.0, 1), (True, 1)])
+    def test_malformed_sizes_are_domain_errors(self, n, count):
+        # a negative count reached numpy as "negative dimensions", a float one as a TypeError
+        for ensemble in ("pure-haar", "mixed-hs"):
+            with pytest.raises(DomainError):
+                random_state_batch(n, count, 1, ensemble)
+        with pytest.raises(DomainError):
+            random_pure_states(n, count, 1)
+
+    def test_zero_count_and_numpy_integer_sizes(self):
+        assert random_pure_states(2, 0, 1).shape == (0, 4)
+        for ensemble in ("pure-haar", "mixed-hs"):
+            assert random_state_batch(2, 0, 1, ensemble).shape == (0, 4, 4)
+            got = random_state_batch(np.int64(2), np.uint8(3), 1, ensemble)
+            assert got.tobytes() == random_state_batch(2, 3, 1, ensemble).tobytes()
+
     def test_unknown_ensemble(self):
         with pytest.raises(DomainError):
             random_state_batch(1, 1, 0, ensemble="thermal")

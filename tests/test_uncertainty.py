@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from cliffcert import (
     random_state_batch,
     renyi_entropy,
 )
+from cliffcert.states import random_pure_states, vector_expectations
 from cliffcert.tolerances import OPTIMIZATION
 
 # Direct-formula oracles, frozen
@@ -335,15 +337,20 @@ class TestInputValidation:
             entropy_of_expectations(np.array([[0.3, 0.1], [0.2, bad]]), alpha)
 
 
-def whole_array_ball_best(seed, K, budget, alpha):
+def whole_array_ball_best(seed_dirs, seed_radii, K, budget, alpha):
     """The unit-ball search on the whole ``budget x K`` array, kept as the oracle."""
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((budget, K))
+    dirs = np.random.default_rng(seed_dirs).standard_normal((budget, K))
     norms = np.linalg.norm(dirs, axis=1)
     norms[norms == 0.0] = 1.0
-    radii = rng.random(budget) ** (1.0 / K)
+    radii = np.random.default_rng(seed_radii).random(budget) ** (1.0 / K)
     ball = dirs * (radii / norms)[:, None]
     return ball[int(np.argmin(entropy_of_expectations(ball, alpha).mean(axis=-1)))]
+
+
+def ball_draws(seed, budget, K):
+    """Directions and uniform radius draws for the unit-ball search."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((budget, K)), rng.random(budget)
 
 
 ORDERS = [1, 2, math.inf, 3.0]
@@ -372,15 +379,14 @@ class TestChunkedBallSearch:
     def test_equals_whole_array_search(self, K, alpha):
         # enough chunks that the radius floor prunes most of them
         budget = 20 * uncertainty._BALL_CHUNK + 123
-        seed = np.random.SeedSequence(5)
-        got = uncertainty._search_ball(seed, K, budget, alpha)
-        assert got.tobytes() == whole_array_ball_best(seed, K, budget, alpha).tobytes()
+        seeds = np.random.SeedSequence(5).spawn(2)
+        got = uncertainty._ball_bests(*seeds, [K], budget, uncertainty._order(alpha))[K]
+        assert got.tobytes() == whole_array_ball_best(*seeds, K, budget, alpha).tobytes()
 
     @pytest.mark.parametrize("alpha, pruned", [(1, True), (2, True), (math.inf, True), (3.0, False)])
     def test_floor_prunes_rows_it_rules_out(self, alpha, pruned):
         budget, K = 20 * uncertainty._BALL_CHUNK, 7
-        [(_, dirs, rng)] = uncertainty._ball_draws(np.random.SeedSequence(3), {K}, budget)
-        uniform = rng.random(budget)
+        dirs, uniform = ball_draws(3, budget, K)
         order = uncertainty._order(alpha)
         scored = []
 
@@ -422,7 +428,8 @@ class TestChunkedBallSearch:
         assert bound < 2 * budget * K * 8
         tracemalloc.start()
         try:
-            uncertainty._search_ball(np.random.SeedSequence(1), K, budget, alpha)
+            uncertainty._ball_bests(*np.random.SeedSequence(1).spawn(2), [K], budget,
+                                    uncertainty._order(alpha))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -495,8 +502,7 @@ class TestRadiusCut:
     @pytest.mark.parametrize("K", [1, 2, 7, 8, 13])
     def test_equals_per_chunk_search(self, K, alpha):
         budget = 20 * uncertainty._BALL_CHUNK + 123
-        [(_, dirs, rng)] = uncertainty._ball_draws(np.random.SeedSequence(11), {K}, budget)
-        uniform = rng.random(budget)
+        dirs, uniform = ball_draws(11, budget, K)
         order = uncertainty._order(alpha)
         got = uncertainty._best_in_ball(dirs, uniform, order)
         assert got.tobytes() == per_chunk_best_in_ball(dirs, uniform, order).tobytes()
@@ -507,8 +513,7 @@ class TestRadiusCut:
         order = uncertainty._order(alpha)
         grid = np.linspace(0.0, 1.0, uncertainty._CUT_RADII)
         for K in (7, 13):
-            [(_, dirs, rng)] = uncertainty._ball_draws(np.random.SeedSequence(3), {K}, budget)
-            uniform = rng.random(budget)
+            dirs, uniform = ball_draws(3, budget, K)
             seen = []
 
             def counted(r, K):
@@ -556,23 +561,30 @@ def forbid_draws(monkeypatch):
     def no_draw(*args):
         raise AssertionError("the minimizer drew")
 
-    monkeypatch.setattr(uncertainty, "_ball_draws", no_draw)
+    monkeypatch.setattr(uncertainty, "_ball_bests", no_draw)
     monkeypatch.setattr(uncertainty, "random_pure_states", no_draw)
 
 
 class TestSharedStreams:
-    def test_stream_views_and_radii_equal_fresh_draws(self):
+    def test_stream_views_and_radii_equal_fresh_draws(self, monkeypatch):
         budget = 2 * uncertainty._BALL_CHUNK + 123
-        seed = np.random.SeedSequence(8)
-        seen = []
-        for K, dirs, rng in uncertainty._ball_draws(seed, [7, 1, 3, 3], budget):
-            fresh = np.random.default_rng(seed)
-            assert dirs.tobytes() == fresh.standard_normal((budget, K)).tobytes()
-            assert rng.random(budget).tobytes() == fresh.random(budget).tobytes()
-            # one stream of budget * max(ks) normals holds every K's directions
-            assert dirs.base.size == budget * 7
-            seen.append(K)
-        assert seen == [1, 3, 7]
+        ball_bests = uncertainty._ball_bests
+        for alpha in ORDERS:
+            calls = []
+
+            def recorded(seed_dirs, seed_radii, ks, budget, order):
+                calls.append((seed_dirs, seed_radii, ball_bests(seed_dirs, seed_radii, ks, budget, order)))
+                return calls[-1][2]
+
+            monkeypatch.setattr(uncertainty, "_ball_bests", recorded)
+            find_minimizers(jordan_wigner(4), [7, 1, 3, 3], alpha, budget, seed=8)
+            [(seed_dirs, seed_radii, bests)] = calls
+            # the directions and the cross-check keep the children of a two-way spawn
+            assert (seed_dirs.spawn_key, seed_radii.spawn_key) == ((0,), (2,))
+            assert sorted(bests) == [1, 3, 7]
+            for K, best in bests.items():
+                fresh = whole_array_ball_best(seed_dirs, seed_radii, K, budget, alpha)
+                assert best.tobytes() == fresh.tobytes()
 
     def test_empty_ks_draws_nothing(self, monkeypatch):
         forbid_draws(monkeypatch)
@@ -596,7 +608,7 @@ class TestSharedStreams:
     def test_cross_check_rows_equal_whole_batch(self):
         for n, count in itertools.product(range(1, 7), (5, 17, 2000)):
             gens = jordan_wigner(n)
-            rows = uncertainty._cross_check_rows(gens, count, 11)
+            rows = vector_expectations(random_pure_states(n, count, 11), gens)
             whole = extended_expectations(random_state_batch(n, count, 11, "pure-haar"), gens)
             assert rows.shape == (count, 2 * n + 1)
             assert np.max(np.abs(rows - whole)) <= 1e-14, (n, count)
@@ -610,6 +622,17 @@ class TestSharedStreams:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_ball_draws_are_freed_before_the_cross_check(self):
+        # 20000 x 14 x 8 bytes = 2.1 MiB of ball draws; held through the
+        # cross-check's draw they raise the peak from about 6.8 to 8.2 MiB
+        tracemalloc.start()
+        try:
+            find_minimizer(jordan_wigner(6), 13, math.inf, budget=20000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_dense_reevaluation_over_budget(self, monkeypatch):
         # 4 x 4**14 x 16 bytes = 16 GiB for the re-evaluated state, refused
@@ -734,6 +757,23 @@ class TestOrderTable:
         p = [0.5, 0.3, 0.2]
         assert abs(renyi_entropy(p, alpha) - renyi_entropy(p, 1)) <= 1e-10
 
+    @pytest.mark.parametrize("alpha", [4e306, 1e307, 1.7e308])
+    def test_huge_order_is_silent(self, alpha):
+        # (a - 1) ln r overflows to -inf here, which expm1 takes to the right -1
+        order = uncertainty._order(alpha)
+        g = np.array([1.0, -1.0, 0.7, 0.9, -0.9, 0.0])
+        p = np.array([1.0 - 1e-300, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [order.term(g), order.slope(g), order.entropy(p)]
+            renyi_entropy(p, alpha)
+        c = alpha - 1.0
+        with np.errstate(over="ignore"):
+            want = [branch_term(g, alpha), branch_slope(g, alpha),
+                    -(np.log2(p.max()) + np.log1p(np.sum(p * np.expm1(c * np.log(p / p.max()))))
+                      / (c * math.log(2.0)))]
+        assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+
     def test_near_one_is_shannon(self):
         assert uncertainty._order(1.0 + 1e-13) is uncertainty._order(1)
         assert closed_form_min(4, 1.0 + 1e-13) == closed_form_min(4, 1) == 0.75
@@ -817,6 +857,13 @@ class TestMaassenUffink:
     def test_rejects_non_unitary(self):
         with pytest.raises(DomainError):
             maassen_uffink_bound(np.eye(2) * 1.5, np.eye(2))
+
+    def test_rejects_empty_bases(self):
+        # a 0 x 0 residual reached numpy's zero-size reduction as a bare ValueError
+        empty = np.zeros((0, 0))
+        for a, b in ((empty, empty), (np.eye(2), empty), (empty, np.eye(2))):
+            with pytest.raises(DomainError, match="non-empty square matrix"):
+                maassen_uffink_bound(a, b)
 
     def test_rejects_nan_basis(self):
         basis = np.eye(2, dtype=complex)

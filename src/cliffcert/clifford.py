@@ -26,7 +26,6 @@ as one :class:`GradedBasis` table of masks and phases.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,9 +34,9 @@ from itertools import combinations
 import numpy as np
 
 from . import pauli
-from .errors import DomainError, check_budget
+from .errors import DomainError, check_budget, check_integer
 from .pauli import PauliString
-from .tolerances import DENSE_GUARD, MEMORY_BUDGET
+from .tolerances import MEMORY_BUDGET
 
 # Bytes per basis row held at the peak of building the table, or of expanding
 # or reconstructing a state through it: tracemalloc measured 150 to 240 at
@@ -89,10 +88,12 @@ class GeneratorSet:
         """Stack of dense observables, shape ``(2n+1, d, d)``, extended order.
 
         Kronecker-rendered oracle for tests and the dense cross-check in
-        ``verify``; the library's hot paths use :attr:`actions`.
+        ``verify``; the library's hot paths use :attr:`actions`.  Raises
+        :class:`CapacityError`, before anything is rendered, when the stack
+        would exceed ``MEMORY_BUDGET`` (from n = 12 on).
         """
-        if self.n > DENSE_GUARD:
-            raise DomainError(f"dense work limited to n <= {DENSE_GUARD}")
+        check_budget(f"dense observables at n = {self.n}",
+                     (2 * self.n + 1) * 4**self.n * 16, MEMORY_BUDGET)
         stack = np.stack([pauli.to_dense(g) for g in self.extended_list()])
         stack.setflags(write=False)
         return stack
@@ -117,9 +118,7 @@ def jordan_wigner(n: int) -> GeneratorSet:
     the grade-2n Hermitizing convention (module docstring), which reduces
     to ``i * G_1 G_2 = -Z`` at ``n = 1``.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"qubit count must be an integer of at least 1, got {n!r}")
-    n = int(n)
+    n = check_integer(n, "qubit count", 1)
     gammas = []
     for j in range(1, n + 1):
         x = np.zeros(n, dtype=np.uint8)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+import math
+import numbers
 
 
 class CliffcertError(Exception):
@@ -12,11 +15,12 @@ class DimensionMismatchError(CliffcertError, ValueError):
 class CapacityError(CliffcertError, ValueError):
     """A size above the supported qubit guard or the package's memory budget.
 
-    The minimizer checks its unit-ball draws, its pure-state cross-check and
-    the dense re-evaluation of the minimizing state against
-    ``tolerances.MEMORY_BUDGET`` before it draws anything; ``verify`` checks
-    its projection chunks, ``rotors.lift`` its unitary, and
-    ``clifford.graded_basis`` its rows, the same way.
+    Every check is arithmetic and runs before the allocation it guards,
+    against ``tolerances.MEMORY_BUDGET``: the minimizer's unit-ball draws,
+    pure-state cross-check and dense re-evaluation of the minimizing state;
+    ``verify``'s projection chunks and its per-chunk seeds and results;
+    ``rotors.lift``'s unitary; ``clifford.graded_basis``'s rows; and the
+    dense observable stack ``GeneratorSet.dense_extended``.
     """
 
 
@@ -25,6 +29,18 @@ def check_budget(what: str, nbytes: float, budget: float) -> None:
     if nbytes > budget:
         raise CapacityError(f"{what} needs {nbytes / 2**30:.1f} GiB, above the "
                             f"{budget / 2**30:.0f} GiB memory budget")
+
+
+def check_integer(value, what: str, lo: int, hi: float = math.inf) -> int:
+    """``value`` as an int in lo..hi: an integer, numpy's included; bools and non-integers refused.
+
+    Raises :class:`DomainError` otherwise.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise DomainError(f"{what} {value} out of range {lo}..{hi}")
+    return int(value)
 
 
 class ParseError(CliffcertError, ValueError):

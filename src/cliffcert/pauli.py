@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, DomainError, ParseError
+from .errors import CapacityError, DimensionMismatchError, DomainError, ParseError, check_integer
 from .tolerances import DENSE_GUARD
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # exact powers of i
@@ -67,9 +67,8 @@ class PauliString:
     __slots__ = ("n", "x", "z", "phase")
 
     def __init__(self, n: int, x, z, phase: int = 0):
-        if n < 1:
-            raise DimensionMismatchError("qubit count must be positive")
-        object.__setattr__(self, "n", int(n))
+        n = check_integer(n, "qubit count", 1)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "x", _as_bits(x, n))
         object.__setattr__(self, "z", _as_bits(z, n))
         object.__setattr__(self, "phase", int(phase) % 4)
@@ -192,13 +191,13 @@ def anticommutes(a: PauliString, b: PauliString) -> bool:
     return symplectic_inner(a, b) == 1
 
 
-def to_dense(p: PauliString, guard: int = DENSE_GUARD) -> np.ndarray:
+def to_dense(p: PauliString) -> np.ndarray:
     """Dense ``2**n x 2**n`` complex matrix via Kronecker assembly.
 
     All entries are exact (drawn from ``{0, +-1, +-i}``).
     """
-    if p.n > guard:
-        raise CapacityError(f"dense rendering limited to n <= {guard}, got n = {p.n}")
+    if p.n > DENSE_GUARD:
+        raise CapacityError(f"dense rendering limited to n <= {DENSE_GUARD}, got n = {p.n}")
     m = np.array([[_I_POW[p.phase]]], dtype=complex)
     for a, b in zip(p.x, p.z):
         m = np.kron(m, _XZ_FACTOR[(int(a), int(b))])

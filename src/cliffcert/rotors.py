@@ -37,14 +37,14 @@ by scatter, never through products of dense observables.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import pauli
 from .clifford import GeneratorSet
-from .errors import DimensionMismatchError, DomainError, OrientationError, check_budget
+from .errors import (DimensionMismatchError, DomainError, OrientationError, check_budget,
+                     check_integer)
 from .pauli import PauliString
 from .states import DensityMatrix, extended_expectations
 from .tolerances import MEMORY_BUDGET, ORTHOGONALITY
@@ -79,15 +79,6 @@ class OrthoTransform:
         return f"OrthoTransform(size={self.size}, det_sign={self.det_sign:+d})"
 
 
-def _check_index(idx, lo: int, hi: int, what: str) -> int:
-    """``idx`` as an int in lo..hi: an integer, numpy's included; bools and non-integers refused."""
-    if isinstance(idx, bool) or not isinstance(idx, numbers.Integral):
-        raise DomainError(f"{what} must be an integer, got {idx!r}")
-    if not lo <= idx <= hi:
-        raise DomainError(f"{what} {idx} out of range {lo}..{hi}")
-    return int(idx)
-
-
 def _as_transform(t) -> OrthoTransform:
     return t if isinstance(t, OrthoTransform) else OrthoTransform(t)
 
@@ -103,7 +94,8 @@ class EulerFactorization:
 
 def rotation_matrix(size: int, j: int, k: int, theta: float) -> np.ndarray:
     """R_jk(theta) on 1-based axes: column j rotates toward column k."""
-    j, k = (_check_index(axis, 1, size, "axis") for axis in (j, k))
+    size = check_integer(size, "size", 2)
+    j, k = (check_integer(axis, "axis", 1, size) for axis in (j, k))
     if j == k:
         raise DomainError("plane rotation needs two distinct axes")
     m = np.eye(size)
@@ -174,7 +166,7 @@ def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float,
     ``d x d`` factor (the identity by default).
     """
     size = gens.extended_size
-    j, k = (_check_index(idx, 0, size - 1, "extended index") for idx in (j, k))
+    j, k = (check_integer(idx, "extended index", 0, size - 1) for idx in (j, k))
     if j == k:
         raise DomainError("rotation plane needs two distinct indices")
     if u is None:
@@ -187,7 +179,7 @@ def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float,
 
 def flip_unitary(gens: GeneratorSet, j: int) -> np.ndarray:
     """G_0 G_j: conjugation negates G_j and G_0, fixing all other generators."""
-    j = _check_index(j, 1, 2 * gens.n, "generator index")
+    j = check_integer(j, "generator index", 1, 2 * gens.n)
     return pauli.scatter([1.0], [_flip_string(gens, j)])
 
 

@@ -29,7 +29,6 @@ violation.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -43,6 +42,7 @@ from .errors import (
     DomainError,
     ParseError,
     ValidationError,
+    check_integer,
 )
 from .tolerances import DENSE_GUARD, HERMITICITY, PSD, TRACE
 
@@ -253,13 +253,6 @@ def project_bloch(rho: DensityMatrix, gens: GeneratorSet) -> DensityMatrix:
     return DensityMatrix.from_matrix(matrix_from_expectations(g, gens))
 
 
-def _check_count(K, size: float = math.inf) -> int:
-    """The observable count ``K`` as an int: an integer in 1..size, numpy's included, bool refused."""
-    if isinstance(K, bool) or not isinstance(K, numbers.Integral) or not 1 <= K <= size:
-        raise DomainError(f"K must be an integer in 1..{size}, got {K!r}")
-    return int(K)
-
-
 def _check_tolerance(tol, name: str) -> None:
     """Refuse a tolerance that is not a real ``>= 0``: a NaN turns every comparison with it off."""
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0.0:
@@ -273,7 +266,7 @@ def gvector(rho: DensityMatrix, gens: GeneratorSet, K: int | None = None) -> GVe
     outcome distribution.
     """
     size = 2 * gens.n + 1
-    K = size if K is None else _check_count(K, size)
+    K = size if K is None else check_integer(K, "K", 1, size)
     full = extended_expectations(rho.mat, gens)
     vals = np.zeros(size)
     vals[:K] = full[:K]
@@ -344,15 +337,6 @@ def _hs_chunk_states(n: int) -> int:
     return max(16, _HS_CHUNK_BYTES // (16 * 4**n))
 
 
-def _check_sampling(n, count) -> tuple[int, int]:
-    """``n`` in 1..DENSE_GUARD and ``count >= 0`` as ints: integers, numpy's included, bools refused."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= DENSE_GUARD:
-        raise DomainError(f"dense sampling limited to n in 1..{DENSE_GUARD}, got {n!r}")
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
-        raise DomainError(f"state count must be a non-negative integer, got {count!r}")
-    return int(n), int(count)
-
-
 def random_pure_states(n: int, count: int, seed) -> np.ndarray:
     """``count`` Haar-random unit state vectors, shape ``(count, d)``.
 
@@ -360,7 +344,7 @@ def random_pure_states(n: int, count: int, seed) -> np.ndarray:
     ``default_rng(seed)``; the ``pure-haar`` states of
     :func:`random_state_batch` are the outer products of these vectors.
     """
-    n, count = _check_sampling(n, count)
+    n, count = check_integer(n, "n", 1, DENSE_GUARD), check_integer(count, "state count", 0)
     rng = np.random.default_rng(seed)
     d = 2**n
     psi = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
@@ -380,7 +364,7 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     """
     if ensemble not in _ENSEMBLES:
         raise DomainError(f"unknown ensemble {ensemble!r}; choose from {_ENSEMBLES}")
-    n, count = _check_sampling(n, count)
+    n, count = check_integer(n, "n", 1, DENSE_GUARD), check_integer(count, "state count", 0)
     if ensemble == "pure-haar":
         psi = random_pure_states(n, count, seed)
         return np.einsum("si,sj->sij", psi, psi.conj())

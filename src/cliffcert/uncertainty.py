@@ -37,12 +37,11 @@ import numpy as np
 
 from . import pauli
 from .clifford import GeneratorSet
-from .errors import DomainError, check_budget
+from .errors import DomainError, check_budget, check_integer
 from .pauli import PauliString
 from .states import (
     DensityMatrix,
     GVector,
-    _check_count,
     extended_expectations,
     from_gvector,
     random_pure_states,
@@ -159,7 +158,8 @@ def _power(a: float) -> _Order:
         b = np.abs(g)
         s = 1.0 + b
         r = (1.0 - b) / s
-        return np.sign(g) * a * np.expm1(c * np.log(r)) / (c * _LN2 * s * (1.0 + r**a))
+        # a / c first: c * _LN2 * s would overflow to inf at an order near the float maximum
+        return np.sign(g) * (a / c) * np.expm1(c * np.log(r)) / (_LN2 * s * (1.0 + r**a))
 
     def entropy(p):
         top = p.max()
@@ -245,7 +245,7 @@ def observable_entropy(rho: DensityMatrix, g: PauliString, alpha) -> float:
 
 def entropy_average(rho: DensityMatrix, gens: GeneratorSet, K: int, alpha) -> float:
     """Mean entropy over the first K observables in extended order."""
-    K = _check_count(K, 2 * gens.n + 1)
+    K = check_integer(K, "K", 1, 2 * gens.n + 1)
     g = extended_expectations(rho.mat, gens)[:K]
     return float(entropy_of_expectations(g, alpha).mean())
 
@@ -265,7 +265,7 @@ def closed_form_kind(alpha) -> str:
 
 def closed_form_min(K: int, alpha) -> float:
     """The least K-observable entropy average (bits): the order's floor at radius 1."""
-    K = _check_count(K)
+    K = check_integer(K, "K", 1)
     return float(_closed_form(alpha).floor(1.0, K))
 
 
@@ -463,15 +463,18 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
     slices.  Every report equals the one :func:`find_minimizer` gives for
     its K, in the order of ``ks``; an empty ``ks`` draws nothing.
 
+    Raises :class:`DomainError`, before anything is drawn and even for an
+    empty ``ks``, unless every K is an integer in 1..2n+1, ``budget`` one of
+    at least 1 and ``seed`` one of at least 0.
+
     Raises :class:`CapacityError`, before anything is drawn, when the ball
     search, the cross-check or the dense re-evaluation of the minimizing
     state would hold more than ``MEMORY_BUDGET`` bytes at once.
     """
     size = 2 * gens.n + 1
-    ks = [_check_count(K, size) for K in ks]
-    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
-        raise DomainError(f"sample budget must be an integer of at least 1, got {budget!r}")
-    budget = int(budget)
+    ks = [check_integer(K, "K", 1, size) for K in ks]
+    budget = check_integer(budget, "sample budget", 1)
+    seed = check_integer(seed, "seed", 0)
     alpha = _check_order(alpha)
     order = _order(alpha)
     if not ks:

@@ -331,6 +331,22 @@ class TestVerifyMemory:
         assert main(argv) == 1
         assert "memory budget" in capsys.readouterr().err
 
+    def test_chunk_seeds_are_refused_before_any_is_built(self, monkeypatch, capsys):
+        # 390625000 chunks: a 3 GB list of sizes, then about 146 GB of spawned seeds
+        def no_chunks(*args, **kwargs):
+            raise AssertionError("verify built its chunks")
+
+        class NoSpawn:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            spawn = no_chunks
+
+        monkeypatch.setattr(cli.np.random, "SeedSequence", NoSpawn)
+        monkeypatch.setattr(cli, "_chunk_sizes", no_chunks)
+        assert main(["verify", "--n", "1", "--samples", "100000000000"]) == 1
+        assert "memory budget" in capsys.readouterr().err
+
 
 class TestProjectionSuite:
     def test_chunk_holds_at_most_two_stacks(self):

@@ -117,6 +117,17 @@ class TestJordanWigner:
             for a, b in combinations(family, 2):
                 assert anticommutes(a, b)
 
+    def test_dense_stack_is_refused_by_memory(self, monkeypatch):
+        # 25 observables of 256 MiB each: 6.25 GiB against the 4 GiB budget
+        gens = jordan_wigner(12)
+
+        def no_render(*args):
+            raise AssertionError("an observable was rendered")
+
+        monkeypatch.setattr(clifford.pauli, "to_dense", no_render)
+        with pytest.raises(CapacityError, match="dense observables at n = 12 needs 6.2 GiB"):
+            gens.dense_extended
+
     def test_extended_indexing(self):
         gens = jordan_wigner(2)
         assert gens.extended(0) == gens.gamma0

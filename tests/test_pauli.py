@@ -13,6 +13,7 @@ import cliffcert
 from cliffcert import (
     CapacityError,
     DimensionMismatchError,
+    DomainError,
     ParseError,
     PauliString,
     anticommutes,
@@ -201,6 +202,16 @@ class TestDense:
 
 
 class TestValue:
+    @pytest.mark.parametrize("n", [True, 0, -1, 1.0, "1"])
+    def test_qubit_count_must_be_a_positive_integer(self, n):
+        # True ran as n = 1, and 0 raised DimensionMismatchError
+        with pytest.raises(DomainError):
+            PauliString(n, [1], [0])
+
+    def test_numpy_integer_qubit_count(self):
+        p = PauliString(np.int64(2), [1, 0], [0, 1])
+        assert type(p.n) is int and p == from_label("XZ")
+
     def test_equality_and_hash(self):
         assert from_label("XY") == from_label("XY")
         assert from_label("XY") != from_label("YX")

@@ -80,6 +80,12 @@ class TestEuler:
         got = rotation_matrix(3, np.int64(1), np.uint8(3), 0.1)
         assert got.tobytes() == rotation_matrix(3, 1, 3, 0.1).tobytes()
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, 1, "3"])
+    def test_rotation_size_must_be_an_integer_of_at_least_2(self, size):
+        # 2.5 reached np.eye as a bare TypeError
+        with pytest.raises(DomainError):
+            rotation_matrix(size, 1, 2, 0.1)
+
     def test_identity(self):
         fact = euler_decompose(np.eye(4))
         assert fact.reflection_flag == 1

@@ -317,6 +317,21 @@ class TestInputValidation:
         with pytest.raises(DomainError):
             find_minimizer(jordan_wigner(1), 3, 1, budget=budget, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", True])
+    def test_seed_must_be_a_non_negative_integer(self, seed, monkeypatch):
+        # -1 reached numpy as a ValueError, 1.5 and "a" as a TypeError; True ran as seed 1
+        forbid_draws(monkeypatch)
+        for ks in ([3], []):
+            with pytest.raises(DomainError, match="seed"):
+                find_minimizers(jordan_wigner(1), ks, 1, budget=50, seed=seed)
+        with pytest.raises(DomainError, match="seed"):
+            find_minimizer(jordan_wigner(1), 3, 1, budget=50, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        rep = find_minimizer(jordan_wigner(1), 3, 1, budget=40, seed=np.uint8(3))
+        assert rep.to_dict() == find_minimizer(jordan_wigner(1), 3, 1, budget=40, seed=3).to_dict()
+        assert type(rep.seed) is int
+
     def test_numpy_integer_budget(self):
         rep = find_minimizer(jordan_wigner(1), 3, 1, budget=np.int64(40), seed=0)
         assert json.loads(json.dumps(rep.to_dict()))["samples"] == 40
@@ -698,7 +713,8 @@ def branch_slope(g, alpha):
     b = np.abs(g)
     s = 1.0 + b
     r = (1.0 - b) / s
-    return np.sign(g) * a * np.expm1(c * np.log(r)) / (c * math.log(2.0) * s * (1.0 + r**a))
+    # a / c taken first, so that no factor overflows at an order near the float maximum
+    return np.sign(g) * (a / c) * np.expm1(c * np.log(r)) / (math.log(2.0) * s * (1.0 + r**a))
 
 
 TABLE_ORDERS = [1.0, 1.0 + 1e-13, 2.0, math.inf, 0.5, 1.5, 3.0]
@@ -773,6 +789,15 @@ class TestOrderTable:
                     -(np.log2(p.max()) + np.log1p(np.sum(p * np.expm1(c * np.log(p / p.max()))))
                       / (c * math.log(2.0)))]
         assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+
+    @pytest.mark.parametrize("alpha", [1e307, 1.3e308, 1.7e308])
+    def test_huge_order_slope_is_the_min_entropy_slope(self, alpha):
+        # c ln2 (1 + |g|) overflowed to inf from about 1e308, which read the slope as 0
+        g = np.array([0.9, -0.9, -0.999, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = uncertainty._order(alpha).slope(g)
+        assert got.tobytes() == uncertainty._MIN_ENTROPY.slope(g).tobytes()
 
     def test_near_one_is_shannon(self):
         assert uncertainty._order(1.0 + 1e-13) is uncertainty._order(1)

@@ -60,6 +60,7 @@ from .states import (
     random_pure_states,
     random_state,
     random_state_batch,
+    realize,
     to_document,
     vector_expectations,
 )

@@ -40,10 +40,14 @@ from .pauli import PauliString
 from .rotors import conjugation_residual, euler_decompose, lift, recompose, reduce_to_axis
 from .states import (
     DensityMatrix,
+    GVector,
+    _hs_peak_bytes,
     _psd_shortfall,
     extended_expectations,
     matrix_from_expectations,
     random_state_batch,
+    realize,
+    vector_expectations,
 )
 from .tolerances import CONCAVITY, LIFT, MEMORY_BUDGET, OPTIMIZATION, PSD, RECONSTRUCTION
 from .uncertainty import (bias_entropy, bias_entropy_d1, bias_entropy_d2, find_minimizer,
@@ -270,9 +274,14 @@ def _random_orthogonal(rng, size: int, det_sign: int | None = None) -> np.ndarra
     return q
 
 
+def _spot_count(samples: int) -> int:
+    """Cases of each rotor check and directions of the realization check."""
+    return max(4, samples // 50)
+
+
 def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
     s_lift, s_refl, s_euler, s_constr = seed_seq.spawn(4)
-    count = max(4, samples // 50)
+    count = _spot_count(samples)
     size = 2 * gens.n + 1
 
     rng = np.random.default_rng(s_lift)
@@ -318,6 +327,25 @@ def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
     ]
 
 
+def _suite_realization(gens, seed_seq, samples: int) -> list[dict]:
+    """Two-vector states (:func:`states.realize`) of points of the unit ball, at
+    radius 1, just inside it and at a random radius, plus the vertices +-e_0 and e_1."""
+    size = 2 * gens.n + 1
+    eye = np.eye(size)
+    points = [eye[0], -eye[0], eye[1]]
+    rng = np.random.default_rng(seed_seq)
+    for _ in range(_spot_count(samples)):
+        u = rng.standard_normal(size)
+        u /= np.linalg.norm(u)
+        points += [u, (1.0 - 1e-12) * u, rng.random() * u]
+    worst = 0.0
+    for g in points:
+        psi, weights = realize(GVector(gens.n, g), gens)
+        worst = max(worst, float(np.max(np.abs(weights @ vector_expectations(psi, gens) - g))))
+    return [_check("ball-realization", worst <= RECONSTRUCTION, worst,
+                   f"two-vector mixtures against {len(points)} points of the unit ball")]
+
+
 def _fd_step(t: np.ndarray) -> np.ndarray:
     # Truncation blows up like (1-t)^-5 near 1 while roundoff needs h not
     # too small; this window keeps both composite errors under ~1e-7.
@@ -354,22 +382,26 @@ def _suite_concavity() -> list[dict]:
 
 
 def _check_projection_memory(n: int, samples: int, threads: int) -> None:
-    """Refuse, by arithmetic, projection chunks in flight, or the seeds and results of
-    every chunk, that exceed ``MEMORY_BUDGET``; nothing that grows with the chunks is built."""
+    """Refuse, by arithmetic, projection chunks in flight, the seeds and results of
+    every chunk, or the rotor suite's state batch, that exceed ``MEMORY_BUDGET``;
+    nothing that grows with the samples is built."""
     chunks, size = -(-samples // _CHUNK), min(samples, _CHUNK)
     check_budget(f"projection at {size} states per chunk",
                  _PROJECTION_ARRAYS * size * 4**n * 16 * _workers(threads, chunks), MEMORY_BUDGET)
     check_budget(f"bookkeeping for {chunks} projection chunks",
                  chunks * _CHUNK_OVERHEAD_BYTES, MEMORY_BUDGET)
+    count = _spot_count(samples)
+    check_budget(f"rotor suite at {count} states", _hs_peak_bytes(n, count), MEMORY_BUDGET)
 
 
 def cmd_verify(cfg: dict):
     _check_projection_memory(cfg["n"], cfg["samples"], cfg["threads"])
     gens = jordan_wigner(cfg["n"])
-    s_proj, s_rotors = np.random.SeedSequence(cfg["seed"]).spawn(2)
+    s_proj, s_rotors, s_real = np.random.SeedSequence(cfg["seed"]).spawn(3)
     checks = (_suite_anticommutation(gens)
               + _suite_projection(gens, s_proj, cfg["samples"], cfg["tol_psd"], cfg["threads"])
               + _suite_rotors(gens, s_rotors, cfg["samples"])
+              + _suite_realization(gens, s_real, cfg["samples"])
               + _suite_concavity())
     residuals = {c["name"]: c["residual"] for c in checks}
     code = 0 if all(c["passed"] for c in checks) else 1
@@ -451,21 +483,6 @@ def bench_agreement(seed: int, pairs: int = 1000) -> dict:
     return {"pairs": pairs, "mismatches": mismatches}
 
 
-def bench_dense_conjugation(seed: int, max_n: int = 4, repeats: int = 3):
-    rows = []
-    for n in range(1, max_n + 1):
-        gens = jordan_wigner(n)
-        rho = random_state_batch(n, 1, seed + n, "mixed-hs")[0]
-        u = lift(_random_orthogonal(np.random.default_rng(seed + n), 2 * n + 1, 1), gens)
-        best = math.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            u @ rho @ u.conj().T
-            best = min(best, time.perf_counter() - t0)
-        rows.append({"n": n, "d": 2**n, "seconds_per_conjugation": best})
-    return rows
-
-
 def cmd_bench(cfg: dict):
     rng = np.random.default_rng(cfg["seed"])
     big = _random_string(rng, 10_000)
@@ -477,14 +494,12 @@ def cmd_bench(cfg: dict):
     per_site = [row["seconds_per_site"] for row in throughput]
     spread = max(per_site) / min(per_site)
     agreement = bench_agreement(cfg["seed"])
-    dense_rows = bench_dense_conjugation(cfg["seed"])
 
     results = {
         "single_product_n10000_seconds": single_large,
         "symplectic": throughput,
         "per_site_spread": spread,
         "agreement": agreement,
-        "dense_conjugation": dense_rows,
     }
     residuals = {
         "dense_symplectic_mismatches": float(agreement["mismatches"]),
@@ -512,8 +527,6 @@ def _table(command: str, results) -> tuple[list[str], list[list]]:
         return header, [[row[key] for key in header] for row in results]
     rows = [["symplectic", row["n"], "seconds_per_product", row["seconds_per_product"]]
             for row in results["symplectic"]]
-    rows += [["dense", row["n"], "seconds_per_conjugation", row["seconds_per_conjugation"]]
-             for row in results["dense_conjugation"]]
     rows.append(["agreement", "", "mismatches", results["agreement"]["mismatches"]])
     return ["section", "n", "metric", "value"], rows
 

@@ -16,9 +16,9 @@ class CapacityError(CliffcertError, ValueError):
     """A size above the supported qubit guard or the package's memory budget.
 
     Every check is arithmetic and runs before the allocation it guards,
-    against ``tolerances.MEMORY_BUDGET``: the minimizer's unit-ball draws,
-    pure-state cross-check and dense re-evaluation of the minimizing state;
-    ``verify``'s projection chunks and its per-chunk seeds and results;
+    against ``tolerances.MEMORY_BUDGET``: the minimizer's unit-ball draws
+    and pure-state cross-check; ``verify``'s projection chunks, its
+    per-chunk seeds and results, and its rotor suite's state batch;
     ``rotors.lift``'s unitary; ``clifford.graded_basis``'s rows; and the
     dense observable stack ``GeneratorSet.dense_extended``.
     """

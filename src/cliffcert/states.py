@@ -288,6 +288,42 @@ def from_gvector(g: GVector, gens: GeneratorSet, *, tol_psd: float = PSD) -> Den
     return DensityMatrix.from_matrix(matrix_from_expectations(g.values, gens), tol_psd=tol_psd)
 
 
+def realize(g: GVector, gens: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
+    """Two unit vectors ``psi``, shape ``(2, d)``, and weights ``((1 + |g|)/2, (1 - |g|)/2)``
+    whose mixture has the expectation vector ``g``; no d x d array is built.
+
+    Let ``c = g/|g|`` (``e_0`` when ``g = 0``) and ``A = sum_j c_j G_j``, so
+    ``A**2 = 1`` and ``{G_j, A} = 2 c_j``: a vector with ``A v = +-v`` has
+    expectations ``+-c``.  ``(1 +- A) e_x`` is one, with squared norm
+    ``2(1 +- A_xx)``.  Only the diagonal strings (``perm[0] == 0``; in
+    Jordan-Wigner only ``G_0``) reach ``A_xx``, and ``A`` is traceless, so
+    taking ``x`` where ``A_xx`` is largest for ``+`` and least for ``-``
+    keeps both squared norms at least 2.  ``A e_x = sum_j c_j phase_j[x]
+    e_{perm_j[x]}``, so each vector has at most ``2n+2`` nonzero entries.
+
+    Raises :class:`BallViolationError` when ``sum g_j**2 > 1 + PSD`` (or is
+    not finite), and :class:`DomainError` for generators of another n.
+    ``|g|`` is clamped to 1 in the weights.
+    """
+    if g.n != gens.n:
+        raise DomainError(f"coefficient vector is for n={g.n}, generators for n={gens.n}")
+    norm_sq = g.norm_squared
+    if not norm_sq <= 1.0 + PSD:
+        raise BallViolationError(f"sum of squares {norm_sq:.12f} exceeds 1")
+    r = np.sqrt(norm_sq)
+    c = g.values / r if r > 0.0 else np.eye(g.values.size)[0]
+    diag = sum((cj * act.phase.real for cj, act in zip(c, gens.actions) if act.perm[0] == 0),
+               np.zeros(2**gens.n))
+    psi = np.zeros((2, 2**gens.n), dtype=complex)
+    for row, (sign, x) in enumerate(((1.0, np.argmax(diag)), (-1.0, np.argmin(diag)))):
+        psi[row, x] = 1.0
+        for cj, act in zip(c, gens.actions):
+            psi[row, act.perm[x]] += sign * cj * act.phase[x]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    r = min(r, 1.0)
+    return psi, np.array([(1.0 + r) / 2.0, (1.0 - r) / 2.0])
+
+
 # Bytes of the matrices one Cholesky call factors, so that the shifted copy
 # and its factor stay a few MiB whatever the number of states.
 _FACTOR_BYTES = 2**21
@@ -337,15 +373,31 @@ def _hs_chunk_states(n: int) -> int:
     return max(16, _HS_CHUNK_BYTES // (16 * 4**n))
 
 
+def _hs_peak_bytes(n: int, count: int) -> int:
+    """Bytes a ``mixed-hs`` batch of ``count`` states holds at its peak: the returned
+    stack plus three chunks of temporaries for one chunk's ``G G^H`` (tracemalloc
+    at n = 3, 4, 6 and 8)."""
+    return (count + 3 * min(count, _hs_chunk_states(n))) * 4**n * 16
+
+
+def _check_seed(seed):
+    """``seed`` for ``default_rng``: a ``SeedSequence``, or an integer of at least 0
+    (numpy's included, bools refused); anything else raises :class:`DomainError`."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return check_integer(seed, "seed", 0)
+
+
 def random_pure_states(n: int, count: int, seed) -> np.ndarray:
     """``count`` Haar-random unit state vectors, shape ``(count, d)``.
 
     The real parts and then the imaginary parts are drawn from
     ``default_rng(seed)``; the ``pure-haar`` states of
     :func:`random_state_batch` are the outer products of these vectors.
+    ``seed`` passes :func:`_check_seed`.
     """
     n, count = check_integer(n, "n", 1, DENSE_GUARD), check_integer(count, "state count", 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     d = 2**n
     psi = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
@@ -357,10 +409,12 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
 
     ``pure-haar`` draws Haar-random pure states; ``mixed-hs`` draws from
     the Hilbert-Schmidt measure (square Ginibre matrix G, normalized
-    G G^H).  For ``mixed-hs`` the real and then the imaginary parts of all
-    ``count`` matrices G are drawn whole into the returned array, and each
-    chunk of states is overwritten by its ``G G^H`` over the trace; beside
-    it the peak holds one float draw, half its size.  Deterministic given the seed.
+    G G^H).  For ``mixed-hs`` the real parts of all ``count`` matrices G
+    are drawn into the returned array chunk by chunk, then each chunk's
+    imaginary parts, after which the chunk is overwritten by its ``G G^H``
+    over the trace.  Standard normals are one stream, so this is bit for
+    bit the whole draw, and beside the returned array the peak holds a few
+    chunks.  Deterministic given the seed, which passes :func:`_check_seed`.
     """
     if ensemble not in _ENSEMBLES:
         raise DomainError(f"unknown ensemble {ensemble!r}; choose from {_ENSEMBLES}")
@@ -368,14 +422,15 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     if ensemble == "pure-haar":
         psi = random_pure_states(n, count, seed)
         return np.einsum("si,sj->sij", psi, psi.conj())
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     d = 2**n
     out = np.empty((count, d, d), dtype=complex)
-    out.real = rng.standard_normal((count, d, d))
-    out.imag = rng.standard_normal((count, d, d))
     step = _hs_chunk_states(n)
-    for start in range(0, count, step):
-        gin = out[start:start + step]
+    chunks = [out[start:start + step] for start in range(0, count, step)]
+    for gin in chunks:
+        gin.real = rng.standard_normal(gin.shape)
+    for gin in chunks:
+        gin.imag = rng.standard_normal(gin.shape)
         w = gin @ gin.conj().swapaxes(-1, -2)
         np.divide(w, np.trace(w, axis1=1, axis2=2).real[:, None, None], out=gin)
     return out

@@ -43,9 +43,9 @@ from .states import (
     DensityMatrix,
     GVector,
     extended_expectations,
-    from_gvector,
     random_pure_states,
     random_state_batch,  # noqa: F401  re-exported: perfbench's tracer test reads it here
+    realize,
     vector_expectations,
 )
 from .tolerances import MEMORY_BUDGET, ORTHOGONALITY, PSD, TRACE
@@ -441,7 +441,8 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
     Haar-random pure states, each measured on its state vector in O(K d).
     Any state serves as a start point, because the ball search already
     covers every admissible expectation vector.  The reported minimum is
-    re-evaluated by building the minimizing state and measuring it densely.
+    measured on the minimizing state, realized as a mixture of two state
+    vectors (:func:`states.realize`), with the cross-check's kernel.
 
     The ball is searched in chunks of ``_BALL_CHUNK`` points, pruned by a
     radius cut without changing the result's bits (:func:`_best_in_ball`).
@@ -468,8 +469,8 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
     at least 1 and ``seed`` one of at least 0.
 
     Raises :class:`CapacityError`, before anything is drawn, when the ball
-    search, the cross-check or the dense re-evaluation of the minimizing
-    state would hold more than ``MEMORY_BUDGET`` bytes at once.
+    search or the cross-check would hold more than ``MEMORY_BUDGET`` bytes
+    at once.  No d x d array is built.
     """
     size = 2 * gens.n + 1
     ks = [check_integer(K, "K", 1, size) for K in ks]
@@ -480,14 +481,10 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
     if not ks:
         return []
     state_count = min(2000, budget)
-    d = 2**gens.n
     # The direction stream plus the radii; the state vectors plus the
-    # temporaries of their draw, norm and measurement; the re-evaluated
-    # state plus the temporaries of its validation (the normalized, shifted
-    # copy, and the Cholesky factorization's copy and factor).
+    # temporaries of their draw, norm and measurement.
     for what, nbytes in (("unit-ball search", budget * (max(ks) + 1) * 8),
-                         ("pure-state cross-check", 5 * state_count * d * 16),
-                         ("dense re-evaluation", 4 * d * d * 16)):
+                         ("pure-state cross-check", 5 * state_count * 2**gens.n * 16)):
         check_budget(what, nbytes, MEMORY_BUDGET)
 
     seed_dirs, seed_states, seed_radii = np.random.SeedSequence(seed).spawn(3)
@@ -503,8 +500,9 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
         padded = np.zeros(size)
         padded[:K] = g_ball
         argmin_g = GVector(gens.n, padded)
-        rho_min = from_gvector(argmin_g, gens)
-        numeric_min = entropy_average(rho_min, gens, K, alpha)
+        psi, weights = realize(argmin_g, gens)
+        measured = weights @ vector_expectations(psi, gens)
+        numeric_min = float(entropy_of_expectations(measured[:K], alpha).mean())
 
         bound = None if order.floor is None else float(order.floor(1.0, K))
 

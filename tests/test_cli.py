@@ -31,6 +31,18 @@ class TestVerify:
         assert all(check["passed"] for check in doc["results"])
         assert set(doc["residuals"]) == {c["name"] for c in doc["results"]}
 
+    def test_ball_realization_catches_swapped_weights(self, monkeypatch, capsys):
+        real = cli.realize
+
+        def swapped(g, gens):
+            psi, weights = real(g, gens)
+            return psi, weights[::-1]
+
+        monkeypatch.setattr(cli, "realize", swapped)
+        code, doc = run_json(capsys, ["verify", "--n", "3"])
+        assert code == 1
+        assert [c["name"] for c in doc["results"] if not c["passed"]] == ["ball-realization"]
+
     def test_n_zero_is_usage_error(self, capsys):
         assert main(["verify", "--n", "0"]) == 2
 
@@ -331,6 +343,22 @@ class TestVerifyMemory:
         assert main(argv) == 1
         assert "memory budget" in capsys.readouterr().err
 
+    def test_rotor_batch_is_refused_before_any_suite(self, monkeypatch, capsys):
+        # 200000 Hilbert-Schmidt states at n = 6: 200000 x 4096 x 16 bytes = 12 GiB
+        def no_run(*args, **kwargs):
+            raise AssertionError("verify ran a suite")
+
+        class NoSpawn:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            spawn = no_run
+
+        monkeypatch.setattr(cli, "random_state_batch", no_run)
+        monkeypatch.setattr(cli.np.random, "SeedSequence", NoSpawn)
+        assert main(["verify", "--n", "6", "--samples", "10000000"]) == 1
+        assert "rotor suite" in capsys.readouterr().err
+
     def test_chunk_seeds_are_refused_before_any_is_built(self, monkeypatch, capsys):
         # 390625000 chunks: a 3 GB list of sizes, then about 146 GB of spawned seeds
         def no_chunks(*args, **kwargs):
@@ -509,7 +537,7 @@ class TestContract:
         assert lines[1].split() == ["check", "passed", "residual"]
         status = {line.split()[0]: line.split()[1] for line in lines[2:-1]}
         assert status.pop("rotor-lift") == "FAIL"
-        assert set(status.values()) == {"PASS"} and len(status) == 12
+        assert set(status.values()) == {"PASS"} and len(status) == 13
         assert re.fullmatch(r"  wall time: \d+\.\d ms", lines[-1])
 
     @pytest.mark.parametrize("argv, header, count", [
@@ -517,7 +545,7 @@ class TestContract:
          "n K alpha closed_form numeric_min gap samples seed", 1),
         (["sweep", "--n", "2", "--k-min", "1", "--k-max", "5", "--alpha", "1",
           "--samples", "2000"], "K alpha closed_form numeric_min gap", 5),
-        (["bench"], "section n metric value", 8),
+        (["bench"], "section n metric value", 4),
     ])
     def test_text_is_the_csv_table_aligned(self, capsys, argv, header, count):
         code, lines = text_lines(capsys, argv)

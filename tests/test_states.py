@@ -29,6 +29,7 @@ from cliffcert import (
     random_pure_states,
     random_state,
     random_state_batch,
+    realize,
     to_document,
     vector_expectations,
 )
@@ -427,6 +428,48 @@ class TestFromGVector:
         assert np.max(np.abs(again.mat - rho.mat)) <= 1e-8
 
 
+def ball_points(n, rng):
+    """g = 0, +-e_0 (the pseudoscalar vertex), e_1, and 50 random unit directions,
+    each at radius 1, at 1 - 1e-12 and at a random radius."""
+    size = 2 * n + 1
+    eye = np.eye(size)
+    points = [np.zeros(size), eye[0], -eye[0], eye[1]]
+    for _ in range(50):
+        u = rng.standard_normal(size)
+        u /= np.linalg.norm(u)
+        points += [u, (1.0 - 1e-12) * u, rng.random() * u]
+    return points
+
+
+class TestRealize:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_mixture_has_the_expectation_vector(self, n):
+        gens = jordan_wigner(n)
+        for g in ball_points(n, np.random.default_rng(n)):
+            psi, weights = realize(GVector(n, g), gens)
+            assert psi.shape == (2, 2**n)
+            assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) <= 1e-15
+            assert np.count_nonzero(psi, axis=1).max() <= 2 * n + 2
+            assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-15
+            assert np.max(np.abs(weights @ vector_expectations(psi, gens) - g)) <= 1e-14
+
+    def test_clamps_the_radius_in_the_weights(self):
+        g = np.array([0.0, 1.0 + PSD / 4, 0.0])
+        psi, weights = realize(GVector(1, g), jordan_wigner(1))
+        assert weights.tolist() == [1.0, 0.0]
+        assert np.max(np.abs(vector_expectations(psi[0], jordan_wigner(1)) - [0, 1, 0])) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [[0.8, 0.8, 0.0], [0.0, 1.0 + 4 * PSD, 0.0],
+                                     [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
+    def test_refuses_points_outside_the_ball(self, bad):
+        with pytest.raises(BallViolationError):
+            realize(GVector(1, np.array(bad)), jordan_wigner(1))
+
+    def test_refuses_another_n(self):
+        with pytest.raises(DomainError):
+            realize(GVector(1, np.zeros(3)), jordan_wigner(2))
+
+
 def whole_hs_batch(n, count, seed):
     """The Hilbert-Schmidt batch built on whole (count, d, d) arrays, kept as the oracle."""
     rng = np.random.default_rng(seed)
@@ -475,6 +518,48 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * stack
+
+    def test_mixed_hs_keeps_the_whole_draw_bytes(self):
+        for n in range(1, 7):
+            chunk = states._hs_chunk_states(n)
+            for count in (0, 1, 7, chunk, chunk + 1, 3 * chunk - 2):
+                got = random_state_batch(n, count, 5)
+                assert got.tobytes() == whole_hs_batch(n, count, 5).tobytes(), (n, count)
+
+    def test_mixed_hs_draws_no_whole_float_stack(self):
+        # the stack plus three 32-state chunks, 1.375 stacks; a whole float
+        # draw of the real or imaginary parts would add half a stack
+        stack = 256 * 64**2 * 16
+        tracemalloc.start()
+        try:
+            random_state_batch(6, 256, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.45 * stack
+        assert peak <= states._hs_peak_bytes(6, 256) + 2**16
+
+    @pytest.mark.parametrize("seed", [True, False, -1, 1.5, "1", None, np.float64(2.0),
+                                      np.random.default_rng(1)])
+    def test_samplers_refuse_a_malformed_seed(self, seed):
+        for ensemble in ("pure-haar", "mixed-hs"):
+            with pytest.raises(DomainError, match="seed"):
+                random_state_batch(2, 3, seed, ensemble)
+            with pytest.raises(DomainError, match="seed"):
+                random_state(2, seed, ensemble)
+        with pytest.raises(DomainError, match="seed"):
+            random_pure_states(2, 3, seed)
+
+    def test_samplers_take_integer_seeds_and_seed_sequences(self):
+        for ensemble in ("pure-haar", "mixed-hs"):
+            want = random_state_batch(2, 3, 7, ensemble).tobytes()
+            for seed in (np.int64(7), np.uint8(7)):
+                assert random_state_batch(2, 3, seed, ensemble).tobytes() == want
+            seq = np.random.SeedSequence(7).spawn(1)[0]
+            fresh = np.random.SeedSequence(7).spawn(1)[0]
+            assert (random_state_batch(2, 3, seq, ensemble).tobytes()
+                    == random_state_batch(2, 3, fresh, ensemble).tobytes())
+        assert random_pure_states(2, 3, 0).shape == (3, 4)
 
     def test_pure_states_are_rank_one(self):
         mats = random_state_batch(2, 20, seed=2, ensemble="pure-haar")

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cliffcert import uncertainty
+from cliffcert import pauli, states, uncertainty
 from cliffcert.cli import main
 from cliffcert import (
     CapacityError,
@@ -649,16 +649,35 @@ class TestSharedStreams:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_dense_reevaluation_over_budget(self, monkeypatch):
-        # 4 x 4**14 x 16 bytes = 16 GiB for the re-evaluated state, refused
-        # by arithmetic with nothing drawn
+    def test_cross_check_over_budget_at_n15(self, monkeypatch):
+        # 5 x 2000 x 2**15 x 16 bytes = 4.9 GiB of state vectors, refused by
+        # arithmetic with nothing drawn
         forbid_draws(monkeypatch)
-        with pytest.raises(CapacityError, match="dense re-evaluation"):
-            find_minimizer(jordan_wigner(14), 3, 1, budget=2000, seed=0)
+        with pytest.raises(CapacityError, match="pure-state cross-check"):
+            find_minimizer(jordan_wigner(15), 3, 1, budget=2000, seed=0)
+
+    def test_minimizer_builds_no_dense_state(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("the minimizer built a d x d array")
+
+        monkeypatch.setattr(states, "from_gvector", dense)
+        monkeypatch.setattr(pauli, "scatter", dense)
+        monkeypatch.setattr(np.linalg, "cholesky", dense)
+        rep = find_minimizer(jordan_wigner(6), 13, 2, budget=2000, seed=1)
+        assert abs(rep.gap) <= OPTIMIZATION
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_numeric_min_is_the_dense_measurement(self, alpha):
+        # the two-vector state measures as the dense state of the same point
+        for n, K in ((1, 3), (2, 1), (3, 5), (4, 9)):
+            gens = jordan_wigner(n)
+            for rep in find_minimizers(gens, range(1, K + 1), alpha, budget=700, seed=3):
+                dense = entropy_average(from_gvector(rep.argmin_g, gens), gens, rep.K, alpha)
+                assert abs(rep.numeric_min - dense) <= 1e-14, (n, rep.K)
 
     def test_cross_check_counts_against_budget(self, monkeypatch):
         # 5 x 2000 x 64 x 16 bytes = 9.8 MiB of state vectors at n = 6 is over
-        # a 4 MiB budget, which the ball search and the dense state fit
+        # a 4 MiB budget, which the ball search fits
         forbid_draws(monkeypatch)
         monkeypatch.setattr(uncertainty, "MEMORY_BUDGET", 2**22)
         with pytest.raises(CapacityError, match="pure-state cross-check"):
@@ -671,11 +690,11 @@ class TestSharedStreams:
 
     def test_cli_refuses_over_budget(self, monkeypatch, capsys):
         forbid_draws(monkeypatch)
-        assert main(["minimize", "--n", "14", "--K", "3", "--samples", "2000"]) == 1
+        assert main(["minimize", "--n", "15", "--K", "3", "--samples", "2000"]) == 1
         assert "memory budget" in capsys.readouterr().err
 
     def test_n10_is_certified(self):
-        # the cross-check's 2000 vectors take 32 MiB, the dense state 16 MiB
+        # the cross-check's 2000 vectors take 32 MiB
         rep = find_minimizer(jordan_wigner(10), 3, 2, 2000, 1)
         assert abs(rep.gap) <= OPTIMIZATION
         assert abs(rep.cross_check_min - rep.closed_form_bound) <= OPTIMIZATION

@@ -430,9 +430,11 @@ def cmd_sweep(cfg: dict):
     rows = [{"K": report.K, "alpha": _order_label(cfg["alpha"]),
              "closed_form": report.closed_form_bound, "numeric_min": report.numeric_min,
              "gap": report.gap} for report in reports]
-    worst_violation = max([0.0] + [-r.gap for r in reports if r.gap is not None])
+    gaps = [r.gap for r in reports if r.gap is not None]
     code = int(any(_off_bound(report, cfg["tol_opt"]) for report in reports))
-    return code, rows, {"max_bound_violation": worst_violation}
+    # the exit code reads |gap| on both sides; the violation is the side below the bound
+    return code, rows, {"max_bound_violation": max([0.0] + [-gap for gap in gaps]),
+                        "max_abs_gap": max([0.0] + [abs(gap) for gap in gaps])}
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,15 @@ the exact minimum, the closed form:
     alpha = inf : min = 1 - log2(1 + 1/sqrt(K))  (the same: -log2((1 + sqrt t)/2)
                   decreases and is convex in t, so Jensen applies)
 
-The floor decreases in r, so the ball search skips the points inside a
-radius cut that falls with the running best (``_best_in_ball``); general
-orders have no floor, and their search scores every point.  All entropies
-are in bits.
+The floor decreases in r, so the ball search visits its points in
+decreasing radius and stops at a radius cut that rises as the running best
+falls (``_best_in_ball``); general orders have no floor, and their search
+scores every point.  All entropies are in bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Callable
@@ -59,11 +60,7 @@ _BALL_CHUNK = 8192
 # this: far above the ~1e-15 between the floor at the row's radius and the
 # value of its built point, whose norm and entropy terms carry rounding.
 _FLOOR_SLACK = 1e-9
-# The radius cut takes the floor on this many radii of [0, 1], and the search
-# compares the uniform draws with it at most this many chunks ahead (a 64 KiB
-# mask at most).
-_CUT_RADII = 1025
-_CUT_CHUNKS = 8
+_CUT_RADII = 1025  # the radius cut takes the floor on this many radii of [0, 1]
 
 
 def _check_order(alpha) -> float:
@@ -331,53 +328,41 @@ def _best_row(d: np.ndarray, radii: np.ndarray, order: _Order) -> tuple[np.ndarr
 
 
 def _radius_cut(order: _Order, K: int, best_val: float) -> float:
-    """A ``uniform`` value at or below which every row's floor exceeds ``best_val + _FLOOR_SLACK``.
+    """A radius at or below which every row's floor exceeds ``best_val + _FLOOR_SLACK``.
 
     The floor is taken on ``_CUT_RADII`` radii of [0, 1].  It decreases in
     the radius, so the radii whose floor lies above ``best_val + 2
-    _FLOOR_SLACK`` come first, and every radius below the last of them,
-    ``r``, has its floor above that too, up to rounding far below
-    ``_FLOOR_SLACK``.  A row's radius is ``uniform**(1/K)``, so the cut is
-    ``r**K``, lowered by a relative 1e-9 that covers the rounding of both
-    powers.  Returns -1, which cuts nothing, when no radius qualifies or the
-    order has no floor.
+    _FLOOR_SLACK`` come first, and every radius at or below the last of
+    them has its floor above ``best_val + _FLOOR_SLACK``: the floor's
+    rounding lies far below ``_FLOOR_SLACK``.  Returns -1, which cuts
+    nothing, when no radius qualifies or the order has no floor.
     """
     if order.floor is None:
         return -1.0
     r = np.linspace(0.0, 1.0, _CUT_RADII)
     above = int(np.count_nonzero(order.floor(r, K) > best_val + 2.0 * _FLOOR_SLACK))
-    return float(r[above - 1] ** K * (1.0 - 1e-9)) if above else -1.0
+    return float(r[above - 1]) if above else -1.0
 
 
-def _best_in_ball(dirs: np.ndarray, uniform: np.ndarray, order: _Order) -> np.ndarray:
-    """The best of the points ``dirs_i uniform_i**(1/K) / |dirs_i|``, first on ties.
+def _best_in_ball(dirs, log_u: np.ndarray, K: int, order: _Order) -> np.ndarray:
+    """The best of the points ``d_i exp(log_u_i / K) / |d_i|``, first on ties.
 
-    The rows are scored ``_BALL_CHUNK`` at a time, in order, and each time
-    the best value improves the radius cut (:func:`_radius_cut`) is taken
-    again from it, so the cut falls with the running best.  No row at or
-    below the cut can hold the best point.  While there is no cut (at the
-    start, and always for an order without a floor) the next chunk is read
-    as it lies; once there is one, the next ``_BALL_CHUNK`` rows whose
-    ``uniform`` lies above it are gathered, from at most ``_CUT_CHUNKS``
-    chunks ahead, so no mask or index array grows with the budget.  Every
-    row is built and scored with the same arithmetic as on the whole array,
-    so the result keeps its bits and does not depend on the chunk size.
+    ``dirs(start, stop)`` returns the rows ``d_start .. d_(stop-1)``; ``log_u``
+    does not increase, so the radii fall.  The rows are scored ``_BALL_CHUNK``
+    at a time, and each time the best value improves the radius cut
+    (:func:`_radius_cut`) is taken again from it.  The search stops before
+    the first chunk whose first radius is at or below the cut, where no row
+    can hold the best point, and never asks ``dirs`` for those rows; with no
+    floor there is no cut.  Each row is scored with the same arithmetic
+    whichever rows come with it, so the result is the whole array's best,
+    bit for bit, whatever the chunk size.
     """
-    budget, K = dirs.shape
     best, best_val, cut = None, math.inf, -1.0
-    start = 0
-    while start < budget:
-        if cut < 0.0:
-            rows = slice(start, start + _BALL_CHUNK)
-            start += _BALL_CHUNK
-        else:
-            block = _CUT_CHUNKS * _BALL_CHUNK
-            above = np.flatnonzero(uniform[start:start + block] > cut)[:_BALL_CHUNK]
-            rows = start + above
-            start = int(rows[-1]) + 1 if above.size == _BALL_CHUNK else start + block
-            if not above.size:
-                continue
-        point, val = _best_row(dirs[rows], uniform[rows] ** (1.0 / K), order)
+    for start in range(0, log_u.size, _BALL_CHUNK):
+        radii = np.exp(log_u[start:start + _BALL_CHUNK] / K)
+        if radii[0] <= cut:
+            break
+        point, val = _best_row(dirs(start, start + radii.size), radii, order)
         if val < best_val:
             best, best_val = point, val
             cut = _radius_cut(order, K, best_val)
@@ -387,16 +372,31 @@ def _best_in_ball(dirs: np.ndarray, uniform: np.ndarray, order: _Order) -> np.nd
 def _ball_bests(seed_dirs, seed_radii, ks, budget: int, order: _Order) -> dict[int, np.ndarray]:
     """The best point of the unit-ball search (:func:`_best_in_ball`) for each distinct K of ``ks``.
 
-    Each K's directions are ``default_rng(seed_dirs).standard_normal((budget,
-    K))``, the first ``budget*K`` normals of one stream, so the stream is
-    drawn once, ``budget * max(ks)`` normals, and each K reads a view of it.
-    Every K shares the ``budget`` uniforms of ``default_rng(seed_radii)``.
-    So each K sees the points a search of its own would draw, and both
-    draws are freed on return.
+    The ``budget`` exponentials of ``default_rng(seed_radii)``, divided by
+    ``budget, budget - 1, ..., 1`` and summed, are minus the logarithms of
+    ``budget`` iid uniforms in decreasing order (Renyi's representation of
+    order statistics); every K shares them, and row i's radius for K is
+    ``exp(log_u_i / K)``.  K's directions are the first ``budget*K`` normals
+    of ``default_rng(seed_dirs)``, as ``(budget, K)`` rows, drawn into one
+    ``budget * max(ks)`` buffer only as far as some K reads: one stream, so
+    each K sees the points a search of its own would draw, and unread pages
+    of the buffer are never touched.  Both draws are freed on return.
     """
-    dirs = np.random.default_rng(seed_dirs).standard_normal(budget * max(ks))
-    uniform = np.random.default_rng(seed_radii).random(budget)
-    return {K: _best_in_ball(dirs[:budget * K].reshape(budget, K), uniform, order) for K in set(ks)}
+    log_u = np.random.default_rng(seed_radii).standard_exponential(budget)
+    for start in range(0, budget, _BALL_CHUNK):
+        stop = min(start + _BALL_CHUNK, budget)
+        log_u[start:stop] /= np.arange(budget - start, budget - stop, -1)
+    np.negative(np.cumsum(log_u, out=log_u), out=log_u)
+    stream, rng, drawn = np.empty(budget * max(ks)), np.random.default_rng(seed_dirs), 0
+
+    def rows(K, start, stop):
+        nonlocal drawn
+        if stop * K > drawn:
+            rng.standard_normal(out=stream[drawn:stop * K])
+            drawn = stop * K
+        return stream[start * K:stop * K].reshape(-1, K)
+
+    return {K: _best_in_ball(functools.partial(rows, K), log_u, K, order) for K in set(ks)}
 
 
 @dataclass(frozen=True)
@@ -444,8 +444,8 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
     measured on the minimizing state, realized as a mixture of two state
     vectors (:func:`states.realize`), with the cross-check's kernel.
 
-    The ball is searched in chunks of ``_BALL_CHUNK`` points, pruned by a
-    radius cut without changing the result's bits (:func:`_best_in_ball`).
+    The ball's points are scored in decreasing radius, ``_BALL_CHUNK`` at a
+    time, up to a radius cut that keeps the result's bits (:func:`_best_in_ball`).
     This is the one-K case of :func:`find_minimizers`.
     """
     return find_minimizers(gens, [K], alpha, budget, seed)[0]
@@ -454,10 +454,10 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
 def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> list[EntropyReport]:
     """:func:`find_minimizer` for each K in ``ks``, each random stream drawn once.
 
-    The ball directions of every K are views of one stream of
-    ``budget * max(ks)`` normals, and every K shares one draw of ``budget``
-    uniform radii from a stream of its own, so each K sees the points a
-    search of its own would draw (:func:`_ball_bests`).  Both draws are
+    The ball directions of every K are read from one stream of normals,
+    drawn only as far as some K's search reaches, and every K shares one
+    draw of ``budget`` radii in decreasing order from a stream of its own,
+    so each K sees the points a search of its own would draw (:func:`_ball_bests`).  Both draws are
     freed before the cross-check's pure-state vectors are drawn; those are
     measured once on their state vectors, O(K d) each with no ``(count, d,
     d)`` array, keeping only their ``2n+1`` expectations, which each K

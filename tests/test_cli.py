@@ -291,6 +291,16 @@ class TestExitCheck:
         assert gap > 0.0
         assert main(argv + ["--tol-opt", repr(gap / 2)]) == 1
 
+    def test_failed_sweep_reports_its_largest_gap(self, capsys):
+        # rows above the bound fail at a zero tolerance; the residual names the gap
+        argv = ["sweep", "--n", "2", "--k-min", "1", "--k-max", "5", "--alpha", "2",
+                "--samples", "2000", "--seed", "3", "--tol-opt", "0"]
+        code, doc = run_json(capsys, argv)
+        residuals = doc["residuals"]
+        assert residuals["max_abs_gap"] == max(abs(row["gap"]) for row in doc["results"])
+        assert code == int(residuals["max_abs_gap"] > 0.0) == 1
+        assert "max_bound_violation" in residuals
+
     def test_alpha_inf_is_two_sided(self, monkeypatch):
         shift_gaps(monkeypatch, 2.0 * OPTIMIZATION)
         assert main(["minimize", "--n", "2", "--K", "4", "--alpha", "inf",

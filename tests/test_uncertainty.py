@@ -352,20 +352,26 @@ class TestInputValidation:
             entropy_of_expectations(np.array([[0.3, 0.1], [0.2, bad]]), alpha)
 
 
+def decreasing_log_uniforms(rng, budget):
+    """The logarithms of ``budget`` iid uniforms in decreasing order, by Renyi's representation."""
+    return -np.cumsum(rng.standard_exponential(budget) / np.arange(budget, 0, -1))
+
+
 def whole_array_ball_best(seed_dirs, seed_radii, K, budget, alpha):
     """The unit-ball search on the whole ``budget x K`` array, kept as the oracle."""
     dirs = np.random.default_rng(seed_dirs).standard_normal((budget, K))
     norms = np.linalg.norm(dirs, axis=1)
     norms[norms == 0.0] = 1.0
-    radii = np.random.default_rng(seed_radii).random(budget) ** (1.0 / K)
+    radii = np.exp(decreasing_log_uniforms(np.random.default_rng(seed_radii), budget) / K)
     ball = dirs * (radii / norms)[:, None]
     return ball[int(np.argmin(entropy_of_expectations(ball, alpha).mean(axis=-1)))]
 
 
 def ball_draws(seed, budget, K):
-    """Directions and uniform radius draws for the unit-ball search."""
+    """Directions, as ``_best_in_ball`` reads them, and decreasing log-uniform radius draws."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((budget, K)), rng.random(budget)
+    dirs = rng.standard_normal((budget, K))
+    return (lambda start, stop: dirs[start:stop]), decreasing_log_uniforms(rng, budget)
 
 
 ORDERS = [1, 2, math.inf, 3.0]
@@ -401,7 +407,7 @@ class TestChunkedBallSearch:
     @pytest.mark.parametrize("alpha, pruned", [(1, True), (2, True), (math.inf, True), (3.0, False)])
     def test_floor_prunes_rows_it_rules_out(self, alpha, pruned):
         budget, K = 20 * uncertainty._BALL_CHUNK, 7
-        dirs, uniform = ball_draws(3, budget, K)
+        dirs, log_u = ball_draws(3, budget, K)
         order = uncertainty._order(alpha)
         scored = []
 
@@ -409,8 +415,8 @@ class TestChunkedBallSearch:
             scored.append(len(g))
             return order.term(g)
 
-        got = uncertainty._best_in_ball(dirs, uniform, order._replace(term=counted))
-        assert got.tobytes() == uncertainty._best_in_ball(dirs, uniform, order).tobytes()
+        got = uncertainty._best_in_ball(dirs, log_u, K, order._replace(term=counted))
+        assert got.tobytes() == uncertainty._best_in_ball(dirs, log_u, K, order).tobytes()
         # a general order has no floor, so its search scores every row
         assert sum(scored) < budget / 2 if pruned else sum(scored) == budget
 
@@ -487,14 +493,13 @@ class TestRadiusFloor:
             assert floor[0] == 1.0 and np.all(np.diff(floor) <= 0.0)
 
 
-def per_chunk_best_in_ball(dirs, uniform, order):
+def per_chunk_best_in_ball(dirs, log_u, K, order):
     """The search that tests every row's radius floor, chunk by chunk, kept as the oracle."""
-    budget, K = dirs.shape
     chunk = uncertainty._BALL_CHUNK
     best = best_val = None
-    for start in range(0, budget, chunk):
-        d = dirs[start:start + chunk]
-        radii = uniform[start:start + chunk] ** (1.0 / K)
+    for start in range(0, log_u.size, chunk):
+        d = dirs(start, start + chunk)
+        radii = np.exp(log_u[start:start + chunk] / K)
         if best is not None and order.floor is not None:
             keep = order.floor(radii, K) <= best_val + uncertainty._FLOOR_SLACK
             if not keep.any():
@@ -517,10 +522,10 @@ class TestRadiusCut:
     @pytest.mark.parametrize("K", [1, 2, 7, 8, 13])
     def test_equals_per_chunk_search(self, K, alpha):
         budget = 20 * uncertainty._BALL_CHUNK + 123
-        dirs, uniform = ball_draws(11, budget, K)
+        dirs, log_u = ball_draws(11, budget, K)
         order = uncertainty._order(alpha)
-        got = uncertainty._best_in_ball(dirs, uniform, order)
-        assert got.tobytes() == per_chunk_best_in_ball(dirs, uniform, order).tobytes()
+        got = uncertainty._best_in_ball(dirs, log_u, K, order)
+        assert got.tobytes() == per_chunk_best_in_ball(dirs, log_u, K, order).tobytes()
 
     @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
     def test_floor_reads_few_rows(self, alpha):
@@ -528,15 +533,15 @@ class TestRadiusCut:
         order = uncertainty._order(alpha)
         grid = np.linspace(0.0, 1.0, uncertainty._CUT_RADII)
         for K in (7, 13):
-            dirs, uniform = ball_draws(3, budget, K)
+            dirs, log_u = ball_draws(3, budget, K)
             seen = []
 
             def counted(r, K):
                 seen.append(np.copy(r))
                 return order.floor(r, K)
 
-            got = uncertainty._best_in_ball(dirs, uniform, order._replace(floor=counted))
-            assert got.tobytes() == uncertainty._best_in_ball(dirs, uniform, order).tobytes()
+            got = uncertainty._best_in_ball(dirs, log_u, K, order._replace(floor=counted))
+            assert got.tobytes() == uncertainty._best_in_ball(dirs, log_u, K, order).tobytes()
             # the floor is read only by the cut, on its grid, never row by row
             assert seen and all(np.array_equal(r, grid) for r in seen)
             assert sum(r.size for r in seen) < budget / 4
@@ -560,10 +565,70 @@ class TestRadiusCut:
             cut = uncertainty._radius_cut(order, K, best)
             planted = [cut, np.nextafter(cut, -1.0), np.nextafter(cut, 2.0),
                        cut * (1.0 - 1e-12), cut * (1.0 + 1e-12), cut / (1.0 - 1e-9)]
-            uniform = np.clip(np.concatenate([rng.random(200), planted]), 0.0, 1.0)
-            dropped = uniform[uniform <= cut]
-            radii = dropped ** (1.0 / K)
-            assert np.all(order.floor(radii, K) > best + uncertainty._FLOOR_SLACK)
+            radii = np.clip(np.concatenate([rng.random(200), planted]), 0.0, 1.0)
+            dropped = radii[radii <= cut]
+            assert np.all(order.floor(dropped, K) > best + uncertainty._FLOOR_SLACK)
+
+
+def count_normals(monkeypatch):
+    """Wrap ``np.random.default_rng`` so that each ``standard_normal`` call records its count."""
+    filled = []
+    make = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self._rng = make(seed)
+
+        def standard_normal(self, size=None, out=None):
+            filled.append(out.size if out is not None else int(np.prod(size)))
+            return self._rng.standard_normal(size, out=out)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    return filled
+
+
+class TestOutsideIn:
+    """Rows in decreasing radius: the search stops at the cut and draws no direction past it."""
+
+    @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
+    def test_floor_orders_draw_few_directions(self, monkeypatch, alpha):
+        monkeypatch.setattr(uncertainty, "_BALL_CHUNK", 8192)
+        budget, K = 400000, 7
+        seed_dirs, _, seed_radii = np.random.SeedSequence(1).spawn(3)
+        filled = count_normals(monkeypatch)
+        order = uncertainty._order(alpha)
+        best = uncertainty._ball_bests(seed_dirs, seed_radii, [K], budget, order)
+        assert best[K].shape == (K,)
+        assert 0 < sum(filled) < budget * K / 4
+
+    def test_general_order_draws_the_whole_stream_once(self, monkeypatch):
+        budget, ks = 3 * uncertainty._BALL_CHUNK + 5, [7, 1, 3, 3]
+        filled = count_normals(monkeypatch)
+        uncertainty._ball_bests(*np.random.SeedSequence(2).spawn(2), ks, budget,
+                                uncertainty._order(3.0))
+        assert sum(filled) == budget * max(ks)
+
+    def test_radii_are_decreasing_uniforms(self, monkeypatch):
+        budget, seen = 20000, []
+        best_in_ball = uncertainty._best_in_ball
+
+        def recorded(dirs, log_u, K, order):
+            seen.append(log_u.copy())
+            return best_in_ball(dirs, log_u, K, order)
+
+        monkeypatch.setattr(uncertainty, "_best_in_ball", recorded)
+        uncertainty._ball_bests(*np.random.SeedSequence(6).spawn(2), [1], budget,
+                                uncertainty._order(3.0))
+        [log_u] = seen
+        u = np.exp(log_u)
+        assert np.all(np.diff(u) <= 0.0)
+        # Kolmogorov-Smirnov distance to U(0, 1), below its 5 % critical value
+        rising, i = u[::-1], np.arange(1, budget + 1)
+        distance = max(np.max(i / budget - rising), np.max(rising - (i - 1) / budget))
+        assert distance < 1.36 / math.sqrt(budget)
 
 
 def where_xlog2x(p):

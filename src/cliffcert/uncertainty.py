@@ -5,14 +5,15 @@ two-outcome distribution ((1+g)/2, (1-g)/2), so the average Renyi entropy
 over the first K observables depends on the state only through its
 expectation vector.  Combined with the unit-ball characterization of
 admissible vectors this turns state-space minimization into a K-dimensional
-ball search.  Each order's formulas (the two-outcome entropy and its slope,
-the n-outcome entropy, the radius floor) are one record that ``_order``
-picks, the one place that branches on the order.  The floor is the least
-K-average on the sphere of radius r: at a vertex, 1 + (H(r) - 1)/K, for the
-Shannon term, which is concave in t = g**2, and by Jensen at the equal
-spread, H(r/sqrt(K)), for the collision and min-entropy terms, which are
-convex in t.  A state realizes either point at r = 1, so the floor there is
-the exact minimum, the closed form:
+ball search.  Each order's formulas (the two-outcome entropy, its first
+two derivatives in the squared bias t = g**2, the n-outcome entropy, the
+radius floor) are one record that ``_order`` picks, the one place that
+branches on the order.  The floor is the least K-average on the sphere of
+radius r: at a vertex, 1 + (H(r) - 1)/K, for the Shannon term, which is
+concave in t, and by Jensen at the equal spread, H(r/sqrt(K)), for the
+collision and min-entropy terms, which are convex in t.  A state realizes
+either point at r = 1, so the floor there is the exact minimum, the closed
+form:
 
     alpha = 1   : min = 1 - 1/K                (one expectation at +-1)
     alpha = 2   : min = 1 - log2(1 + 1/K)      (all expectations at 1/sqrt(K))
@@ -22,7 +23,10 @@ the exact minimum, the closed form:
 The floor decreases in r, so the ball search visits its points in
 decreasing radius and stops at a radius cut that rises as the running best
 falls (``_best_in_ball``); general orders have no floor, and their search
-scores every point.  All entropies are in bits.
+scores every point.  Every term decreases in |g|, so every minimum lies on
+the sphere: the best point, and the cross-check's start, are refined by a
+projected Newton descent in t on the face sum t_j = 1, stopped by its KKT
+residual (``_projected_descent``).  All entropies are in bits.
 """
 
 from __future__ import annotations
@@ -61,6 +65,13 @@ _BALL_CHUNK = 8192
 # value of its built point, whose norm and entropy terms carry rounding.
 _FLOOR_SLACK = 1e-9
 _CUT_RADII = 1025  # the radius cut takes the floor on this many radii of [0, 1]
+# The descent stops converged at this KKT residual, or at this one when no step
+# lowers the objective: that moves as the residual squared, so below about
+# sqrt(eps) rounding hides it.  Its line search takes a rise of the objective
+# f of at most _ROUNDING |f| for rounding.
+_KKT_TOL = 1e-12
+_STALL_TOL = 1.5e-8
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 def _check_order(alpha) -> float:
@@ -79,15 +90,17 @@ def _xlog2x(p: np.ndarray) -> np.ndarray:
 
 class _Order(NamedTuple):
     """One Renyi order's formulas: ``term(g)``, the two-outcome entropy at
-    expectation ``g``, and ``slope(g)``, its derivative; ``entropy(p)`` of a
-    normalized probability vector; ``floor(r, K)``, the least K-average over
-    the sphere of radius ``r`` (vectorized in ``r`` and decreasing in it).
-    At r = 1 the floor is attained by a state, so it is the closed form of
-    the K-average minimum, an exact minimum.  ``floor`` is ``None`` for a
-    general order."""
+    expectation ``g``; ``d1(t)`` and ``d2(t)``, the first and second
+    derivatives of ``phi(t) = term(sqrt(t))`` in the squared bias ``t``;
+    ``entropy(p)`` of a normalized probability vector; ``floor(r, K)``, the
+    least K-average over the sphere of radius ``r`` (vectorized in ``r`` and
+    decreasing in it).  At r = 1 the floor is attained by a state, so it is
+    the closed form of the K-average minimum, an exact minimum.  ``floor``
+    is ``None`` for a general order."""
 
     term: Callable[[np.ndarray], np.ndarray]
-    slope: Callable[[np.ndarray], np.ndarray]
+    d1: Callable[[np.ndarray], np.ndarray]
+    d2: Callable[[np.ndarray], np.ndarray]
     entropy: Callable[[np.ndarray], float]
     floor: Callable[[np.ndarray, int], np.ndarray] | None = None
 
@@ -104,18 +117,20 @@ def _spread_floor(term):
     return lambda r, K: term(r / math.sqrt(K))
 
 
-def _clipped(term, slope, entropy, floor=None) -> _Order:
-    """``term`` taken on ``g`` clipped to [-1, 1], ``slope`` 1e-12 inside it, where it is
-    finite; ``floor``, if given, builds the floor from the clipped ``term``."""
+def _clipped(term, d1, d2, entropy, floor=None) -> _Order:
+    """``term`` taken on ``g`` clipped to [-1, 1]; ``d1`` and ``d2`` on ``t``
+    clipped 1e-12 inside [0, 1], where both are finite for every order (the
+    min-entropy's slope tends to -inf at t = 0, Shannon's at t = 1); ``floor``,
+    if given, builds the floor from the clipped ``term``."""
     # np.minimum(np.maximum(...)) is np.clip's arithmetic, bit for bit, without
     # the cost of its Python wrapper on the descents' short vectors.
     def clipped(g):
         return term(np.minimum(np.maximum(g, -1.0), 1.0))
 
-    def clipped_slope(g):
-        return slope(np.minimum(np.maximum(g, -1.0 + 1e-12), 1.0 - 1e-12))
+    def inside(derivative):
+        return lambda t: derivative(np.minimum(np.maximum(t, 1e-12), 1.0 - 1e-12))
 
-    return _Order(clipped, clipped_slope, entropy, floor and floor(clipped))
+    return _Order(clipped, inside(d1), inside(d2), entropy, floor and floor(clipped))
 
 
 def _power(a: float) -> _Order:
@@ -126,7 +141,13 @@ def _power(a: float) -> _Order:
     summed over ``p_i > 0``.  No power sum underflows at a large order, and
     nothing cancels as ``a -> 1``, where the form tends to Shannon's.  Two
     outcomes have ``q = (1 - |g|)/2``, ``m = 1 - q`` and one term, at
-    ``r = q/m``."""
+    ``r = q/m``.  In ``t = b**2``, with ``L = ln r = -2 artanh(b)``,
+
+        phi'(t) = (a/c) expm1(c L) / (2 b ln2 (1 + b) (1 + r**a)),   c = a - 1,
+
+    and ``phi''`` is ``phi'`` times its logarithmic derivative in ``b``,
+    over ``2 b``.  Neither cancels in ``c``; at ``c L -> -inf`` both are the
+    min-entropy's, bit for bit."""
     c = a - 1.0
 
     def term(g):
@@ -151,12 +172,23 @@ def _power(a: float) -> _Order:
         e -= q
         return e
 
-    def slope(g):
-        b = np.abs(g)
-        s = 1.0 + b
-        r = (1.0 - b) / s
-        # a / c first: c * _LN2 * s would overflow to inf at an order near the float maximum
-        return np.sign(g) * (a / c) * np.expm1(c * np.log(r)) / (_LN2 * s * (1.0 + r**a))
+    def d1(t):
+        b = np.sqrt(t)
+        ln_r = -2.0 * np.arctanh(b)
+        # a / c first: a - 1 near the float maximum would overflow a product with it
+        return (a / c) * np.expm1(c * ln_r) / (
+            2.0 * b * _LN2 * (1.0 + b) * (1.0 + np.exp(a * ln_r)))
+
+    def d2(t):
+        b = np.sqrt(t)
+        ln_r = -2.0 * np.arctanh(b)
+        dln_r = -2.0 / (1.0 - t)
+        cl = c * ln_r
+        r_a = np.exp(a * ln_r)
+        # a * r_a before dln_r: r_a is 0 wherever a is large enough to overflow a product
+        log_slope = (c * np.exp(cl) * dln_r / np.expm1(cl) - 1.0 / b - 1.0 / (1.0 + b)
+                     - a * r_a * dln_r / (1.0 + r_a))
+        return d1(t) * log_slope / (2.0 * b)
 
     def entropy(p):
         top = p.max()
@@ -169,22 +201,44 @@ def _power(a: float) -> _Order:
     # -inf, where expm1(-inf) = -1 is the right limit.  The warning is
     # silenced; no bit moves.
     if c > 1e305:
-        term, slope, entropy = (np.errstate(over="ignore")(f) for f in (term, slope, entropy))
-    return _clipped(term, slope, entropy)
+        term, d1, d2, entropy = (np.errstate(over="ignore")(f) for f in (term, d1, d2, entropy))
+    return _clipped(term, d1, d2, entropy)
+
+
+def _min_entropy_d1(t):
+    b = np.sqrt(t)
+    return -1.0 / (2.0 * b * _LN2 * (1.0 + b))
+
+
+def _min_entropy_d2(t):
+    b = np.sqrt(t)
+    return _min_entropy_d1(t) * (-1.0 / b - 1.0 / (1.0 + b)) / (2.0 * b)
+
+
+def _shannon_d1(t):
+    b = np.sqrt(t)
+    return (np.log(1.0 - b) - np.log(1.0 + b)) / (4.0 * _LN2 * b)
+
+
+def _shannon_d2(t):
+    b = np.sqrt(t)
+    return (np.log((1.0 + b) / (1.0 - b)) - 2.0 * b / (1.0 - t)) / (8.0 * _LN2 * t**1.5)
 
 
 # The orders with a floor, and so a closed form: min-entropy, Shannon and collision.
+# The min-entropy's derivatives are the general order's at c L = -inf, in its arithmetic.
 _MIN_ENTROPY = _clipped(
     lambda g: -np.log2((1.0 + np.abs(g)) / 2.0),
-    lambda g: -np.sign(g) / ((1.0 + np.abs(g)) * _LN2),
+    _min_entropy_d1, _min_entropy_d2,
     lambda p: float(-np.log2(p.max())), _spread_floor)
 _SHANNON = _clipped(
     lambda g: -(_xlog2x((1.0 + g) / 2.0) + _xlog2x((1.0 - g) / 2.0)),
-    lambda g: 0.5 * np.log2((1.0 - g) / (1.0 + g)),
+    _shannon_d1, _shannon_d2,
     lambda p: float(-np.sum(_xlog2x(p))), _vertex_floor)
 _COLLISION = _clipped(
     lambda g: -np.log2((1.0 + g * g) / 2.0),
-    lambda g: -2.0 * g / ((1.0 + g * g) * _LN2),
+    lambda t: -1.0 / ((1.0 + t) * _LN2),
+    lambda t: 1.0 / ((1.0 + t) ** 2 * _LN2),
     _power(2.0).entropy, _spread_floor)
 
 
@@ -272,30 +326,89 @@ def _ball_objective(g, order: _Order) -> np.ndarray:
     return np.add.reduce(t, axis=-1) / t.shape[-1]
 
 
-def _project_ball(g: np.ndarray) -> np.ndarray:
-    nrm = math.sqrt(g.dot(g))
-    return g / nrm if nrm > 1.0 else g
+def _face_point(a: np.ndarray, w) -> np.ndarray:
+    """The point ``s_j = max(0, a_j + mu w_j)`` of the face ``sum s_j = 1``, for ``w > 0``.
+
+    ``sum s`` is piecewise linear and nondecreasing in ``mu``, with
+    breakpoints ``-a_j/w_j``: taken in increasing order, the coordinates that
+    stay positive are a prefix, and ``mu`` follows exactly from the prefix
+    sums of ``a`` and ``w``.  With ``w = 1`` this is the Euclidean projection
+    of ``a`` onto the simplex; with ``a = t - phi'/phi''`` and ``w = 1/phi''``
+    it minimizes the separable quadratic model of the objective on the face.
+    """
+    w = np.broadcast_to(w, a.shape)
+    by_breakpoint = np.argsort(-a / w)
+    a_sorted, w_sorted = a[by_breakpoint], w[by_breakpoint]
+    mu = (1.0 - np.cumsum(a_sorted)) / np.cumsum(w_sorted)
+    k = np.flatnonzero(a_sorted + mu * w_sorted > 0.0)[-1]
+    s = np.maximum(a + mu[k] * w, 0.0)
+    return s / s.sum()  # the prefix sums leave sum(s) a few ulps off 1
 
 
-def _projected_descent(g0, order: _Order, max_iter: int = 1000) -> tuple[np.ndarray, float]:
-    """Projected gradient descent on the closed unit ball with backtracking."""
-    g = _project_ball(np.array(g0, dtype=float))
-    f = float(_ball_objective(g, order))
-    for _ in range(max_iter):
-        grad = order.slope(g) / g.size
+def _face_objective(t: np.ndarray, order: _Order) -> float:
+    return float(_ball_objective(np.sqrt(t), order))
+
+
+def _projected_descent(g0, order: _Order,
+                       max_iter: int = 1000) -> tuple[np.ndarray, float, int, bool]:
+    """Minimize the K-average from ``g0`` on the unit sphere: ``(g, f, steps, converged)``.
+
+    Every term decreases in ``|g_j|``, so every order's minimum over the ball
+    lies on the sphere, and the descent runs in ``t_j = g_j**2`` on the face
+    ``sum t_j = 1`` of the simplex, from ``t = g0**2/|g0|**2`` (which can only
+    lower the objective).  Where every ``phi''(t_j)`` is positive it takes
+    the projected Newton step to :func:`_face_point` of ``t - phi'/phi''``
+    (Bertsekas, SIAM J. Control Optim. 20, 221 (1982)), along the segment to
+    it; elsewhere the projected-gradient step ``P(t - step phi'/ptp(phi'))``,
+    whose full step moves ``t`` across the simplex whatever the scale of
+    ``phi'`` (which is of the order of alpha at small alpha).
+    Both backtrack from a full step by the Armijo rule on the true objective,
+    which forgives a rise of ``_ROUNDING |f|``: that is rounding, and near
+    the minimum it would otherwise refuse the last Newton steps.
+
+    The descent stops, converged, once the KKT residual ``|t - P(t - phi'/K)|``
+    is at most ``_KKT_TOL``, or when no step lowers the objective and the
+    residual is at most ``_STALL_TOL``: the objective moves as the residual
+    squared, so below that rounding hides every step.  It stops unconverged
+    when no step lowers the objective above that residual, or after
+    ``max_iter`` steps.  ``g`` is ``+-sqrt(t)`` with each sign taken from
+    ``g0`` (+ on zero), since every term is even in ``g``; ``f`` is the
+    objective there and ``steps`` the steps taken.
+    """
+    g0 = np.asarray(g0, dtype=float)
+    sign = np.where(g0 < 0.0, -1.0, 1.0)
+    t = g0 * g0
+    t /= t.sum()
+    f = _face_objective(t, order)
+    for steps in range(max_iter):
+        slope = order.d1(t)
+        grad = slope / t.size
+        residual = float(np.linalg.norm(t - _face_point(t - grad, 1.0)))
+        if residual <= _KKT_TOL:
+            return sign * np.sqrt(t), f, steps, True
+        curvature = order.d2(t)
+        newton = None
+        if np.all(curvature > 0.0):
+            w = 1.0 / curvature
+            newton = _face_point(t - slope * w, w)
+        else:
+            # the slopes differ, or the residual would be 0
+            scale = 1.0 / np.ptp(slope)
+        slack = _ROUNDING * abs(f)
         step = 1.0
-        moved = False
         while step > 1e-14:
-            cand = _project_ball(g - step * grad)
-            fc = float(_ball_objective(cand, order))
-            if fc < f and fc <= f - 1e-4 * float(np.dot(grad, g - cand)):
-                g, f = cand, fc
-                moved = True
+            if newton is None:
+                cand = _face_point(t - (step * scale) * slope, 1.0)
+            else:
+                cand = t + step * (newton - t)
+            fc = _face_objective(cand, order)
+            if fc <= f - 1e-4 * float(np.dot(grad, t - cand)) + slack:
+                t, f = cand, fc
                 break
             step *= 0.5
-        if not moved:
-            break
-    return g, f
+        else:
+            return sign * np.sqrt(t), f, steps, residual <= _STALL_TOL
+    return sign * np.sqrt(t), f, max_iter, False
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -414,6 +527,8 @@ class EntropyReport:
     seed: int
     gap: float | None
     cross_check_min: float
+    descent_steps: tuple[int, int]
+    converged: bool
 
     def to_dict(self) -> dict:
         return {
@@ -428,6 +543,8 @@ class EntropyReport:
             "seed": self.seed,
             "gap": self.gap,
             "cross_check_min": self.cross_check_min,
+            "descent_steps": list(self.descent_steps),
+            "converged": self.converged,
         }
 
 
@@ -436,13 +553,15 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
 
     Samples ``budget`` points of the K-dimensional expectation ball (every
     point of which is realized by a state, so the search loses nothing),
-    refines the best by projected gradient descent, and cross-checks
-    against the same refinement started from the best of a batch of
-    Haar-random pure states, each measured on its state vector in O(K d).
-    Any state serves as a start point, because the ball search already
-    covers every admissible expectation vector.  The reported minimum is
-    measured on the minimizing state, realized as a mixture of two state
-    vectors (:func:`states.realize`), with the cross-check's kernel.
+    refines the best by the projected Newton descent of
+    :func:`_projected_descent`, and cross-checks against the same refinement
+    started from the best of a batch of Haar-random pure states, each
+    measured on its state vector in O(K d).  Any state serves as a start
+    point, because the ball search already covers every admissible
+    expectation vector.  The reported minimum is measured on the minimizing
+    state, realized as a mixture of two state vectors (:func:`states.realize`),
+    with the cross-check's kernel.  ``descent_steps`` gives the steps of the
+    two descents, and ``converged`` is true when both converged.
 
     The ball's points are scored in decreasing radius, ``_BALL_CHUNK`` at a
     time, up to a radius cut that keeps the result's bits (:func:`_best_in_ball`).
@@ -493,9 +612,10 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
 
     reports = []
     for K in ks:
-        g_ball, _ = _projected_descent(best[K], order)
+        g_ball, _, ball_steps, ball_converged = _projected_descent(best[K], order)
         gs = state_gs[:, :K]
-        g_state, f_state = _projected_descent(gs[int(np.argmin(_ball_objective(gs, order)))], order)
+        _, f_state, state_steps, state_converged = _projected_descent(
+            gs[int(np.argmin(_ball_objective(gs, order)))], order)
 
         padded = np.zeros(size)
         padded[:K] = g_ball
@@ -517,7 +637,9 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
             samples=budget,
             seed=seed,
             gap=None if bound is None else numeric_min - bound,
-            cross_check_min=float(f_state),
+            cross_check_min=f_state,
+            descent_steps=(ball_steps, state_steps),
+            converged=ball_converged and state_converged,
         ))
     return reports
 
@@ -541,17 +663,13 @@ def bias_entropy(t) -> np.ndarray | float:
 
 def bias_entropy_d1(t) -> np.ndarray | float:
     """First derivative of :func:`bias_entropy` on (0, 1)."""
-    t = _squared_bias(t, interior=True)
-    b = np.sqrt(t)
-    val = (np.log(1.0 - b) - np.log(1.0 + b)) / (4.0 * _LN2 * b)
+    val = _shannon_d1(_squared_bias(t, interior=True))
     return float(val) if val.ndim == 0 else val
 
 
 def bias_entropy_d2(t) -> np.ndarray | float:
     """Second derivative of :func:`bias_entropy` on (0, 1); nonpositive."""
-    t = _squared_bias(t, interior=True)
-    b = np.sqrt(t)
-    val = (np.log((1.0 + b) / (1.0 - b)) - 2.0 * b / (1.0 - t)) / (8.0 * _LN2 * t**1.5)
+    val = _shannon_d2(_squared_bias(t, interior=True))
     return float(val) if val.ndim == 0 else val
 
 

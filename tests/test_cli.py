@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cliffcert import __version__, cli, jordan_wigner
+from cliffcert import __version__, cli, jordan_wigner, uncertainty
 from cliffcert.cli import main
 from cliffcert.errors import CapacityError
 from cliffcert.tolerances import OPTIMIZATION, PSD
@@ -260,10 +260,10 @@ class TestFlagValues:
         assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}")
 
 
-def shift_gaps(monkeypatch, shift):
-    """Move every minimizer report's gap by ``shift``, as the CLI sees it."""
+def shift_gaps(monkeypatch, shift, field="gap"):
+    """Move every minimizer report's ``field`` by ``shift``, as the CLI sees it."""
     def moved(report):
-        return dataclasses.replace(report, gap=report.gap + shift)
+        return dataclasses.replace(report, **{field: getattr(report, field) + shift})
 
     real_one, real_many = cli.find_minimizer, cli.find_minimizers
     monkeypatch.setattr(cli, "find_minimizer", lambda *args: moved(real_one(*args)))
@@ -305,6 +305,49 @@ class TestExitCheck:
         shift_gaps(monkeypatch, 2.0 * OPTIMIZATION)
         assert main(["minimize", "--n", "2", "--K", "4", "--alpha", "inf",
                      "--samples", "2000", "--seed", "3", "--format", "json"]) == 1
+
+
+MINIMIZE_N2 = ["minimize", "--n", "2", "--K", "5", "--alpha", "2", "--samples", "2000",
+               "--seed", "3"]
+SWEEP_N2 = ["sweep", "--n", "2", "--k-min", "1", "--k-max", "5", "--alpha", "2",
+            "--samples", "2000", "--seed", "3"]
+
+
+class TestDescentAndCrossCheck:
+    def test_reports_say_how_the_descents_ended(self, capsys):
+        code, doc = run_json(capsys, MINIMIZE_N2)
+        assert code == 0 and set(doc) == SCHEMA_KEYS
+        results, residuals = doc["results"], doc["residuals"]
+        assert results["converged"] is True and len(results["descent_steps"]) == 2
+        assert residuals["cross_check_gap"] == (
+            results["cross_check_min"] - results["closed_form_bound"])
+        code, doc = run_json(capsys, SWEEP_N2)
+        assert code == 0 and set(doc) == SCHEMA_KEYS
+        rows = doc["results"]
+        assert all(row["converged"] is True for row in rows)
+        assert doc["residuals"]["max_abs_cross_check_gap"] == max(
+            abs(row["cross_check_min"] - row["closed_form"]) for row in rows)
+
+    @pytest.mark.parametrize("argv", [MINIMIZE_N2, SWEEP_N2,
+                                      ["minimize", "--n", "2", "--K", "5", "--alpha", "3"]])
+    def test_a_descent_cut_at_max_iter_fails(self, monkeypatch, argv):
+        assert main(argv + ["--format", "json"]) == 0
+        real = uncertainty._projected_descent
+        monkeypatch.setattr(uncertainty, "_projected_descent",
+                            lambda g0, order: real(g0, order, max_iter=1))
+        assert main(argv + ["--format", "json"]) == 1
+
+    @pytest.mark.parametrize("argv", [MINIMIZE_N2, SWEEP_N2])
+    def test_cross_check_off_the_bound_fails(self, monkeypatch, capsys, argv):
+        shift_gaps(monkeypatch, 0.5 * OPTIMIZATION, "cross_check_min")
+        assert main(argv + ["--format", "json"]) == 0
+        capsys.readouterr()
+        shift_gaps(monkeypatch, -2.5 * OPTIMIZATION, "cross_check_min")  # -2 tol_opt in all
+        code, doc = run_json(capsys, argv)
+        assert code == 1
+        residuals = doc["residuals"]
+        gap = residuals["cross_check_gap" if argv[0] == "minimize" else "max_abs_cross_check_gap"]
+        assert abs(gap) > OPTIMIZATION
 
 
 class TestLargeOrder:

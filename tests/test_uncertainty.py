@@ -288,6 +288,77 @@ class TestMinimizer:
         assert np.all(jensen >= bound - 1e-12)
 
 
+def bisected_face_point(a, w):
+    """max(0, a + mu w) with mu bisected until sum = 1, kept as the oracle of _face_point."""
+    lo, hi = np.min((-a - 1.0) / w), np.max((1.0 - a) / w)
+    for _ in range(200):
+        mu = 0.5 * (lo + hi)
+        lo, hi = (mu, hi) if np.maximum(a + mu * w, 0.0).sum() < 1.0 else (lo, mu)
+    return np.maximum(a + mu * w, 0.0)
+
+
+class TestFaceDescent:
+    """The descent in t = g**2 on the face sum t_j = 1: Newton where phi'' > 0."""
+
+    def test_face_point_is_the_bisected_threshold(self):
+        rng = np.random.default_rng(8)
+        for K in list(range(1, 30)) * 3:
+            a = rng.normal(0.0, 0.5, K)
+            for w in (rng.uniform(0.01, 10.0, K), np.ones(K)):
+                s = uncertainty._face_point(a, w)
+                assert np.min(s) >= 0.0 and abs(s.sum() - 1.0) <= 1e-14
+                assert np.max(np.abs(s - bisected_face_point(a, w))) <= 1e-12
+        assert np.array_equal(uncertainty._face_point(a, 1.0), uncertainty._face_point(a, np.ones(K)))
+
+    @pytest.mark.parametrize("K", [23, 25])
+    def test_collision_reaches_the_floor_from_far_starts(self, K):
+        # the gradient loop in g stopped 7.1e-7 (K = 23) and 4.6e-6 (K = 25) above the
+        # floor from the ramp, and 3.4e-9 and 1.9e-5 from the normal draw
+        order = uncertainty._order(2)
+        bound = float(order.floor(1.0, K))
+        for g0 in (np.linspace(1.0, 0.01, K), np.random.default_rng(K).standard_normal(K)):
+            g, f, steps, converged = uncertainty._projected_descent(g0, order)
+            assert converged and steps < 10
+            assert abs(f - bound) <= 1e-12
+            assert f == float(uncertainty._ball_objective(g, order))
+            assert np.array_equal(np.sign(g), np.sign(g0)) and abs(g.dot(g) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [1.5, 3.0])
+    def test_general_orders_reach_the_minimum(self, alpha):
+        # at alpha = 1.5 the gradient loop in g left numeric_min 1.2e-7 and
+        # cross_check_min 2.3e-5 above the equal spread, the least of the two candidates
+        order = uncertainty._order(alpha)
+        least = min(float(order.term(np.array(1.0 / math.sqrt(13)))), 1.0 - 1.0 / 13)
+        rep = find_minimizer(jordan_wigner(6), 13, alpha, 20000, 1234)
+        assert rep.converged
+        assert abs(rep.numeric_min - least) <= 1e-12
+        assert abs(rep.cross_check_min - least) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1, 0.5, 1e-4])
+    def test_concave_orders_stop_at_a_vertex(self, alpha):
+        # the projection zeroes coordinates exactly, so the descent ends on a vertex; the
+        # gradient step is scaled by the spread of the slopes, which at alpha = 1e-4 are
+        # all about -7e-5 (a unit step took hundreds of steps there)
+        order = uncertainty._order(alpha)
+        g0 = np.random.default_rng(3).standard_normal(13)
+        g, f, steps, converged = uncertainty._projected_descent(g0, order)
+        assert converged and steps < 10
+        assert np.count_nonzero(g) == 1 and np.max(np.abs(g)) == 1.0
+        assert f == pytest.approx(1.0 - 1.0 / 13, abs=1e-15)
+
+    def test_descent_is_cut_at_max_iter(self):
+        g, f, steps, converged = uncertainty._projected_descent(
+            np.linspace(1.0, 0.01, 9), uncertainty._order(2), max_iter=1)
+        assert (steps, converged) == (1, False)
+
+    def test_report_says_how_each_descent_ended(self):
+        rep = find_minimizer(jordan_wigner(2), 5, 2, 2000, 3)
+        doc = rep.to_dict()
+        assert doc["converged"] is True
+        assert len(doc["descent_steps"]) == 2 and all(
+            isinstance(k, int) and 0 < k < 20 for k in doc["descent_steps"])
+
+
 # Library calls that take a Renyi order, for the order-validation tests.
 ORDER_CALLS = {
     "renyi_entropy": lambda a: renyi_entropy([0.5, 0.5], a),
@@ -784,21 +855,29 @@ def branch_term(g, alpha):
     return np.log1p(np.expm1(np.log2(r) * (c * ln2)) * q) / (-c * ln2) - np.log2(m)
 
 
-def branch_slope(g, alpha):
-    """The descent's per-term slope as one branching function computed it, kept as the oracle."""
-    g = np.clip(g, -1.0 + 1e-12, 1.0 - 1e-12)
+def branch_derivatives(t, alpha):
+    """phi' and phi'' of phi(t) = term(sqrt(t)) as one branching function computed them,
+    kept as the oracle; t is taken 1e-12 inside [0, 1]."""
+    t = np.clip(t, 1e-12, 1.0 - 1e-12)
+    b = np.sqrt(t)
+    ln2 = math.log(2.0)
     if math.isinf(alpha):
-        return -np.sign(g) / ((1.0 + np.abs(g)) * math.log(2.0))
+        d1 = -1.0 / (2.0 * b * ln2 * (1.0 + b))
+        return d1, d1 * (-1.0 / b - 1.0 / (1.0 + b)) / (2.0 * b)
     if abs(alpha - 1.0) < 1e-12:
-        return 0.5 * np.log2((1.0 - g) / (1.0 + g))
+        return ((np.log(1.0 - b) - np.log(1.0 + b)) / (4.0 * ln2 * b),
+                (np.log((1.0 + b) / (1.0 - b)) - 2.0 * b / (1.0 - t)) / (8.0 * ln2 * t**1.5))
     if alpha == 2.0:
-        return -2.0 * g / ((1.0 + g * g) * math.log(2.0))
+        return -1.0 / ((1.0 + t) * ln2), 1.0 / ((1.0 + t) ** 2 * ln2)
     a, c = alpha, alpha - 1.0
-    b = np.abs(g)
-    s = 1.0 + b
-    r = (1.0 - b) / s
+    ln_r = -2.0 * np.arctanh(b)
+    r_a = np.exp(a * ln_r)
+    dln_r = -2.0 / (1.0 - t)
     # a / c taken first, so that no factor overflows at an order near the float maximum
-    return np.sign(g) * (a / c) * np.expm1(c * np.log(r)) / (math.log(2.0) * s * (1.0 + r**a))
+    d1 = (a / c) * np.expm1(c * ln_r) / (2.0 * b * ln2 * (1.0 + b) * (1.0 + r_a))
+    log_slope = (c * np.exp(c * ln_r) * dln_r / np.expm1(c * ln_r) - 1.0 / b - 1.0 / (1.0 + b)
+                 - a * r_a * dln_r / (1.0 + r_a))
+    return d1, d1 * log_slope / (2.0 * b)
 
 
 TABLE_ORDERS = [1.0, 1.0 + 1e-13, 2.0, math.inf, 0.5, 1.5, 3.0]
@@ -811,14 +890,42 @@ class TestOrderTable:
         np.random.default_rng(12).uniform(-1.0, 1.0, 196),
     ])
 
+    T_GRID = np.concatenate([
+        [0.0, 1.0, 1e-12, 1.0 - 1e-12, 5e-13, 1.0 - 5e-13, 5e-324, 1e-300, 0.25, 0.5],
+        np.random.default_rng(13).uniform(0.0, 1.0, 190),
+    ])
+
     @pytest.mark.parametrize("alpha", TABLE_ORDERS)
     def test_term_and_slope_are_the_branch_formulas(self, alpha):
         order = uncertainty._order(alpha)
         for g in (self.GRID, self.GRID.reshape(-1, 7)):
             assert order.term(g).tobytes() == branch_term(g, alpha).tobytes()
-            assert order.slope(g).tobytes() == branch_slope(g, alpha).tobytes()
+        for t in (self.T_GRID, self.T_GRID.reshape(-1, 8)):
+            d1, d2 = branch_derivatives(t, alpha)
+            assert order.d1(t).tobytes() == d1.tobytes()
+            assert order.d2(t).tobytes() == d2.tobytes()
         assert entropy_of_expectations(self.GRID, alpha).tobytes() == (
             branch_term(self.GRID, alpha).tobytes())
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, math.inf, 0.01, 0.5, 1.5, 3.0, 10.0, 1e6])
+    def test_derivatives_are_central_differences(self, alpha):
+        # fourth-order differences of phi(t) = term(sqrt(t)) and of d1, on steps that keep
+        # truncation and rounding below 1e-7; at 1e6 phi bends on the scale t ~ 1/alpha**2
+        order = uncertainty._order(alpha)
+        t = np.linspace(0.02, 0.98, 49)
+        h = np.minimum(np.minimum(t / 3.0, 5e-4), np.maximum(1.5e-5, 0.01 * (1.0 - t)))
+
+        def diff(f):
+            return (-f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)) / (12 * h)
+
+        d1, d2 = order.d1(t), order.d2(t)
+        assert np.max(np.abs(d1 - diff(lambda s: order.term(np.sqrt(s)))) / np.abs(d1)) <= 1e-7
+        assert np.max(np.abs(d2 - diff(order.d1)) / np.maximum(np.abs(d2), 1e-3)) <= 1e-6
+
+    def test_shannon_derivatives_are_the_bias_entropy_ones(self):
+        t = self.T_GRID[(self.T_GRID >= 1e-12) & (self.T_GRID <= 1.0 - 1e-12)]
+        assert uncertainty._SHANNON.d1(t).tobytes() == bias_entropy_d1(t).tobytes()
+        assert uncertainty._SHANNON.d2(t).tobytes() == bias_entropy_d2(t).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0, 0.01, 10.0, 500.0])
     def test_general_term_is_the_direct_formula(self, alpha):
@@ -834,7 +941,7 @@ class TestOrderTable:
     @pytest.mark.parametrize("alpha", TABLE_ORDERS)
     def test_closed_form_exactly_for_one_two_and_inf(self, alpha):
         order = uncertainty._order(alpha)
-        assert uncertainty._Order._fields == ("term", "slope", "entropy", "floor")
+        assert uncertainty._Order._fields == ("term", "d1", "d2", "entropy", "floor")
         assert (order.floor is not None) == (alpha in (1.0, 1.0 + 1e-13, 2.0, math.inf))
         if order.floor is not None:
             assert closed_form_min(5, alpha) == float(order.floor(1.0, 5))
@@ -846,14 +953,18 @@ class TestOrderTable:
     @pytest.mark.parametrize("alpha", [1.0 - 1e-11, 1.0 + 1e-11])
     def test_general_order_near_one_is_shannon(self, alpha):
         # outside the Shannon window, where nothing may cancel: the exact distance from
-        # Shannon is about 3e-12 for the term and 1e-12 for the entropy, and 6.2e-11 for
-        # the slope at |g| <= 0.99 (1.5e-10 at 0.999), by mpmath
+        # Shannon is about 3e-12 for the term and 1e-12 for the entropy, and, by mpmath,
+        # 3.1e-11 for d1 at t <= 0.98 and 4.3e-11 for d2 on [1e-3, 0.8] (1.1e-10 at 0.9;
+        # below 1e-3 Shannon's d2 cancels, 1.6e-11 at 1e-4)
         order, shannon = uncertainty._order(alpha), uncertainty._order(1)
         assert order is not shannon
-        g = np.random.default_rng(4).uniform(-1.0, 1.0, 100000)
+        rng = np.random.default_rng(4)
+        g = rng.uniform(-1.0, 1.0, 100000)
         assert np.max(np.abs(order.term(g) - shannon.term(g))) <= 1e-10
-        g *= 0.99
-        assert np.max(np.abs(order.slope(g) - shannon.slope(g))) <= 1e-10
+        t = g * g * 0.98
+        assert np.max(np.abs(order.d1(t) - shannon.d1(t))) <= 1e-10
+        t = rng.uniform(1e-3, 0.8, 100000)
+        assert np.max(np.abs(order.d2(t) - shannon.d2(t))) <= 1e-10
         p = [0.5, 0.3, 0.2]
         assert abs(renyi_entropy(p, alpha) - renyi_entropy(p, 1)) <= 1e-10
 
@@ -862,14 +973,15 @@ class TestOrderTable:
         # (a - 1) ln r overflows to -inf here, which expm1 takes to the right -1
         order = uncertainty._order(alpha)
         g = np.array([1.0, -1.0, 0.7, 0.9, -0.9, 0.0])
+        t = np.array([1.0, 0.0, 0.49, 0.81, 0.5, 1e-6])
         p = np.array([1.0 - 1e-300, 1e-300])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = [order.term(g), order.slope(g), order.entropy(p)]
+            got = [order.term(g), order.d1(t), order.d2(t), order.entropy(p)]
             renyi_entropy(p, alpha)
         c = alpha - 1.0
         with np.errstate(over="ignore"):
-            want = [branch_term(g, alpha), branch_slope(g, alpha),
+            want = [branch_term(g, alpha), *branch_derivatives(t, alpha),
                     -(np.log2(p.max()) + np.log1p(np.sum(p * np.expm1(c * np.log(p / p.max()))))
                       / (c * math.log(2.0)))]
         assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
@@ -877,11 +989,13 @@ class TestOrderTable:
     @pytest.mark.parametrize("alpha", [1e307, 1.3e308, 1.7e308])
     def test_huge_order_slope_is_the_min_entropy_slope(self, alpha):
         # c ln2 (1 + |g|) overflowed to inf from about 1e308, which read the slope as 0
-        g = np.array([0.9, -0.9, -0.999, 0.5])
+        t = np.array([0.81, 0.81, 0.998001, 0.25, 0.0, 1.0])
+        order = uncertainty._order(alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = uncertainty._order(alpha).slope(g)
-        assert got.tobytes() == uncertainty._MIN_ENTROPY.slope(g).tobytes()
+            got = order.d1(t), order.d2(t)
+        assert got[0].tobytes() == uncertainty._MIN_ENTROPY.d1(t).tobytes()
+        assert got[1].tobytes() == uncertainty._MIN_ENTROPY.d2(t).tobytes()
 
     def test_near_one_is_shannon(self):
         assert uncertainty._order(1.0 + 1e-13) is uncertainty._order(1)

@@ -21,12 +21,13 @@ form:
                   decreases and is convex in t, so Jensen applies)
 
 The floor decreases in r, so the ball search visits its points in
-decreasing radius and stops at a radius cut that rises as the running best
-falls (``_best_in_ball``); general orders have no floor, and their search
-scores every point.  Every term decreases in |g|, so every minimum lies on
-the sphere: the best point, and the cross-check's start, are refined by a
-projected Newton descent in t on the face sum t_j = 1, stopped by its KKT
-residual (``_projected_descent``).  All entropies are in bits.
+decreasing radius and stops after the first chunk whose last radius has its
+floor above the running best (``_best_in_ball``); general orders have no
+floor, and their search scores every point.  Every term decreases in |g|, so
+every minimum lies on the sphere: the best point, and the cross-check's
+start, are refined by a projected Newton descent in t on the face
+sum t_j = 1, stopped by its KKT residual (``_projected_descent``).  All
+entropies are in bits.
 """
 
 from __future__ import annotations
@@ -60,11 +61,10 @@ _SHANNON_EPS = 1e-12  # alpha within this of 1 is treated as Shannon
 # Rows of the unit-ball search built and scored at once: the search's working
 # set beyond its draws is a few arrays of this many rows, whatever the budget.
 _BALL_CHUNK = 8192
-# The radius cut drops only rows whose floor lies above the running best plus
-# this: far above the ~1e-15 between the floor at the row's radius and the
-# value of its built point, whose norm and entropy terms carry rounding.
+# The search stops only where the floor lies above the running best plus this:
+# far above the ~1e-15 between the floor at a row's radius and the value of
+# its built point, whose norm and entropy terms carry rounding.
 _FLOOR_SLACK = 1e-9
-_CUT_RADII = 1025  # the radius cut takes the floor on this many radii of [0, 1]
 # The descent stops converged at this KKT residual, or at this one when no step
 # lowers the objective: that moves as the residual squared, so below about
 # sqrt(eps) rounding hides it.  Its line search takes a rise of the objective
@@ -440,76 +440,64 @@ def _best_row(d: np.ndarray, radii: np.ndarray, order: _Order) -> tuple[np.ndarr
     return points[i].copy(), vals[i]
 
 
-def _radius_cut(order: _Order, K: int, best_val: float) -> float:
-    """A radius at or below which every row's floor exceeds ``best_val + _FLOOR_SLACK``.
+def _best_in_ball(rows, budget: int, K: int, order: _Order) -> np.ndarray:
+    """The best of the ``budget`` points ``d_i exp(log_u_i / K) / |d_i|``, first on ties.
 
-    The floor is taken on ``_CUT_RADII`` radii of [0, 1].  It decreases in
-    the radius, so the radii whose floor lies above ``best_val + 2
-    _FLOOR_SLACK`` come first, and every radius at or below the last of
-    them has its floor above ``best_val + _FLOOR_SLACK``: the floor's
-    rounding lies far below ``_FLOOR_SLACK``.  Returns -1, which cuts
-    nothing, when no radius qualifies or the order has no floor.
+    ``rows(start, stop)`` returns the rows ``d_start .. d_(stop-1)`` and their
+    ``log_u``, which does not increase, so the radii fall.  The rows are
+    scored ``_BALL_CHUNK`` at a time, and after each chunk the floor is
+    taken once, at the chunk's last radius.  Every later row's radius is no
+    larger and the floor decreases in the radius, so once that floor lies
+    above the running best plus ``_FLOOR_SLACK`` no later row can win: the
+    search stops there and never asks ``rows`` for them.  With no floor it
+    scores every row.  Each row is scored with the same arithmetic whichever
+    rows come with it, so the result is the whole array's best, bit for bit,
+    whatever the chunk size.
     """
-    if order.floor is None:
-        return -1.0
-    r = np.linspace(0.0, 1.0, _CUT_RADII)
-    above = int(np.count_nonzero(order.floor(r, K) > best_val + 2.0 * _FLOOR_SLACK))
-    return float(r[above - 1]) if above else -1.0
-
-
-def _best_in_ball(dirs, log_u: np.ndarray, K: int, order: _Order) -> np.ndarray:
-    """The best of the points ``d_i exp(log_u_i / K) / |d_i|``, first on ties.
-
-    ``dirs(start, stop)`` returns the rows ``d_start .. d_(stop-1)``; ``log_u``
-    does not increase, so the radii fall.  The rows are scored ``_BALL_CHUNK``
-    at a time, and each time the best value improves the radius cut
-    (:func:`_radius_cut`) is taken again from it.  The search stops before
-    the first chunk whose first radius is at or below the cut, where no row
-    can hold the best point, and never asks ``dirs`` for those rows; with no
-    floor there is no cut.  Each row is scored with the same arithmetic
-    whichever rows come with it, so the result is the whole array's best,
-    bit for bit, whatever the chunk size.
-    """
-    best, best_val, cut = None, math.inf, -1.0
-    for start in range(0, log_u.size, _BALL_CHUNK):
-        radii = np.exp(log_u[start:start + _BALL_CHUNK] / K)
-        if radii[0] <= cut:
-            break
-        point, val = _best_row(dirs(start, start + radii.size), radii, order)
+    best, best_val = None, math.inf
+    for start in range(0, budget, _BALL_CHUNK):
+        d, log_u = rows(start, min(start + _BALL_CHUNK, budget))
+        radii = np.exp(log_u / K)
+        point, val = _best_row(d, radii, order)
         if val < best_val:
             best, best_val = point, val
-            cut = _radius_cut(order, K, best_val)
+        if order.floor is not None and order.floor(radii[-1], K) > best_val + _FLOOR_SLACK:
+            break
     return best
 
 
 def _ball_bests(seed_dirs, seed_radii, ks, budget: int, order: _Order) -> dict[int, np.ndarray]:
     """The best point of the unit-ball search (:func:`_best_in_ball`) for each distinct K of ``ks``.
 
-    The ``budget`` exponentials of ``default_rng(seed_radii)``, divided by
-    ``budget, budget - 1, ..., 1`` and summed, are minus the logarithms of
-    ``budget`` iid uniforms in decreasing order (Renyi's representation of
-    order statistics); every K shares them, and row i's radius for K is
-    ``exp(log_u_i / K)``.  K's directions are the first ``budget*K`` normals
-    of ``default_rng(seed_dirs)``, as ``(budget, K)`` rows, drawn into one
-    ``budget * max(ks)`` buffer only as far as some K reads: one stream, so
-    each K sees the points a search of its own would draw, and unread pages
-    of the buffer are never touched.  Both draws are freed on return.
+    Row i's radius for K is ``exp(log_u_i / K)``: ``-log_u`` is the running
+    sum of the exponentials of ``default_rng(seed_radii)``, the j-th divided
+    by ``budget - j``, so ``log_u`` holds the logarithms of ``budget`` iid
+    uniforms in decreasing order (Renyi's representation of order
+    statistics), shared by every K.  K's directions are the first
+    ``budget*K`` normals of ``default_rng(seed_dirs)``, as ``(budget, K)``
+    rows.  Each stream fills an empty buffer only as far as some K reads,
+    the sum carried from one draw into the next, so each K sees the points,
+    bit for bit, that a search of its own would draw, and unread pages are
+    never touched.  Both buffers are freed on return.
     """
-    log_u = np.random.default_rng(seed_radii).standard_exponential(budget)
-    for start in range(0, budget, _BALL_CHUNK):
-        stop = min(start + _BALL_CHUNK, budget)
-        log_u[start:stop] /= np.arange(budget - start, budget - stop, -1)
-    np.negative(np.cumsum(log_u, out=log_u), out=log_u)
     stream, rng, drawn = np.empty(budget * max(ks)), np.random.default_rng(seed_dirs), 0
+    log_u, exps, summed = np.empty(budget), np.random.default_rng(seed_radii), 0
 
     def rows(K, start, stop):
-        nonlocal drawn
+        nonlocal drawn, summed
         if stop * K > drawn:
             rng.standard_normal(out=stream[drawn:stop * K])
             drawn = stop * K
-        return stream[start * K:stop * K].reshape(-1, K)
+        if stop > summed:
+            new = exps.standard_exponential(out=log_u[summed:stop])
+            new /= np.arange(budget - summed, budget - stop, -1)
+            if summed:
+                new[0] -= log_u[summed - 1]  # adds the running sum, negated in log_u
+            np.negative(np.cumsum(new, out=new), out=new)
+            summed = stop
+        return stream[start * K:stop * K].reshape(-1, K), log_u[start:stop]
 
-    return {K: _best_in_ball(functools.partial(rows, K), log_u, K, order) for K in set(ks)}
+    return {K: _best_in_ball(functools.partial(rows, K), budget, K, order) for K in set(ks)}
 
 
 @dataclass(frozen=True)
@@ -564,8 +552,9 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
     two descents, and ``converged`` is true when both converged.
 
     The ball's points are scored in decreasing radius, ``_BALL_CHUNK`` at a
-    time, up to a radius cut that keeps the result's bits (:func:`_best_in_ball`).
-    This is the one-K case of :func:`find_minimizers`.
+    time, until the floor at a chunk's last radius rules out every later
+    point, which keeps the result's bits (:func:`_best_in_ball`).  This is
+    the one-K case of :func:`find_minimizers`.
     """
     return find_minimizers(gens, [K], alpha, budget, seed)[0]
 
@@ -573,10 +562,10 @@ def find_minimizer(gens: GeneratorSet, K: int, alpha, budget: int, seed: int) ->
 def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> list[EntropyReport]:
     """:func:`find_minimizer` for each K in ``ks``, each random stream drawn once.
 
-    The ball directions of every K are read from one stream of normals,
-    drawn only as far as some K's search reaches, and every K shares one
-    draw of ``budget`` radii in decreasing order from a stream of its own,
-    so each K sees the points a search of its own would draw (:func:`_ball_bests`).  Both draws are
+    The ball directions of every K are read from one stream of normals, and
+    every K shares one stream of ``budget`` radii in decreasing order, each
+    drawn only as far as some K's search reaches, so each K sees the points
+    a search of its own would draw (:func:`_ball_bests`).  Both draws are
     freed before the cross-check's pure-state vectors are drawn; those are
     measured once on their state vectors, O(K d) each with no ``(count, d,
     d)`` array, keeping only their ``2n+1`` expectations, which each K
@@ -589,7 +578,9 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
 
     Raises :class:`CapacityError`, before anything is drawn, when the ball
     search or the cross-check would hold more than ``MEMORY_BUDGET`` bytes
-    at once.  No d x d array is built.
+    at once.  The ball search is counted at its worst case, every direction
+    and radius drawn, since a general order reads every row.  No d x d array
+    is built.
     """
     size = 2 * gens.n + 1
     ks = [check_integer(K, "K", 1, size) for K in ks]

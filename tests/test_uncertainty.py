@@ -439,10 +439,11 @@ def whole_array_ball_best(seed_dirs, seed_radii, K, budget, alpha):
 
 
 def ball_draws(seed, budget, K):
-    """Directions, as ``_best_in_ball`` reads them, and decreasing log-uniform radius draws."""
+    """``_best_in_ball``'s row reader over normal directions and decreasing log-uniforms."""
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((budget, K))
-    return (lambda start, stop: dirs[start:stop]), decreasing_log_uniforms(rng, budget)
+    log_u = decreasing_log_uniforms(rng, budget)
+    return lambda start, stop: (dirs[start:stop], log_u[start:stop])
 
 
 ORDERS = [1, 2, math.inf, 3.0]
@@ -478,7 +479,7 @@ class TestChunkedBallSearch:
     @pytest.mark.parametrize("alpha, pruned", [(1, True), (2, True), (math.inf, True), (3.0, False)])
     def test_floor_prunes_rows_it_rules_out(self, alpha, pruned):
         budget, K = 20 * uncertainty._BALL_CHUNK, 7
-        dirs, log_u = ball_draws(3, budget, K)
+        rows = ball_draws(3, budget, K)
         order = uncertainty._order(alpha)
         scored = []
 
@@ -486,8 +487,8 @@ class TestChunkedBallSearch:
             scored.append(len(g))
             return order.term(g)
 
-        got = uncertainty._best_in_ball(dirs, log_u, K, order._replace(term=counted))
-        assert got.tobytes() == uncertainty._best_in_ball(dirs, log_u, K, order).tobytes()
+        got = uncertainty._best_in_ball(rows, budget, K, order._replace(term=counted))
+        assert got.tobytes() == uncertainty._best_in_ball(rows, budget, K, order).tobytes()
         # a general order has no floor, so its search scores every row
         assert sum(scored) < budget / 2 if pruned else sum(scored) == budget
 
@@ -564,13 +565,13 @@ class TestRadiusFloor:
             assert floor[0] == 1.0 and np.all(np.diff(floor) <= 0.0)
 
 
-def per_chunk_best_in_ball(dirs, log_u, K, order):
+def per_chunk_best_in_ball(rows, budget, K, order):
     """The search that tests every row's radius floor, chunk by chunk, kept as the oracle."""
     chunk = uncertainty._BALL_CHUNK
     best = best_val = None
-    for start in range(0, log_u.size, chunk):
-        d = dirs(start, start + chunk)
-        radii = np.exp(log_u[start:start + chunk] / K)
+    for start in range(0, budget, chunk):
+        d, log_u = rows(start, start + chunk)
+        radii = np.exp(log_u / K)
         if best is not None and order.floor is not None:
             keep = order.floor(radii, K) <= best_val + uncertainty._FLOOR_SLACK
             if not keep.any():
@@ -586,63 +587,101 @@ def per_chunk_best_in_ball(dirs, log_u, K, order):
     return best
 
 
+def floor_edge(order, K, level):
+    """The largest radius of [0, 1] whose floor lies above ``level``, by bisection to an ulp."""
+    lo, hi = 0.0, 1.0
+    if order.floor(hi, K) > level:
+        return hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if order.floor(mid, K) > level else (lo, mid)
+    return lo
+
+
 class TestRadiusCut:
-    """One radius cut, taken again each time the running best improves, in place of a floor per row."""
+    """One floor test per scored chunk, on its last radius, in place of a floor per row."""
 
     @pytest.mark.parametrize("alpha", ORDERS)
     @pytest.mark.parametrize("K", [1, 2, 7, 8, 13])
     def test_equals_per_chunk_search(self, K, alpha):
         budget = 20 * uncertainty._BALL_CHUNK + 123
-        dirs, log_u = ball_draws(11, budget, K)
+        rows = ball_draws(11, budget, K)
         order = uncertainty._order(alpha)
-        got = uncertainty._best_in_ball(dirs, log_u, K, order)
-        assert got.tobytes() == per_chunk_best_in_ball(dirs, log_u, K, order).tobytes()
+        got = uncertainty._best_in_ball(rows, budget, K, order)
+        assert got.tobytes() == per_chunk_best_in_ball(rows, budget, K, order).tobytes()
 
     @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
     def test_floor_reads_few_rows(self, alpha):
         budget = 20 * uncertainty._BALL_CHUNK
         order = uncertainty._order(alpha)
-        grid = np.linspace(0.0, 1.0, uncertainty._CUT_RADII)
         for K in (7, 13):
-            dirs, log_u = ball_draws(3, budget, K)
-            seen = []
+            rows = ball_draws(3, budget, K)
+            seen, last = [], []
 
             def counted(r, K):
                 seen.append(np.copy(r))
                 return order.floor(r, K)
 
-            got = uncertainty._best_in_ball(dirs, log_u, K, order._replace(floor=counted))
-            assert got.tobytes() == uncertainty._best_in_ball(dirs, log_u, K, order).tobytes()
-            # the floor is read only by the cut, on its grid, never row by row
-            assert seen and all(np.array_equal(r, grid) for r in seen)
-            assert sum(r.size for r in seen) < budget / 4
+            def read(start, stop):
+                d, log_u = rows(start, stop)
+                last.append(np.exp(log_u[-1:] / K))
+                return d, log_u
+
+            got = uncertainty._best_in_ball(read, budget, K, order._replace(floor=counted))
+            assert got.tobytes() == uncertainty._best_in_ball(rows, budget, K, order).tobytes()
+            # the floor is read once per scored chunk, on its last radius, never row by row
+            assert seen and all(r.size == 1 for r in seen)
+            assert np.concatenate(last).tobytes() == np.array(seen, dtype=float).tobytes()
+            # and the search stops before the last chunk
+            assert len(seen) < budget / uncertainty._BALL_CHUNK
 
     @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
     @pytest.mark.parametrize("K", range(1, 14))
-    def test_cut_drops_only_rows_the_floor_rules_out(self, K, alpha):
+    def test_cut_drops_only_rows_the_floor_rules_out(self, monkeypatch, K, alpha):
         order = uncertainty._order(alpha)
+        slack = uncertainty._FLOOR_SLACK
         rng = np.random.default_rng([K, 7])
-        grid = np.linspace(0.0, 1.0, uncertainty._CUT_RADII)
-        # best values across [bound(K), 1], and some within a few slacks of a
-        # grid radius's floor; at 2 slacks below, the cut moves to the next radius
-        floors = order.floor(grid[rng.integers(0, grid.size, 20)], K)
-        edges = np.concatenate([floors - c * uncertainty._FLOOR_SLACK for c in (0, 1, 2, 3)])
+        chunk = 4
+        monkeypatch.setattr(uncertainty, "_BALL_CHUNK", chunk)
+        # bests across [bound(K), 1], and some at the floors of drawn radii,
+        # a few ulps and a few slacks either side of them
+        floors = order.floor(rng.random(20), K)
+        edges = np.concatenate([floors + c * slack for c in (-3, -2, -1, 0, 1, 2, 3)])
         bests = np.concatenate([
             rng.uniform(closed_form_min(K, alpha), 1.0, 40),
             edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
             [closed_form_min(K, alpha), 1.0],
         ])
         for best in bests:
-            cut = uncertainty._radius_cut(order, K, best)
-            planted = [cut, np.nextafter(cut, -1.0), np.nextafter(cut, 2.0),
-                       cut * (1.0 - 1e-12), cut * (1.0 + 1e-12), cut / (1.0 - 1e-9)]
-            radii = np.clip(np.concatenate([rng.random(200), planted]), 0.0, 1.0)
-            dropped = radii[radii <= cut]
-            assert np.all(order.floor(dropped, K) > best + uncertainty._FLOOR_SLACK)
+            # radii whose floors lie within ulps of best + slack, where the search stops
+            r = floor_edge(order, K, best + slack)
+            planted = [r, np.nextafter(r, -1.0), np.nextafter(r, 2.0),
+                       r * (1.0 - 1e-12), r * (1.0 + 1e-12), r / (1.0 - 1e-9)]
+            radii = np.sort(np.clip(np.concatenate([rng.random(40), planted]), 1e-300, 1.0))[::-1]
+            log_u = K * np.log(np.concatenate([[1.0] * chunk, radii]))
+            read, scored = [], []
+
+            def rows(start, stop):
+                read.append(stop)
+                return np.ones((stop - start, K)), log_u[start:stop]
+
+            def planted_best(d, radii, order):
+                # the first chunk holds the best, of value ``best``; no later row beats it
+                scored.append(radii[-1])
+                return d[0], best if len(scored) == 1 else math.inf
+
+            monkeypatch.setattr(uncertainty, "_best_row", planted_best)
+            uncertainty._best_in_ball(rows, log_u.size, K, order)
+            dropped = np.exp(log_u[max(read):] / K)
+            # the floor decreases in the radius only to its rounding: an ulp
+            # below the stop radius it may lie that far under best + slack
+            assert np.all(order.floor(dropped, K) > best + slack - FLOOR_ROUNDING)
+            # the search stops on the first chunk whose last floor lies above best + slack
+            above = [order.floor(r, K) > best + slack for r in scored]
+            assert not any(above[:-1]) and (above[-1] or max(read) == log_u.size)
 
 
-def count_normals(monkeypatch):
-    """Wrap ``np.random.default_rng`` so that each ``standard_normal`` call records its count."""
+def count_draws(monkeypatch, method):
+    """Wrap ``np.random.default_rng`` so that each call of its ``method`` records its count."""
     filled = []
     make = np.random.default_rng
 
@@ -650,19 +689,28 @@ def count_normals(monkeypatch):
         def __init__(self, seed):
             self._rng = make(seed)
 
-        def standard_normal(self, size=None, out=None):
-            filled.append(out.size if out is not None else int(np.prod(size)))
-            return self._rng.standard_normal(size, out=out)
-
         def __getattr__(self, name):
-            return getattr(self._rng, name)
+            draw = getattr(self._rng, name)
+            if name != method:
+                return draw
+
+            def counted(size=None, out=None):
+                filled.append(out.size if out is not None else int(np.prod(size)))
+                return draw(size, out=out)
+
+            return counted
 
     monkeypatch.setattr(np.random, "default_rng", Counted)
     return filled
 
 
+def count_normals(monkeypatch):
+    """Wrap ``np.random.default_rng`` so that each ``standard_normal`` call records its count."""
+    return count_draws(monkeypatch, "standard_normal")
+
+
 class TestOutsideIn:
-    """Rows in decreasing radius: the search stops at the cut and draws no direction past it."""
+    """Rows in decreasing radius: the search stops on the floor and draws nothing past it."""
 
     @pytest.mark.parametrize("alpha", FLOOR_ORDERS)
     def test_floor_orders_draw_few_directions(self, monkeypatch, alpha):
@@ -686,20 +734,66 @@ class TestOutsideIn:
         budget, seen = 20000, []
         best_in_ball = uncertainty._best_in_ball
 
-        def recorded(dirs, log_u, K, order):
-            seen.append(log_u.copy())
-            return best_in_ball(dirs, log_u, K, order)
+        def recorded(rows, budget, K, order):
+            def read(start, stop):
+                d, log_u = rows(start, stop)
+                seen.append(log_u.copy())
+                return d, log_u
+
+            return best_in_ball(read, budget, K, order)
 
         monkeypatch.setattr(uncertainty, "_best_in_ball", recorded)
         uncertainty._ball_bests(*np.random.SeedSequence(6).spawn(2), [1], budget,
                                 uncertainty._order(3.0))
-        [log_u] = seen
+        log_u = np.concatenate(seen)
+        assert log_u.size == budget
         u = np.exp(log_u)
         assert np.all(np.diff(u) <= 0.0)
         # Kolmogorov-Smirnov distance to U(0, 1), below its 5 % critical value
         rising, i = u[::-1], np.arange(1, budget + 1)
         distance = max(np.max(i / budget - rising), np.max(rising - (i - 1) / budget))
         assert distance < 1.36 / math.sqrt(budget)
+
+    @pytest.mark.parametrize("ks", [[3], [5, 2]])
+    def test_reader_radii_are_the_whole_draw(self, monkeypatch, ks):
+        chunk = uncertainty._BALL_CHUNK
+        budget = 3 * chunk + 5
+        seed_dirs, seed_radii = np.random.SeedSequence(4).spawn(2)
+        read = {}
+
+        def split_reads(rows, budget, K, order):
+            splits = [0, 1, chunk - 1, chunk, 2 * chunk, 3 * chunk, budget]
+            read[K] = [rows(start, stop) for start, stop in itertools.pairwise(splits)]
+            return np.zeros(K)
+
+        monkeypatch.setattr(uncertainty, "_best_in_ball", split_reads)
+        uncertainty._ball_bests(seed_dirs, seed_radii, ks, budget, uncertainty._order(3.0))
+        whole = decreasing_log_uniforms(np.random.default_rng(seed_radii), budget)
+        for K in ks:
+            assert np.concatenate([log_u for _, log_u in read[K]]).tobytes() == whole.tobytes()
+            fresh = np.random.default_rng(seed_dirs).standard_normal((budget, K))
+            assert np.concatenate([d for d, _ in read[K]]).tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("alpha", ORDERS)
+    def test_radii_are_drawn_to_the_deepest_row_read(self, monkeypatch, alpha):
+        budget, ks = 20 * uncertainty._BALL_CHUNK + 123, [7, 1, 3, 3]
+        deepest = [0]
+        best_in_ball = uncertainty._best_in_ball
+
+        def recorded(rows, budget, K, order):
+            def read(start, stop):
+                deepest[0] = max(deepest[0], stop)
+                return rows(start, stop)
+
+            return best_in_ball(read, budget, K, order)
+
+        monkeypatch.setattr(uncertainty, "_best_in_ball", recorded)
+        drawn = count_draws(monkeypatch, "standard_exponential")
+        order = uncertainty._order(alpha)
+        uncertainty._ball_bests(*np.random.SeedSequence(2).spawn(2), ks, budget, order)
+        # each exponential is drawn once; a floor order stops short of the budget
+        assert sum(drawn) == deepest[0]
+        assert deepest[0] < budget if order.floor else deepest[0] == budget
 
 
 def where_xlog2x(p):

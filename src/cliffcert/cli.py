@@ -50,8 +50,8 @@ from .states import (
     vector_expectations,
 )
 from .tolerances import CONCAVITY, LIFT, MEMORY_BUDGET, OPTIMIZATION, PSD, RECONSTRUCTION
-from .uncertainty import (bias_entropy, bias_entropy_d1, bias_entropy_d2, find_minimizer,
-                          find_minimizers)
+from .uncertainty import (_check_order, bias_entropy, bias_entropy_d1, bias_entropy_d2,
+                          find_minimizer, find_minimizers)
 
 THREADS_ENV = "CLIFFCERT_THREADS"
 _CHUNK = 256
@@ -81,14 +81,9 @@ def _bounded(kind, low, high=math.inf):
 
 def _alpha_type(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad Renyi order {text!r}") from exc
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError("Renyi order must be a number, got NaN")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"Renyi order must be positive, got {value}")
-    return value
+        return _check_order(float(text))
+    except ValueError as exc:  # DomainError is one
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _join_alpha(argv: list[str]) -> list[str]:
@@ -308,12 +303,15 @@ def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
         euler_res = max(euler_res, float(np.max(np.abs(recompose(euler_decompose(t)) - t))))
 
     constr_res = 0.0
-    mats = random_state_batch(gens.n, count, s_constr, "mixed-hs")
-    for mat in mats:
+    axis = np.zeros(size)
+    for mat in random_state_batch(gens.n, count, s_constr, "mixed-hs"):
         rho = DensityMatrix.from_matrix(mat)
-        rho_hat, u, _ = reduce_to_axis(rho, gens)
+        rho_hat, u, ell = reduce_to_axis(rho, gens)
         algebraic = matrix_from_expectations(extended_expectations(rho.mat, gens), gens)
-        constr_res = max(constr_res, float(np.max(np.abs(
+        # U^H rho_hat U matches the projection for either sign of G_1: check the sign too
+        axis[1] = math.sqrt(ell)
+        landing = rho_hat.mat - matrix_from_expectations(axis, gens)
+        constr_res = max(constr_res, float(np.max(np.abs(landing))), float(np.max(np.abs(
             u.conj().T @ rho_hat.mat @ u - algebraic))))
 
     return [
@@ -323,7 +321,7 @@ def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
                "pseudoscalar sign under det=-1 generator lifts"),
         _check("euler-roundtrip", euler_res <= 1e-10, euler_res, ""),
         _check("reduction-constructive", constr_res <= RECONSTRUCTION, constr_res,
-               "axis reduction against the algebraic projection"),
+               "axis reduction against the algebraic projection and the G_1 axis"),
     ]
 
 

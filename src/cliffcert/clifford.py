@@ -65,11 +65,8 @@ class GeneratorSet:
 
     def extended(self, i: int) -> PauliString:
         """Element of the extended set; ``i = 0`` is the pseudoscalar."""
-        if i == 0:
-            return self.gamma0
-        if 1 <= i <= 2 * self.n:
-            return self.gammas[i - 1]
-        raise DomainError(f"extended index {i} out of range 0..{2 * self.n}")
+        i = check_integer(i, "extended index", 0, 2 * self.n)
+        return self.gammas[i - 1] if i else self.gamma0
 
     def extended_list(self) -> list[PauliString]:
         return [self.gamma0, *self.gammas]

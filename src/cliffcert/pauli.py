@@ -13,11 +13,11 @@ Acting on the computational basis (qubit 0 the most significant bit of the
 index), the string ``i**p X**x Z**z`` sends basis index ``c`` to
 ``c ^ xmask`` with the phase ``i**p (-1)**popcount(c & zmask)``
 (Aaronson-Gottesman, arXiv:quant-ph/0406196).  :func:`action` tabulates
-that rule; :func:`apply`, :func:`expect` and :func:`scatter` use it to
-multiply, trace against and render strings in O(d) per row instead of
-through dense ``d x d`` matrices.  :func:`to_dense` is the Kronecker oracle
-the kernel is tested against.  Every floating-point surface is guarded to
-small qubit counts.
+that rule and :func:`compose` multiplies two tables; :func:`apply`,
+:func:`expect` and :func:`scatter` use the tables to multiply, trace against
+and render strings in O(d) per row instead of through dense ``d x d``
+matrices.  :func:`to_dense` is the Kronecker oracle the kernel is tested
+against.  Every floating-point surface is guarded to small qubit counts.
 
 Phase convention: ``Y`` is stored as ``x=1, z=1, phase=1`` so that its
 dense rendering is the standard Pauli Y matrix (``Y = i X Z``).  A string
@@ -233,6 +233,13 @@ def action(p: PauliString) -> Action:
     for table in act:
         table.setflags(write=False)
     return act
+
+
+def compose(a: Action, b: Action) -> Action:
+    """Table of the product ``A B`` from the tables of A and B, in O(d)."""
+    if a.perm.shape != b.perm.shape:
+        raise DimensionMismatchError("tables act on different qubit counts")
+    return Action(a.perm[b.perm], a.phase[b.perm] * b.phase)
 
 
 def _as_action(p) -> Action:

@@ -24,10 +24,12 @@ extended set.  The axis reflection lifts to U = G_0 G_1, which flips G_1
 together with G_0 - under a 2n-generator lift the pseudoscalar therefore
 picks up the factor det T.
 
-A plane rotor is a sum of two signed Pauli strings, a flip is one, and the
-one rotor built by the axis reduction, which takes any expectation vector
-onto G_1 (folding in the flip G_0 G_1 when g_1 < 0), is a sum of at most
-2n+1.  The lift applies its factors, through the basis-action kernel of
+A plane rotor is a sum of two signed Pauli strings.  The table of a flip
+F_j = G_0 G_j is composed from two cached generator tables.  The axis
+reduction's rotor is a product of two Clifford vectors A_c = sum_j c_j G_j,
+each a Hermitian involution for a unit c: G_1 A_m, with m the unit midpoint
+of e_1 and s g_hat for s = sign(g_1), or G_0 A_m, which folds in F_1, when
+s = -1.  The lift applies its factors, through the basis-action kernel of
 :mod:`pauli`, to one row only, which gives the vacuum column of U, and
 fills the other columns by n doublings through the lifted creation
 operators: O(N d**2) in all for N observables.  Dense rotors are rendered
@@ -45,7 +47,6 @@ from . import pauli
 from .clifford import GeneratorSet
 from .errors import (DimensionMismatchError, DomainError, OrientationError, check_budget,
                      check_integer)
-from .pauli import PauliString
 from .states import DensityMatrix, extended_expectations
 from .tolerances import MEMORY_BUDGET, ORTHOGONALITY
 
@@ -180,11 +181,12 @@ def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float,
 def flip_unitary(gens: GeneratorSet, j: int) -> np.ndarray:
     """G_0 G_j: conjugation negates G_j and G_0, fixing all other generators."""
     j = check_integer(j, "generator index", 1, 2 * gens.n)
-    return pauli.scatter([1.0], [_flip_string(gens, j)])
+    return pauli.scatter([1.0], [_flip(gens, j)])
 
 
-def _flip_string(gens: GeneratorSet, j: int) -> PauliString:
-    return pauli.mul(gens.gamma0, gens.gammas[j - 1])
+def _flip(gens: GeneratorSet, j: int) -> pauli.Action:
+    """Table of F_j = G_0 G_j, composed from the cached generator tables."""
+    return pauli.compose(gens.actions[0], gens.actions[j])
 
 
 def lift(t, gens: GeneratorSet) -> np.ndarray:
@@ -252,27 +254,21 @@ def lift(t, gens: GeneratorSet) -> np.ndarray:
 def _vector_rotor(gens: GeneratorSet, coeffs: np.ndarray) -> np.ndarray:
     """Rotor taking the unit vector ``coeffs`` onto G_1 by conjugation.
 
-    ``coeffs`` holds extended coefficients of a unit vector g_hat in the
-    observable span.  With ``s = sign(c_1)`` (+1 when c_1 = 0), the rotor
-    ``R = ((1 + |c_1|) 1 + s sum_{k != 1} c_k G_1 G_k) / sqrt(2(1 + |c_1|))``
-    takes s g_hat onto G_1 through the normalized midpoint of the two, and
-    its normalization never drops below sqrt(2).  For s = -1 the flip
-    ``F_1 = G_0 G_1``, which negates G_1 and G_0 (whose coefficient R has
-    already cleared), is folded into the strings: ``F_1 R`` is still a sum
-    of at most 2n+1 signed Pauli strings, rendered by scatter.
+    ``coeffs`` holds extended coefficients of a unit vector c in the
+    observable span.  With ``s = sign(c_1)`` (+1 when c_1 = 0), the unit
+    midpoint ``m = (e_1 + s c) / sqrt(2(1 + |c_1|))`` of e_1 and s c gives the
+    rotor ``G_1 A_m``: conjugation by it reflects s c through m, onto e_1,
+    and its normalization never drops below sqrt(2).  For s = -1 the flip
+    ``F_1 = G_0 G_1``, which negates G_1 and G_0 (whose coefficient the rotor
+    has already cleared), is folded in: ``F_1 G_1 A_m = G_0 A_m``.  A_m is
+    rendered by scatter from the cached tables and multiplied by G_1 or G_0.
     """
-    g_1 = gens.gammas[0]
     sign = -1.0 if coeffs[1] < 0.0 else 1.0
-    ops = [PauliString.identity(gens.n)]
-    weights = [1.0 + sign * coeffs[1]]
-    for k in np.flatnonzero(coeffs):
-        if k != 1:
-            ops.append(pauli.mul(g_1, gens.extended(int(k))))
-            weights.append(sign * coeffs[k])
-    if sign < 0.0:
-        flip = _flip_string(gens, 1)
-        ops = [pauli.mul(flip, op) for op in ops]
-    return pauli.scatter(np.array(weights) / math.sqrt(2.0 * weights[0]), ops)
+    m = sign * coeffs
+    m[1] += 1.0
+    m /= math.sqrt(2.0 * m[1])
+    pivot = gens.actions[1 if sign > 0.0 else 0]
+    return pauli.apply(pivot, pauli.scatter(m, gens.actions), "left")
 
 
 def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatrix, np.ndarray, float]:
@@ -302,7 +298,7 @@ def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatri
 
     # F_j = G_0 G_j is anti-Hermitian, so F_j W F_j^H = -F_j W F_j.
     for j in range(2, 2 * n + 1):
-        f = pauli.action(_flip_string(gens, j))
+        f = _flip(gens, j)
         work = 0.5 * (work - pauli.apply(f, pauli.apply(f, work, "left"), "right"))
 
     rho_hat = DensityMatrix.from_matrix(work)

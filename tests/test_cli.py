@@ -129,6 +129,11 @@ class TestMinimize:
     def test_nan_alpha_is_usage_error(self, command):
         assert main(command + ["--n", "1", "--alpha", "nan", "--samples", "100"]) == 2
 
+    def test_nan_alpha_names_the_order(self, capsys):
+        # --alpha is parsed by the library's rule, which refuses NaN as not positive
+        assert main(["minimize", "--n", "1", "--K", "2", "--alpha", "nan"]) == 2
+        assert "argument --alpha: Renyi order must be positive, got nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha", ["-1", "0", "-inf"])
     @pytest.mark.parametrize("command", [["minimize", "--K", "2"], ["sweep", "--k-min", "1", "--k-max", "2"]])
     def test_non_positive_alpha_is_usage_error(self, command, alpha, capsys):

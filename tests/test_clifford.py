@@ -136,6 +136,13 @@ class TestJordanWigner:
             gens.extended(5)
         with pytest.raises(DomainError):
             gens.extended(-1)
+        with pytest.raises(DomainError, match="extended index 5 out of range 0..4"):
+            gens.extended(5)
+        # a bool once read as the index 0 or 1, and a float raised a bare TypeError
+        for i in (True, 1.5):
+            with pytest.raises(DomainError, match="must be an integer"):
+                gens.extended(i)
+        assert gens.extended(np.int64(3)) == gens.gammas[2]
 
 
 class TestGradedBasis:

@@ -27,7 +27,7 @@ from cliffcert import (
     to_dense,
     to_label,
 )
-from cliffcert.pauli import action, apply, expect, scatter, symplectic_inner
+from cliffcert.pauli import action, apply, compose, expect, scatter, symplectic_inner
 from cliffcert.rotors import _rotor_direct
 from cliffcert.tolerances import DENSE_GUARD
 
@@ -316,6 +316,19 @@ class TestActionKernel:
         overlap = np.vdot(oracle, u)
         phase = overlap / abs(overlap)
         assert np.max(np.abs(u - phase * oracle)) <= 1e-12
+
+    def test_compose_tabulates_the_product_in_order(self):
+        # A B and B A differ by a sign when the strings anti-commute; no rotor
+        # check sees that sign, since F and -F conjugate alike
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            for _ in range(200):
+                a, b = random_string(rng, n), random_string(rng, n)
+                got, want = compose(action(a), action(b)), action(mul(a, b))
+                assert got.perm.tobytes() == want.perm.tobytes()
+                assert np.array_equal(got.phase, want.phase)
+        with pytest.raises(DimensionMismatchError):
+            compose(action(from_label("X")), action(from_label("XZ")))
 
     def test_expect_bits_do_not_depend_on_blas_threads(self):
         one = run_with_blas_threads(1)

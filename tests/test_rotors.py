@@ -527,3 +527,42 @@ class TestReduceToAxis:
         assert np.max(np.abs(rho_hat.mat - target)) <= 1e-8
         proj = project_bloch(rho, gens)
         assert np.max(np.abs(u.conj().T @ rho_hat.mat @ u - proj.mat)) <= 1e-8
+
+
+class TestCachedTables:
+    def test_reduction_flips_and_lift_build_no_string_and_no_table(self, monkeypatch):
+        # the reduction rotor is G_1 A_m (G_0 A_m for g_1 < 0) and each flip
+        # G_0 G_j is composed from two cached tables
+        def forbidden(*args):
+            raise AssertionError("a product string or a table was built")
+
+        cases = []
+        for n in range(1, 5):
+            gens = jordan_wigner(n)
+            gens.actions  # the set's tables, cached before the guard
+            d, size = 2**n, 2 * n + 1
+            direction = np.random.default_rng(n).standard_normal(size)
+            direction *= 0.9 / np.linalg.norm(direction)
+            direction[1] = abs(direction[1])
+            flipped = direction.copy()
+            flipped[1] = -flipped[1]
+            for g in (direction, flipped, np.zeros(size)):
+                rho = from_gvector(GVector(n, g), gens)
+                target = (np.eye(d) + np.linalg.norm(g) * to_dense(gens.gammas[0])) / d
+                cases.append((gens, rho, target, project_bloch(rho, gens).mat))
+        flips = [(gens, j, to_dense(gens.gamma0) @ to_dense(gens.gammas[j - 1]))
+                 for gens in dict.fromkeys(case[0] for case in cases)
+                 for j in range(1, 2 * gens.n + 1)]
+        gens3 = jordan_wigner(3)
+        gens3.actions
+        t = random_orthogonal(np.random.default_rng(9), 6, det_sign=-1)
+
+        monkeypatch.setattr(rotors.pauli, "mul", forbidden)
+        monkeypatch.setattr(rotors.pauli, "action", forbidden)
+        for gens, rho, target, proj in cases:
+            rho_hat, u, _ = reduce_to_axis(rho, gens)
+            assert np.max(np.abs(rho_hat.mat - target)) <= 1e-12
+            assert np.max(np.abs(u.conj().T @ rho_hat.mat @ u - proj)) <= 1e-12
+        for gens, j, dense in flips:
+            assert np.array_equal(flip_unitary(gens, j), dense)
+        assert conjugation_residual(lift(t, gens3), t, gens3) <= 1e-12

@@ -75,10 +75,20 @@ class GeneratorSet:
     def actions(self) -> tuple[pauli.Action, ...]:
         """Basis-action tables of the extended set, extended order.
 
-        The kernel paths (:func:`pauli.apply`, :func:`pauli.expect`,
+        The dense ``d x d`` paths (:func:`pauli.apply`, :func:`pauli.expect`,
         :func:`pauli.scatter`) read these instead of dense matrices.
         """
         return tuple(pauli.action(g) for g in self.extended_list())
+
+    @cached_property
+    def pairings(self) -> tuple[pauli.Pairing, ...]:
+        """The extended set grouped by X mask (:func:`pauli.pairings`).
+
+        The state-vector paths (:func:`states.vector_expectations`,
+        :func:`states.outcome_expectations`, :func:`states.realize`) read
+        these and no table.
+        """
+        return pauli.pairings(self.extended_list())
 
     @cached_property
     def dense_extended(self) -> np.ndarray:

@@ -12,12 +12,15 @@ therefore exact at any ``n``.
 Acting on the computational basis (qubit 0 the most significant bit of the
 index), the string ``i**p X**x Z**z`` sends basis index ``c`` to
 ``c ^ xmask`` with the phase ``i**p (-1)**popcount(c & zmask)``
-(Aaronson-Gottesman, arXiv:quant-ph/0406196).  :func:`action` tabulates
-that rule and :func:`compose` multiplies two tables; :func:`apply`,
-:func:`expect` and :func:`scatter` use the tables to multiply, trace against
-and render strings in O(d) per row instead of through dense ``d x d``
-matrices.  :func:`to_dense` is the Kronecker oracle the kernel is tested
-against.  Every floating-point surface is guarded to small qubit counts.
+(Aaronson-Gottesman, arXiv:quant-ph/0406196).  :func:`masks` gives the two
+integers and :func:`pairings` groups strings by X mask for the state-vector
+kernels of :mod:`cliffcert.states`, which read no table.  The tables serve
+only the dense ``d x d`` paths: :func:`action` tabulates the rule and
+:func:`compose` multiplies two tables; :func:`apply`, :func:`expect` and
+:func:`scatter` use them to multiply, trace against and render strings in
+O(d) per row instead of through dense matrix products.  :func:`to_dense` is
+the Kronecker oracle the kernels are tested against.  Every floating-point
+surface is guarded to small qubit counts.
 
 Phase convention: ``Y`` is stored as ``x=1, z=1, phase=1`` so that its
 dense rendering is the standard Pauli Y matrix (``Y = i X Z``).  A string
@@ -216,19 +219,31 @@ class Action(NamedTuple):
     phase: np.ndarray
 
 
+def masks(p: PauliString) -> tuple[int, int]:
+    """The integers ``(xmask, zmask)`` of ``p``, qubit 0 the most significant bit."""
+    xmask = zmask = 0
+    for a, b in zip(p.x.tolist(), p.z.tolist()):
+        xmask = (xmask << 1) | a
+        zmask = (zmask << 1) | b
+    return xmask, zmask
+
+
+def _z_signs(zmask: int, c: np.ndarray) -> np.ndarray:
+    """``(-1)**popcount(c & zmask)`` for the integer array ``c``, as floats."""
+    parity = np.zeros_like(c)
+    for shift in range(zmask.bit_length()):
+        if zmask >> shift & 1:
+            parity ^= (c >> shift) & 1
+    return 1.0 - 2.0 * parity
+
+
 def action(p: PauliString) -> Action:
     """Tabulate the basis action of ``p`` in O(n d) bit operations."""
     if p.n > DENSE_GUARD:
         raise CapacityError(f"basis action limited to n <= {DENSE_GUARD}, got n = {p.n}")
+    xmask, zmask = masks(p)
     c = np.arange(2**p.n)
-    xmask = 0
-    parity = np.zeros_like(c)
-    for q in range(p.n):
-        shift = p.n - 1 - q
-        xmask |= int(p.x[q]) << shift
-        if p.z[q]:
-            parity ^= (c >> shift) & 1
-    act = Action(c ^ xmask, _I_POW[p.phase] * (1 - 2 * parity))
+    act = Action(c ^ xmask, _I_POW[p.phase] * _z_signs(zmask, c))
     # GeneratorSet caches these tables and hands them to every caller.
     for table in act:
         table.setflags(write=False)
@@ -240,6 +255,82 @@ def compose(a: Action, b: Action) -> Action:
     if a.perm.shape != b.perm.shape:
         raise DimensionMismatchError("tables act on different qubit counts")
     return Action(a.perm[b.perm], a.phase[b.perm] * b.phase)
+
+
+class Pairing(NamedTuple):
+    """Strings that share one X mask, measured together on state vectors.
+
+    The strings touch only qubits ``0..width-1``; on the rest they are the
+    identity.  For a nonzero ``xmask``, ``pivot`` is its last qubit: basis
+    index ``c`` with that qubit clear (the lo half) pairs with ``c ^ xmask``
+    (the hi half).  The lo index's ``width - 1`` prefix qubits other than
+    the pivot form the index ``a``, and its partner's first ``pivot`` qubits
+    are ``partner[a >> (width - 1 - pivot)]``; ``partner`` is None when the
+    pivot is the only X bit.  For ``xmask == 0``, ``pivot`` is None and ``a``
+    spans all ``width`` prefix qubits.
+
+    String ``k`` of the group is entry ``rows[k]`` of the list, with Z mask
+    ``zmasks[k]``, phase ``i**p`` in ``phase[k]``, and
+    ``eps[k] = (-1)**popcount(xmask & zmasks[k])``; row ``which[k]`` of
+    ``signs`` holds its Z-parity signs ``(-1)**popcount(c & zmask)`` over
+    ``a``.  Strings whose signs agree share that row.
+    """
+
+    xmask: int
+    pivot: int | None
+    width: int
+    partner: np.ndarray | None
+    signs: np.ndarray
+    rows: np.ndarray
+    zmasks: tuple[int, ...]
+    which: np.ndarray
+    phase: np.ndarray
+    eps: np.ndarray
+
+
+def pairings(strings) -> tuple[Pairing, ...]:
+    """Group strings on one qubit count by X mask, in order of first appearance.
+
+    Each group's pivot is the last qubit of its X mask, so the other X bits
+    lie before it and only their prefix is gathered (:class:`Pairing`).
+    """
+    n = strings[0].n
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for j, p in enumerate(strings):
+        if p.n != n:
+            raise DimensionMismatchError("strings act on different qubit counts")
+        xmask, zmask = masks(p)
+        groups.setdefault(xmask, []).append((j, zmask, p.phase))
+    out = []
+    for xmask, members in groups.items():
+        rows, zmasks, phases = zip(*members)
+        touched = xmask
+        for zmask in zmasks:
+            touched |= zmask
+        width = n + 1 - (touched & -touched).bit_length() if touched else 0
+        prefixes = [zmask >> (n - width) for zmask in zmasks]
+        if xmask:
+            pivot = n - (xmask & -xmask).bit_length()
+            h = width - 1 - pivot  # the pivot's bit in a width-bit prefix
+            prefixes = [(z >> (h + 1) << h) | (z & ((1 << h) - 1)) for z in prefixes]
+            before = xmask >> (n - pivot)
+            partner = np.arange(2**pivot) ^ before if before else None
+            size = 2 ** (width - 1)
+        else:
+            pivot, partner, size = None, None, 2**width
+        distinct = list(dict.fromkeys(prefixes))
+        group = Pairing(
+            xmask, pivot, width, partner,
+            np.array([_z_signs(z, np.arange(size)) for z in distinct]),
+            np.array(rows), zmasks,
+            np.array([distinct.index(z) for z in prefixes]),
+            np.array([_I_POW[p] for p in phases]),
+            np.array([1.0 - 2.0 * ((xmask & z).bit_count() & 1) for z in zmasks]))
+        for table in group:
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
+        out.append(group)
+    return tuple(out)
 
 
 def _as_action(p) -> Action:

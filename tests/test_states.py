@@ -1,5 +1,6 @@
 """State expansion, the positivity projection, and the expectation ball."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -33,8 +34,9 @@ from cliffcert import (
     to_document,
     vector_expectations,
 )
-from cliffcert import states
-from cliffcert.pauli import PauliString, expect, scatter
+from cliffcert import pauli, states
+from cliffcert.clifford import GeneratorSet
+from cliffcert.pauli import PauliString, expect, scatter, to_dense
 from cliffcert.tolerances import PSD, RECONSTRUCTION
 
 I2 = np.eye(2, dtype=complex)
@@ -468,6 +470,103 @@ class TestRealize:
     def test_refuses_another_n(self):
         with pytest.raises(DomainError):
             realize(GVector(1, np.zeros(3)), jordan_wigner(2))
+
+
+def realize_by_tables(g, gens):
+    """The two-vector realization read from the basis-action tables, kept as the oracle."""
+    norm_sq = g.norm_squared
+    r = np.sqrt(norm_sq)
+    c = g.values / r if r > 0.0 else np.eye(g.values.size)[0]
+    diag = sum((cj * act.phase.real for cj, act in zip(c, gens.actions) if act.perm[0] == 0),
+               np.zeros(2**gens.n))
+    psi = np.zeros((2, 2**gens.n), dtype=complex)
+    for row, (sign, x) in enumerate(((1.0, np.argmax(diag)), (-1.0, np.argmin(diag)))):
+        psi[row, x] = 1.0
+        for cj, act in zip(c, gens.actions):
+            psi[row, act.perm[x]] += sign * cj * act.phase[x]
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def hermitian_strings(rng, n, count):
+    """``count`` random Hermitian strings on n qubits: phase = overlap + 0 or 2."""
+    x = rng.integers(0, 2, (count, n), dtype=np.uint8)
+    z = rng.integers(0, 2, (count, n), dtype=np.uint8)
+    phase = (x & z).sum(axis=1) + 2 * rng.integers(0, 2, count)
+    return [PauliString(n, xs, zs, int(p)) for xs, zs, p in zip(x, z, phase)]
+
+
+def string_features(p):
+    """Which kernel cases a string reaches: Y factors, X bits, Z bits past the pivot."""
+    xs, zs = np.flatnonzero(p.x), np.flatnonzero(p.z)
+    pivot = xs[-1] if xs.size else None
+    return {"two Y": np.count_nonzero(p.x & p.z) >= 2, "two X": xs.size >= 2,
+            "diagonal": pivot is None,
+            "Z both sides": pivot is not None and (zs < pivot).any() and (zs > pivot).any()}
+
+
+class TestStringKernel:
+    """The X-mask pairing kernels against dense products of random strings."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_dense_products_on_random_strings(self, n):
+        rng = np.random.default_rng(40 + n)
+        seen = dict.fromkeys(string_features(PauliString.identity(n)), 0)
+        for _ in range(30):
+            strings = hermitian_strings(rng, n, 2 * n + 1)
+            for p in strings:
+                for name, hit in string_features(p).items():
+                    seen[name] += hit
+            gens = GeneratorSet(n, strings[1:], strings[0])
+            psi = rng.standard_normal((3, 2, 2**n)) + 1j * rng.standard_normal((3, 2, 2**n))
+            psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+            dense = np.stack([to_dense(p) for p in strings])
+            want = np.einsum("...i,kij,...j->...k", psi.conj(), dense, psi).real
+            for kernel in (vector_expectations, states.outcome_expectations):
+                got = kernel(psi, gens)
+                assert got.shape == (3, 2, 2 * n + 1)
+                assert np.max(np.abs(got - want)) <= 1e-15, kernel.__name__
+                assert np.max(np.abs(kernel(psi[1, 0], gens) - want[1, 0])) <= 1e-15
+        if n >= 3:
+            assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_jordan_wigner_pairs_without_gathering(self, n):
+        pairs = jordan_wigner(n).pairings
+        assert len(pairs) == n + 1
+        assert all(pair.partner is None for pair in pairs)
+        assert [len(pair.signs) for pair in pairs] == [1] * (n + 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_outcomes_are_exact_at_eigenvectors(self, n):
+        # (e_x +- G_j e_x)/norm is an eigenvector of G_j; its paired entries agree
+        # up to the exact phase of G_j, so one eigenspace weight is exactly 0
+        gens = jordan_wigner(n)
+        for j, sign in itertools.product(range(2 * n + 1), (1.0, -1.0)):
+            g = np.zeros(2 * n + 1)
+            g[j] = sign
+            psi, weights = realize(GVector(n, g), gens)
+            assert weights.tolist() == [1.0, 0.0]
+            assert states.outcome_expectations(psi, gens)[0, j] == sign
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_state_vector_paths_read_no_table(self, n, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a state-vector path read a basis-action table")
+
+        monkeypatch.setattr(pauli, "action", no_table)
+        gens = jordan_wigner(n)
+        psi = random_pure_states(n, 5, n)
+        vector_expectations(psi, gens)
+        states.outcome_expectations(psi, gens)
+        for g in ball_points(n, np.random.default_rng(n))[:20]:
+            realize(GVector(n, g), gens)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_realize_bits_equal_the_table_oracle(self, n):
+        gens = jordan_wigner(n)
+        for g in ball_points(n, np.random.default_rng(n)):
+            psi, _ = realize(GVector(n, g), gens)
+            assert psi.tobytes() == realize_by_tables(GVector(n, g), gens).tobytes()
 
 
 def whole_hs_batch(n, count, seed):

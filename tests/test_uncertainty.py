@@ -38,7 +38,7 @@ from cliffcert import (
     renyi_entropy,
 )
 from cliffcert.states import random_pure_states, vector_expectations
-from cliffcert.tolerances import OPTIMIZATION
+from cliffcert.tolerances import DENSE_GUARD, OPTIMIZATION
 
 # Direct-formula oracles, frozen
 H_THREE_QUARTERS = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))  # 0.8112781244591328
@@ -247,6 +247,17 @@ class TestMinimizer:
         for alpha in (1, 2, math.inf):
             rep = find_minimizer(gens, 5, alpha, budget=5000, seed=11)
             assert abs(rep.cross_check_min - rep.numeric_min) <= 1e-6
+
+    @pytest.mark.parametrize("n, alpha, seed, budget", [
+        (2, 0.5, 1234, 2000), (2, 0.1, 1234, 2000), (2, 0.01, 1234, 2000),
+        (6, 0.5, 1, 20000), (6, 0.5, 1234, 20000)])
+    def test_small_orders_report_the_vertex(self, n, alpha, seed, budget):
+        # a vertex's realized entries are 1/sqrt(2), and <psi|G|psi> can round
+        # to 1 - 1e-16 there, where a small order's term has infinite slope:
+        # measured so, these runs reported up to 0.95337 for 0.8
+        K = 2 * n + 1
+        rep = find_minimizer(jordan_wigner(n), K, alpha, budget, seed)
+        assert abs(rep.numeric_min - (1.0 - 1.0 / K)) <= 1e-12
 
     def test_argmin_inside_ball(self):
         gens = jordan_wigner(2)
@@ -879,12 +890,19 @@ class TestSharedStreams:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_cross_check_over_budget_at_n15(self, monkeypatch):
-        # 5 x 2000 x 2**15 x 16 bytes = 4.9 GiB of state vectors, refused by
-        # arithmetic with nothing drawn
+    def test_cross_check_over_budget_at_n16(self, monkeypatch):
+        # 2.125 x 2000 x 2**16 x 16 bytes = 4.2 GiB of state vectors and their
+        # draw, refused by arithmetic with nothing drawn
         forbid_draws(monkeypatch)
         with pytest.raises(CapacityError, match="pure-state cross-check"):
-            find_minimizer(jordan_wigner(15), 3, 1, budget=2000, seed=0)
+            find_minimizer(jordan_wigner(16), 3, 1, budget=2000, seed=0)
+
+    def test_cross_check_past_the_dense_guard_draws_nothing(self, monkeypatch):
+        # 2.2 GiB at n = 15 fits the budget, but no state vector past
+        # DENSE_GUARD qubits is drawn, so the ball search must not run either
+        forbid_draws(monkeypatch)
+        with pytest.raises(DomainError, match="cross-check's state vectors"):
+            find_minimizer(jordan_wigner(DENSE_GUARD + 1), 3, 1, budget=2000, seed=0)
 
     def test_minimizer_builds_no_dense_state(self, monkeypatch):
         def dense(*args, **kwargs):
@@ -906,8 +924,8 @@ class TestSharedStreams:
                 assert abs(rep.numeric_min - dense) <= 1e-14, (n, rep.K)
 
     def test_cross_check_counts_against_budget(self, monkeypatch):
-        # 5 x 2000 x 64 x 16 bytes = 9.8 MiB of state vectors at n = 6 is over
-        # a 4 MiB budget, which the ball search fits
+        # 2.125 x 2000 x 64 x 16 bytes = 4.2 MiB of state vectors and their
+        # draw at n = 6 is over a 4 MiB budget, which the ball search fits
         forbid_draws(monkeypatch)
         monkeypatch.setattr(uncertainty, "MEMORY_BUDGET", 2**22)
         with pytest.raises(CapacityError, match="pure-state cross-check"):
@@ -920,7 +938,7 @@ class TestSharedStreams:
 
     def test_cli_refuses_over_budget(self, monkeypatch, capsys):
         forbid_draws(monkeypatch)
-        assert main(["minimize", "--n", "15", "--K", "3", "--samples", "2000"]) == 1
+        assert main(["minimize", "--n", "16", "--K", "3", "--samples", "2000"]) == 1
         assert "memory budget" in capsys.readouterr().err
 
     def test_n10_is_certified(self):

@@ -52,6 +52,7 @@ from .states import (
     GVector,
     expand,
     extended_expectations,
+    factor_expectations,
     from_document,
     from_gvector,
     gvector,

@@ -41,9 +41,12 @@ from .rotors import conjugation_residual, euler_decompose, lift, recompose, redu
 from .states import (
     DensityMatrix,
     GVector,
+    _factor_chunk_states,
+    _ginibre_chunks,
     _hs_peak_bytes,
     _psd_shortfall,
     extended_expectations,
+    factor_expectations,
     matrix_from_expectations,
     random_state_batch,
     realize,
@@ -55,10 +58,12 @@ from .uncertainty import (_check_order, bias_entropy, bias_entropy_d1, bias_entr
 
 THREADS_ENV = "CLIFFCERT_THREADS"
 _CHUNK = 256
-# Complex d x d arrays per state that one projection chunk holds at its peak
-# (tracemalloc over one 256-state chunk: 3.0 at n = 3..4, where one
-# Hilbert-Schmidt chunk is the whole batch, 2.5 at n = 5, 1.5 at n = 6..8).
-_PROJECTION_ARRAYS = 5
+# Complex slices of Ginibre factors that one projection chunk holds at its
+# peak beside the float real parts of its whole draw: the factor slice, its
+# projection, and the shifted copy and Cholesky factor of the positivity
+# check (tracemalloc over one 256-state chunk: 4.08 slices at n = 3, 4.02 at
+# n = 4, 4.00 at n = 5..8; the first run in a process adds about 0.75 MiB once).
+_PROJECTION_SLICES = 5
 # Bytes that one projection chunk's seed, size and results hold (tracemalloc
 # over 20000 chunks: 656 on one thread, 2201 with a pool, which submits every
 # chunk at once).
@@ -237,13 +242,15 @@ def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int
 
     def work(item):
         count, seed = item
-        g = extended_expectations(random_state_batch(gens.n, count, seed, "mixed-hs"), gens)
-        proj = matrix_from_expectations(g, gens)
-        shortfall = _psd_shortfall(proj, 0.0)
-        norm_sq = float((g * g).sum(axis=1).max())
-        idem = float(np.max(np.abs(extended_expectations(proj, gens) - g)))
-        traces = np.trace(proj, axis1=1, axis2=2)
-        tr_res = float(np.max(np.abs(traces - 1.0)))
+        shortfall = norm_sq = idem = tr_res = 0.0
+        for gin in _ginibre_chunks(gens.n, count, seed, _factor_chunk_states(gens.n)):
+            g = factor_expectations(gin, gens)
+            proj = matrix_from_expectations(g, gens)
+            shortfall = max(shortfall, _psd_shortfall(proj, 0.0))
+            norm_sq = max(norm_sq, float((g * g).sum(axis=1).max()))
+            idem = max(idem, float(np.max(np.abs(extended_expectations(proj, gens) - g))))
+            traces = np.trace(proj, axis1=1, axis2=2)
+            tr_res = max(tr_res, float(np.max(np.abs(traces - 1.0))))
         return shortfall, norm_sq, idem, tr_res
 
     parts = _map_chunks(work, list(zip(sizes, seeds)), threads)
@@ -384,8 +391,10 @@ def _check_projection_memory(n: int, samples: int, threads: int) -> None:
     every chunk, or the rotor suite's state batch, that exceed ``MEMORY_BUDGET``;
     nothing that grows with the samples is built."""
     chunks, size = -(-samples // _CHUNK), min(samples, _CHUNK)
+    slice_states = min(size, _factor_chunk_states(n))
+    per_chunk = (size * 8 + _PROJECTION_SLICES * slice_states * 16) * 4**n
     check_budget(f"projection at {size} states per chunk",
-                 _PROJECTION_ARRAYS * size * 4**n * 16 * _workers(threads, chunks), MEMORY_BUDGET)
+                 per_chunk * _workers(threads, chunks), MEMORY_BUDGET)
     check_budget(f"bookkeeping for {chunks} projection chunks",
                  chunks * _CHUNK_OVERHEAD_BYTES, MEMORY_BUDGET)
     count = _spot_count(samples)

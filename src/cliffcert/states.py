@@ -210,9 +210,9 @@ def extended_expectations(mats: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     return np.stack([pauli.expect(act, mats).real for act in gens.actions], axis=-1)
 
 
-# Bytes of state vectors measured at once, so that the products and sums of
-# one chunk stay in cache: 2000 vectors took 6.3 ms against 9.3 ms whole at
-# n = 6, and 0.51 s against 1.18 s at n = 12.
+# Bytes of state vectors (or factors) measured at once, so that the products
+# and sums of one chunk stay in cache: 2000 vectors took 6.3 ms against
+# 9.3 ms whole at n = 6, and 0.51 s against 1.18 s at n = 12.
 _VECTOR_CHUNK_BYTES = 2**19
 
 
@@ -225,21 +225,40 @@ def _vectors(psi, gens: GeneratorSet) -> np.ndarray:
     return psi
 
 
-def _halves(psi: np.ndarray, pair: pauli.Pairing, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _halves(psi: np.ndarray, pair: pauli.Pairing) -> tuple[np.ndarray, np.ndarray]:
     """The lo amplitudes of ``pair`` and their partners, each ``(..., 2**pivot, rest)``.
 
     Entry ``[..., b, r]`` of the lo half is basis index ``c`` with the pivot
     qubit clear; the same entry of the other is ``c ^ xmask``.  Only X bits
     before the pivot are gathered.  A diagonal group pairs every index with
-    itself, as one block ``(..., 1, d)``.
+    itself, as one block ``(..., 1, L)``.  The trailing length ``L`` is read
+    from ``psi``: any qubits past the n the strings act on belong to the
+    suffix, as the columns of a factor do (:func:`factor_expectations`).
     """
-    lead = psi.shape[:-1]
+    lead, size = psi.shape[:-1], psi.shape[-1]
     if pair.pivot is None:
-        whole = psi.reshape(lead + (1, 2**n))
+        whole = psi.reshape(lead + (1, size))
         return whole, whole
-    split = psi.reshape(lead + (2**pair.pivot, 2, 2 ** (n - 1 - pair.pivot)))
+    split = psi.reshape(lead + (2**pair.pivot, 2, size >> (pair.pivot + 1)))
     lo, hi = split[..., 0, :], split[..., 1, :]
     return lo, hi if pair.partner is None else hi[..., pair.partner, :]
+
+
+def _pair_sums(flat: np.ndarray, gens: GeneratorSet, out: np.ndarray) -> None:
+    """``out[k, j] = Re <v_k|G_j (x) 1|v_k>`` for the rows ``v_k`` of ``flat``.
+
+    ``flat`` has shape ``(m, L)`` with ``L`` a multiple of ``d``; ``out`` has
+    shape ``(m, 2n+1)``.  The pairing loop of :func:`vector_expectations`.
+    """
+    for pair in gens.pairings:
+        lo, hi = _halves(flat, pair)
+        w = np.conjugate(hi)
+        w *= lo
+        w = np.add.reduce(w.reshape(len(flat), pair.signs.shape[-1], -1), axis=-1)
+        s = np.add.reduce(w[:, None, :] * pair.signs, axis=-1)[:, pair.which]
+        if pair.pivot is not None:
+            s += pair.eps * s.conj()
+        out[:, pair.rows] = (pair.phase * s).real
 
 
 def vector_expectations(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
@@ -266,17 +285,36 @@ def vector_expectations(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     out = np.empty((len(flat), 2 * gens.n + 1))
     step = max(1, _VECTOR_CHUNK_BYTES // (16 * d))
     for start in range(0, len(flat), step):
-        chunk = flat[start:start + step]
-        for pair in gens.pairings:
-            lo, hi = _halves(chunk, pair, gens.n)
-            w = np.conjugate(hi)
-            w *= lo
-            w = np.add.reduce(w.reshape(len(chunk), pair.signs.shape[-1], -1), axis=-1)
-            s = np.add.reduce(w[:, None, :] * pair.signs, axis=-1)[:, pair.which]
-            if pair.pivot is not None:
-                s += pair.eps * s.conj()
-            out[start:start + step, pair.rows] = (pair.phase * s).real
+        _pair_sums(flat[start:start + step], gens, out[start:start + step])
     return out.reshape(psi.shape[:-1] + out.shape[-1:])
+
+
+def factor_expectations(w: np.ndarray, gens: GeneratorSet) -> np.ndarray:
+    """Expectations ``Tr(rho G_j)`` of the states ``rho = W W^H / Tr(W W^H)``.
+
+    ``w`` has shape ``(..., d, r)`` and holds nonzero factors; the result
+    replaces its last two axes by one of length 2n+1 in extended order.
+    ``Tr(G_j W W^H) = sum_c <w_c|G_j|w_c>`` over the columns ``w_c``, and
+    ``W`` read row-major is a vector on n + log2(r) qubits on which the
+    strings act as ``G_j (x) 1``.  So the pairing of
+    :func:`vector_expectations` serves unchanged, its suffix sum running
+    over the r columns too, and each row is divided by its squared norm
+    ``Tr(W W^H)``.  O(K d r) per factor, no ``d x d`` product, the sums
+    taken a chunk of factors at a time by ``np.add.reduce``.
+    """
+    w = np.asarray(w, dtype=complex)
+    if w.ndim < 2 or w.shape[-2] != 2**gens.n or w.shape[-1] < 1:
+        raise DimensionMismatchError(
+            f"factors of shape {w.shape} are not (..., {2**gens.n}, r) with r >= 1")
+    size = w.shape[-2] * w.shape[-1]
+    flat = w.reshape(-1, size)
+    out = np.empty((len(flat), 2 * gens.n + 1))
+    step = max(1, _VECTOR_CHUNK_BYTES // (16 * size))
+    for start in range(0, len(flat), step):
+        chunk = flat[start:start + step]
+        _pair_sums(chunk, gens, out[start:start + step])
+        out[start:start + step] /= _squared_norms(chunk[:, None, :])[:, None]
+    return out.reshape(w.shape[:-2] + out.shape[-1:])
 
 
 def outcome_expectations(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
@@ -297,7 +335,7 @@ def outcome_expectations(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     out = np.empty(lead + (2 * gens.n + 1,))
     for pair in gens.pairings:
         shape = lead + (1, pair.signs.shape[-1], 2 ** (gens.n - pair.width))
-        lo, hi = (half.reshape(shape) for half in _halves(psi, pair, gens.n))
+        lo, hi = (half.reshape(shape) for half in _halves(psi, pair))
         # (G_j psi)[c] = i**p eps s(a) psi[c ^ xmask] on the lo half, one row
         # per string; the hi half's entries have the same magnitudes
         flipped = hi * ((pair.phase * pair.eps)[:, None] * pair.signs[pair.which])[:, :, None]
@@ -460,6 +498,40 @@ def _hs_chunk_states(n: int) -> int:
     return max(16, _HS_CHUNK_BYTES // (16 * 4**n))
 
 
+def _factor_chunk_states(n: int) -> int:
+    """Ginibre factors per chunk measured on their factors: as many as fit in
+    ``_HS_CHUNK_BYTES``, at least one."""
+    return max(1, _HS_CHUNK_BYTES // (16 * 4**n))
+
+
+def _ginibre_chunks(n: int, count: int, seed, step: int, out: np.ndarray | None = None):
+    """Yield the ``count`` square Ginibre matrices of a ``mixed-hs`` draw, ``step`` at a time.
+
+    The stream is fixed: the real parts of all ``count`` matrices are drawn
+    first, then each chunk's imaginary parts as the chunk is yielded.  With
+    ``out`` (complex, ``(count, d, d)``) the real parts are drawn into it
+    and each chunk is a view of it, which the caller may overwrite.  Without
+    it they are held in one float array, half a stack, and each chunk is a
+    new complex array.  ``seed`` passes :func:`_check_seed` at the first
+    ``next``.
+    """
+    rng = np.random.default_rng(_check_seed(seed))
+    d = 2**n
+    real = np.empty((count, d, d)) if out is None else out.real
+    starts = range(0, count, step)
+    for start in starts:
+        part = real[start:start + step]
+        part[...] = rng.standard_normal(part.shape)
+    for start in starts:
+        if out is None:
+            gin = np.empty(real[start:start + step].shape, dtype=complex)
+            gin.real = real[start:start + step]
+        else:
+            gin = out[start:start + step]
+        gin.imag = rng.standard_normal(gin.shape)
+        yield gin
+
+
 def _hs_peak_bytes(n: int, count: int) -> int:
     """Bytes a ``mixed-hs`` batch of ``count`` states holds at its peak: the returned
     stack plus three chunks of temporaries for one chunk's ``G G^H`` (tracemalloc
@@ -496,12 +568,12 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
 
     ``pure-haar`` draws Haar-random pure states; ``mixed-hs`` draws from
     the Hilbert-Schmidt measure (square Ginibre matrix G, normalized
-    G G^H).  For ``mixed-hs`` the real parts of all ``count`` matrices G
-    are drawn into the returned array chunk by chunk, then each chunk's
-    imaginary parts, after which the chunk is overwritten by its ``G G^H``
-    over the trace.  Standard normals are one stream, so this is bit for
-    bit the whole draw, and beside the returned array the peak holds a few
-    chunks.  Deterministic given the seed, which passes :func:`_check_seed`.
+    G G^H).  For ``mixed-hs`` the matrices G are drawn by
+    :func:`_ginibre_chunks` into the returned array, and each chunk is
+    overwritten by its ``G G^H`` over the trace as its imaginary parts
+    arrive.  Standard normals are one stream, so this is bit for bit the
+    whole draw, and beside the returned array the peak holds a few chunks.
+    Deterministic given the seed, which passes :func:`_check_seed`.
     """
     if ensemble not in _ENSEMBLES:
         raise DomainError(f"unknown ensemble {ensemble!r}; choose from {_ENSEMBLES}")
@@ -509,15 +581,9 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     if ensemble == "pure-haar":
         psi = random_pure_states(n, count, seed)
         return np.einsum("si,sj->sij", psi, psi.conj())
-    rng = np.random.default_rng(_check_seed(seed))
     d = 2**n
     out = np.empty((count, d, d), dtype=complex)
-    step = _hs_chunk_states(n)
-    chunks = [out[start:start + step] for start in range(0, count, step)]
-    for gin in chunks:
-        gin.real = rng.standard_normal(gin.shape)
-    for gin in chunks:
-        gin.imag = rng.standard_normal(gin.shape)
+    for gin in _ginibre_chunks(n, count, seed, _hs_chunk_states(n), out):
         w = gin @ gin.conj().swapaxes(-1, -2)
         np.divide(w, np.trace(w, axis1=1, axis2=2).real[:, None, None], out=gin)
     return out

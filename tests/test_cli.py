@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cliffcert import __version__, cli, jordan_wigner, uncertainty
+from cliffcert import (__version__, cli, extended_expectations, jordan_wigner, random_state_batch,
+                       uncertainty)
 from cliffcert.cli import main
 from cliffcert.errors import CapacityError
 from cliffcert.tolerances import OPTIMIZATION, PSD
@@ -379,17 +380,20 @@ def forbid_sampling(monkeypatch):
         raise AssertionError("verify sampled states")
 
     monkeypatch.setattr(cli, "random_state_batch", no_draw)
+    monkeypatch.setattr(cli, "_ginibre_chunks", no_draw)
 
 
 class TestVerifyMemory:
-    def test_n10_at_default_samples_is_refused(self, monkeypatch, capsys):
-        # five 200 x 1024 x 1024 complex arrays: 16 GiB against the 4 GiB budget
+    def test_n11_at_default_samples_is_refused(self, monkeypatch, capsys):
+        # the real parts of 200 Ginibre factors at n = 11, 200 x 2048 x 2048 floats,
+        # are 6.25 GiB against the 4 GiB budget (n = 10 needs 1.6 GiB and runs)
         forbid_sampling(monkeypatch)
-        assert main(["verify", "--n", "10"]) == 1
+        assert main(["verify", "--n", "11"]) == 1
         assert "memory budget" in capsys.readouterr().err
 
     def test_chunks_in_flight_count(self, monkeypatch, capsys):
-        # one 256-state chunk at n = 3 holds 5 x 256 x 64 x 16 bytes = 1.25 MiB
+        # one 256-state chunk at n = 3 holds its real parts, 256 x 64 x 8 bytes, and
+        # five 256-state slices, 5 x 256 x 64 x 16 bytes: 1.375 MiB, two 2.75 MiB
         monkeypatch.setattr(cli, "MEMORY_BUDGET", 2**21)
         # two chunks in flight whatever the machine's CPU count
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -448,6 +452,50 @@ class TestProjectionSuite:
             tracemalloc.stop()
         assert all(c["passed"] for c in checks)
         assert peak <= 2 * stack
+
+    def test_chunk_holds_the_real_parts_and_a_few_slices(self):
+        # 256 states at n = 7: half a stack of real parts, then four 8-state
+        # slices (factors, projection, Cholesky copy and factor), about 0.64 stacks
+        stack = 256 * 128**2 * 16
+        gens = jordan_wigner(7)
+        gens.actions, gens.pairings  # cached tables, built before the trace
+        tracemalloc.start()
+        try:
+            checks = cli._suite_projection(gens, np.random.SeedSequence(5), 256, PSD, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c["passed"] for c in checks)
+        assert peak <= 0.7 * stack
+
+    def test_builds_no_hilbert_schmidt_state(self, monkeypatch):
+        def no_states(*args):
+            raise AssertionError("the projection suite built Hilbert-Schmidt states")
+
+        monkeypatch.setattr(cli, "random_state_batch", no_states)
+        for n in (1, 4, 7):
+            checks = cli._suite_projection(jordan_wigner(n), np.random.SeedSequence(n), 40, PSD, 1)
+            assert all(c["passed"] for c in checks)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_measures_the_states_of_the_hilbert_schmidt_batch(self, n, monkeypatch):
+        # the factors' expectations are those of random_state_batch's states at the
+        # chunk's seed, up to rounding; at n = 6 and 7 they span several slices
+        gens = jordan_wigner(n)
+        seen = []
+        real = cli.matrix_from_expectations
+
+        def record(g, gens):
+            seen.append(g)
+            return real(g, gens)
+
+        monkeypatch.setattr(cli, "matrix_from_expectations", record)
+        cli._suite_projection(gens, np.random.SeedSequence(n), 40, PSD, 1)
+        seed = np.random.SeedSequence(n).spawn(1)[0]
+        want = extended_expectations(random_state_batch(n, 40, seed), gens)
+        got = np.concatenate(seen)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_idempotency_sees_a_dropped_generator(self, monkeypatch, capsys):
         # a renderer that drops G_2 renders its own output back the same way, so
@@ -511,7 +559,7 @@ class TestThreadPool:
 
     def test_memory_check_counts_the_capped_pool(self, pool, monkeypatch):
         # three 256-state chunks at n = 3 fit the budget, four do not
-        monkeypatch.setattr(cli, "MEMORY_BUDGET", 3 * 5 * 256 * 64 * 16)
+        monkeypatch.setattr(cli, "MEMORY_BUDGET", 3 * (256 * 8 + 5 * 256 * 16) * 64)
         cli._check_projection_memory(3, 4 * 256, 100_000)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         with pytest.raises(CapacityError):

@@ -569,6 +569,61 @@ class TestStringKernel:
             assert psi.tobytes() == realize_by_tables(GVector(n, g), gens).tobytes()
 
 
+def hs_by_products(w):
+    """``W W^H / Tr`` of stacked factors, kept as the oracle of :func:`factor_expectations`."""
+    rho = w @ w.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+class TestFactorKernel:
+    """States measured on their factors against the dense ``W W^H`` they stand for."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_dense_states_on_jordan_wigner_and_random_strings(self, n):
+        rng = np.random.default_rng(70 + n)
+        d = 2**n
+        sets = [jordan_wigner(n)]
+        for _ in range(10):
+            strings = hermitian_strings(rng, n, 2 * n + 1)
+            sets.append(GeneratorSet(n, strings[1:], strings[0]))
+        for gens in sets:
+            for r in (1, 3, d):
+                w = rng.standard_normal((2, 3, d, r)) + 1j * rng.standard_normal((2, 3, d, r))
+                got = states.factor_expectations(w, gens)
+                assert got.shape == (2, 3, 2 * n + 1)
+                want = extended_expectations(hs_by_products(w), gens)
+                assert np.max(np.abs(got - want)) <= 1e-15, (gens, r)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_a_single_column_is_a_state_vector(self, n):
+        gens = jordan_wigner(n)
+        psi = random_pure_states(n, 40, 3 + n)
+        got = states.factor_expectations(psi[..., None], gens)
+        assert np.max(np.abs(got - vector_expectations(psi, gens))) <= 1e-15
+
+    def test_rejects_factors_of_another_shape(self):
+        gens = jordan_wigner(2)
+        for shape in ((4,), (8, 2), (3, 2, 4), (4, 0)):
+            with pytest.raises(DimensionMismatchError):
+                states.factor_expectations(np.ones(shape), gens)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_ginibre_chunks_are_one_stream(self, n):
+        # real parts of every matrix first, then each chunk's imaginary parts,
+        # whether the chunks are views of a caller's stack or new arrays
+        d = 2**n
+        for count, step in ((1, 1), (5, 2), (7, 16)):
+            rng = np.random.default_rng(9)
+            real = rng.standard_normal((count, d, d))
+            want = real + 1j * rng.standard_normal((count, d, d))
+            got = np.concatenate(list(states._ginibre_chunks(n, count, 9, step)))
+            assert got.tobytes() == want.tobytes()
+            into = np.empty((count, d, d), dtype=complex)
+            for gin in states._ginibre_chunks(n, count, 9, step, into):
+                assert np.shares_memory(gin, into)
+            assert into.tobytes() == want.tobytes()
+
+
 def whole_hs_batch(n, count, seed):
     """The Hilbert-Schmidt batch built on whole (count, d, d) arrays, kept as the oracle."""
     rng = np.random.default_rng(seed)

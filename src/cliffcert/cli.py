@@ -37,7 +37,8 @@ from . import __version__, pauli
 from .clifford import jordan_wigner
 from .errors import CliffcertError, check_budget
 from .pauli import PauliString
-from .rotors import conjugation_residual, euler_decompose, lift, recompose, reduce_to_axis
+from .rotors import (_flip, _frobenius_defect, conjugation_residual, euler_decompose, lift,
+                     recompose, reduce_to_axis)
 from .states import (
     DensityMatrix,
     GVector,
@@ -59,11 +60,12 @@ from .uncertainty import (_check_order, bias_entropy, bias_entropy_d1, bias_entr
 THREADS_ENV = "CLIFFCERT_THREADS"
 _CHUNK = 256
 # Complex slices of Ginibre factors that one projection chunk holds at its
-# peak beside the float real parts of its whole draw: the factor slice, its
-# projection, and the shifted copy and Cholesky factor of the positivity
-# check (tracemalloc over one 256-state chunk: 4.08 slices at n = 3, 4.02 at
-# n = 4, 4.00 at n = 5..8; the first run in a process adds about 0.75 MiB once).
-_PROJECTION_SLICES = 5
+# peak beside the float real parts of its whole draw: the projection, and the
+# shifted copy and Cholesky factor of the positivity check; the factor slice
+# is dropped once measured (tracemalloc over one 256-state chunk: 3.07 slices
+# at n = 3, 3.02 at n = 4, 3.00 at n = 5..8; the first run in a process adds
+# about 0.75 MiB once).
+_PROJECTION_SLICES = 4
 # Bytes that one projection chunk's seed, size and results hold (tracemalloc
 # over 20000 chunks: 656 on one thread, 2201 with a pool, which submits every
 # chunk at once).
@@ -245,6 +247,7 @@ def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int
         shortfall = norm_sq = idem = tr_res = 0.0
         for gin in _ginibre_chunks(gens.n, count, seed, _factor_chunk_states(gens.n)):
             g = factor_expectations(gin, gens)
+            del gin  # the factors are dead once measured
             proj = matrix_from_expectations(g, gens)
             shortfall = max(shortfall, _psd_shortfall(proj, 0.0))
             norm_sq = max(norm_sq, float((g * g).sum(axis=1).max()))
@@ -294,13 +297,14 @@ def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
 
     rng = np.random.default_rng(s_refl)
     g0 = gens.actions[0]
-    g0_dense = pauli.scatter([1.0], [g0])
     pseudo_res = 0.0
     for _ in range(count):
         t = _random_orthogonal(rng, 2 * gens.n, det_sign=-1)
         u = lift(t, gens)
-        pseudo_res = max(pseudo_res, float(np.max(np.abs(
-            pauli.apply(g0, u, "right") @ u.conj().T + g0_dense))))
+        # U G_0 U^H = -G_0 for a unitary U, in the form U G_0 + G_0 U = 0 with ||U||_F**2 = d
+        anti = pauli.apply(g0, u, "right")
+        anti += pauli.apply(g0, u, "left")
+        pseudo_res = max(pseudo_res, float(np.max(np.abs(anti))), _frobenius_defect(u))
 
     rng = np.random.default_rng(s_euler)
     euler_res = 0.0
@@ -311,7 +315,13 @@ def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
 
     constr_res = 0.0
     axis = np.zeros(size)
-    for mat in random_state_batch(gens.n, count, s_constr, "mixed-hs"):
+    f1 = _flip(gens, 1)
+    for k, mat in enumerate(random_state_batch(gens.n, count, s_constr, "mixed-hs")):
+        # every second state has g_1 < 0, so both branches of the rotor run; the
+        # conjugation by F_1 = G_0 G_1 that gives it negates g_0 and g_1 and keeps
+        # the Hilbert-Schmidt measure
+        if (extended_expectations(mat, gens)[1] < 0.0) != (k % 2 == 1):
+            mat = -pauli.apply(f1, pauli.apply(f1, mat, "left"), "right")
         rho = DensityMatrix.from_matrix(mat)
         rho_hat, u, ell = reduce_to_axis(rho, gens)
         algebraic = matrix_from_expectations(extended_expectations(rho.mat, gens), gens)

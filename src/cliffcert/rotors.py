@@ -32,8 +32,25 @@ of e_1 and s g_hat for s = sign(g_1), or G_0 A_m, which folds in F_1, when
 s = -1.  The lift applies its factors, through the basis-action kernel of
 :mod:`pauli`, to one row only, which gives the vacuum column of U, and
 fills the other columns by n doublings through the lifted creation
-operators: O(N d**2) in all for N observables.  Dense rotors are rendered
-by scatter, never through products of dense observables.
+operators: O(N d**2) in all for N observables.  Strings that share an X
+mask share a row permutation, so each doubling folds their coefficients
+and phases into one diagonal and gathers rows once per X mask.  Dense
+rotors are rendered by scatter, never through products of dense
+observables.
+
+:func:`conjugation_residual` checks the lift relation in its intertwining
+form ``U G_j = M_j U``, ``M_j = sum_i T_ij G_i``, together with
+``||U||_F**2 = d``, and multiplies no two d x d matrices.  The form is as
+strong as the conjugation form.  The M_j obey the same anti-commutation
+relations as the G_j, so some unitary V has ``V G_j V^H = M_j``; if U
+intertwines every G_j with M_j, then ``V^H U`` commutes with every G_j,
+which generate the full matrix algebra, and Schur's lemma gives
+``U = c V``.  The Frobenius term pins ``|c| = 1``, so for a unitary U
+both forms vanish together.  The rows of ``G_i U`` are table gathers; a
+few MiB of rows of all of them are stacked at a time, mixed by the real
+``T^T`` in one product on their float view and compared with the same rows
+of ``U G_j``, a column gather times the phases: O(N**2 d**2) in all,
+where the conjugation form took O(N d**3).
 """
 
 from __future__ import annotations
@@ -59,6 +76,9 @@ _NEGLIGIBLE = 1e-24
 # Complex d x d arrays that lift holds at its peak: U and the last doubling's
 # d x d/2 term.
 _LIFT_ARRAYS = 1.5
+# Bytes of the stacked row blocks of G_i U that conjugation_residual mixes at
+# once, so that its temporaries stay a few MiB whatever n.
+_RESIDUAL_BLOCK_BYTES = 2**21
 
 
 class OrthoTransform:
@@ -206,7 +226,11 @@ def lift(t, gens: GeneratorSet) -> np.ndarray:
     ``U a_k^H U^H = (1/2) sum_i (T_{i,2k-1} - i T_{i,2k}) G_i``.  So for
     k = n, ..., 1 the columns ``m..2m-1`` of U are that sum applied to its
     columns ``0..m-1``: n doublings, O(N d**2) in all for N = 2n or 2n+1
-    observables.
+    observables.  The strings of one X mask (the pairs ``G_{2k-1}, G_{2k}``
+    and ``G_0`` for Jordan-Wigner) permute rows alike, so each doubling sums
+    their coefficients times their phases into one diagonal and gathers the
+    rows once per X mask: one gather per X mask where there was one per
+    string.
 
     Raises :class:`CapacityError`, before anything of size d is allocated,
     when U and the last doubling's term exceed ``MEMORY_BUDGET``.
@@ -237,18 +261,27 @@ def lift(t, gens: GeneratorSet) -> np.ndarray:
     if fact.reflection_flag < 0:
         column = flip_unitary(gens, 1) @ column
 
+    groups = _xmask_groups(gens, base)
     u = np.zeros((d, d), dtype=complex)
     u[:, 0] = column
     for k in range(n, 0, -1):
         m = 2 ** (n - k)
         coeffs = 0.5 * (trans.mat[:, 2 * k - 1 - base] - 1j * trans.mat[:, 2 * k - base])
         target = u[:, m:2 * m]
-        for c, act in zip(coeffs, gens.actions[base:]):
-            term = pauli.apply(act, u[:, :m], "left")
-            term *= c
+        for perm, members in groups:
+            diag = sum(coeffs[i - base] * gens.actions[i].phase for i in members)
+            term = u[perm, :m]
+            term *= diag[perm, None]
             target += term
-            del term  # so that the next apply does not hold two terms
+            del term  # so that the next gather does not hold two terms
     return u
+
+
+def _xmask_groups(gens: GeneratorSet, base: int = 0) -> list[tuple[np.ndarray, list[int]]]:
+    """The extended indices from ``base`` on, grouped by X mask (:attr:`GeneratorSet.pairings`),
+    each group with the row permutation ``c -> c ^ xmask`` that its strings share."""
+    groups = [[i for i in pair.rows.tolist() if i >= base] for pair in gens.pairings]
+    return [(gens.actions[members[0]].perm, members) for members in groups if members]
 
 
 def _vector_rotor(gens: GeneratorSet, coeffs: np.ndarray) -> np.ndarray:
@@ -305,12 +338,25 @@ def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatri
     return rho_hat, u, ell
 
 
+def _frobenius_defect(u: np.ndarray) -> float:
+    """``|||U||_F**2 / d - 1|``: zero for a unitary, and for ``c`` times one only at ``|c| = 1``."""
+    return abs(float(np.vdot(u, u).real) / u.shape[0] - 1.0)
+
+
 def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
-    """Worst-case entrywise error of ``U G_j U^H - sum_i T_ij G_i`` over the extended set.
+    """Worst-case error of the lift relation ``U G_j U^H = sum_i T_ij G_i`` over the extended set.
 
     A 2n-sized transform acts on the generators, and the pseudoscalar must
     acquire det T, so it is checked as the extended transform
-    ``diag(det T, T)``.  Used by the verification suites.
+    ``diag(det T, T)``.  The relation is checked in its intertwining form,
+    ``max(max_j |U G_j - M_j U|, |||U||_F**2 / d - 1|)`` with
+    ``M_j = sum_i T_ij G_i``, entrywise.  The G_j generate the full matrix
+    algebra, so by Schur's lemma the first term vanishes only for ``U = c V``
+    with V a lift of T, and the Frobenius term pins ``|c| = 1``: for a
+    unitary U the form vanishes exactly when the conjugation form does.
+    Rows are taken ``_RESIDUAL_BLOCK_BYTES`` of stacked ``G_i U`` rows at a
+    time, so no d x d matrix product is formed and the temporaries stay a
+    few MiB: O(N**2 d**2) for N = 2n+1.  Used by the verification suites.
     """
     trans = _as_transform(t)
     size = gens.extended_size
@@ -319,8 +365,30 @@ def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
     mat = np.zeros((size, size))
     mat[0, 0] = trans.det_sign
     mat[size - trans.size:, size - trans.size:] = trans.mat  # all of mat for a 2n+1 transform
-    uh = u.conj().T
     acts = gens.actions
-    return max(float(np.max(np.abs(pauli.apply(act, u, "right") @ uh
-                                   - pauli.scatter(mat[:, j], acts))))
-               for j, act in enumerate(acts))
+    groups = _xmask_groups(gens)
+    u = np.asarray(u, dtype=complex)
+    d = u.shape[0]
+    step = max(1, _RESIDUAL_BLOCK_BYTES // (16 * size * d))
+    stack = np.empty((size, min(step, d), d), dtype=complex)
+    worst = 0.0
+    for start in range(0, d, step):
+        stop = min(start + step, d)
+        part = stack[:, :stop - start]
+        # row r of G_i U is phase_i[perm[r]] times row perm[r] of U
+        for perm, members in groups:
+            src = perm[start:stop]
+            rows = u[src]
+            for i in members:
+                np.multiply(rows, acts[i].phase[src, None], out=part[i])
+        # M_j U for every j at once: T^T mixes the stack, a real product on its float view
+        mixed = (mat.T @ part.view(float).reshape(size, -1)).view(complex)
+        mixed = mixed.reshape(part.shape)
+        # column c of U G_j is phase_j[c] times column perm[c] of U
+        for perm, members in groups:
+            cols = u[start:stop, perm]
+            for j in members:
+                mixed[j] -= cols * acts[j].phase
+        worst = max(worst, float(np.max(np.abs(mixed))))
+        del mixed  # so that the next block's product does not hold two
+    return max(worst, _frobenius_defect(u))

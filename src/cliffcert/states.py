@@ -491,6 +491,9 @@ _ENSEMBLES = ("pure-haar", "mixed-hs")
 # G^H and G G^H stay a few MiB whatever the number of states.  Every step
 # after the draw is per state, so the size does not change any bit.
 _HS_CHUNK_BYTES = 2**21
+# Bytes of the state vectors that random_pure_states draws and normalizes at
+# once: the normals take half of that, the norm's temporaries about twice.
+_PURE_CHUNK_BYTES = 2**21
 
 
 def _hs_chunk_states(n: int) -> int:
@@ -523,13 +526,19 @@ def _ginibre_chunks(n: int, count: int, seed, step: int, out: np.ndarray | None 
         part = real[start:start + step]
         part[...] = rng.standard_normal(part.shape)
     for start in starts:
-        if out is None:
-            gin = np.empty(real[start:start + step].shape, dtype=complex)
-            gin.real = real[start:start + step]
-        else:
-            gin = out[start:start + step]
-        gin.imag = rng.standard_normal(gin.shape)
-        yield gin
+        chunk = slice(start, start + step)
+        # yielded unnamed, so that this frame keeps no chunk the caller is done with
+        yield _with_imag(rng, real[chunk], None if out is None else out[chunk])
+
+
+def _with_imag(rng, real: np.ndarray, chunk: np.ndarray | None) -> np.ndarray:
+    """``chunk``, whose real parts are ``real``, or a new complex array holding them, with
+    its imaginary parts drawn from ``rng``."""
+    if chunk is None:
+        chunk = np.empty(real.shape, dtype=complex)
+        chunk.real = real
+    chunk.imag = rng.standard_normal(chunk.shape)
+    return chunk
 
 
 def _hs_peak_bytes(n: int, count: int) -> int:
@@ -551,15 +560,24 @@ def random_pure_states(n: int, count: int, seed) -> np.ndarray:
     """``count`` Haar-random unit state vectors, shape ``(count, d)``.
 
     The real parts and then the imaginary parts are drawn from
-    ``default_rng(seed)``; the ``pure-haar`` states of
+    ``default_rng(seed)``, a few MiB at a time into the returned array, and
+    normalized as many rows at a time; the stream is sequential,
+    so the bits are those of one whole draw.  The ``pure-haar`` states of
     :func:`random_state_batch` are the outer products of these vectors.
     ``seed`` passes :func:`_check_seed`.
     """
     n, count = check_integer(n, "n", 1, DENSE_GUARD), check_integer(count, "state count", 0)
     rng = np.random.default_rng(_check_seed(seed))
     d = 2**n
-    psi = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    psi = np.empty((count, d), dtype=complex)
+    starts = range(0, count, max(1, _PURE_CHUNK_BYTES // (16 * d)))
+    for part in (psi.real, psi.imag):
+        for start in starts:
+            rows = part[start:start + starts.step]
+            rows[...] = rng.standard_normal(rows.shape)
+    for start in starts:
+        rows = psi[start:start + starts.step]
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     return psi
 
 

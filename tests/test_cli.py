@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cliffcert import (__version__, cli, extended_expectations, jordan_wigner, random_state_batch,
-                       uncertainty)
+from cliffcert import (__version__, cli, extended_expectations, jordan_wigner, pauli,
+                       random_state_batch, rotors, uncertainty)
 from cliffcert.cli import main
 from cliffcert.errors import CapacityError
 from cliffcert.tolerances import OPTIMIZATION, PSD
@@ -82,6 +82,65 @@ class TestVerify:
         assert threaded["config"]["threads"] == 4
         assert threaded["results"] == base["results"]
         assert threaded["residuals"] == base["residuals"]
+
+
+def g1_pivot_rotor(gens, coeffs):
+    """``_vector_rotor`` with G_1 as the pivot for either sign of c_1: the flip of a
+    vector with c_1 < 0 is lost, so its state lands on -G_1."""
+    sign = -1.0 if coeffs[1] < 0.0 else 1.0
+    m = sign * coeffs
+    m[1] += 1.0
+    m /= math.sqrt(2.0 * m[1])
+    return pauli.apply(gens.actions[1], pauli.scatter(m, gens.actions), "left")
+
+
+class TestRotorSuite:
+    @pytest.mark.parametrize("seed", [1234, 7])
+    def test_flip_branch_runs_at_every_n(self, seed, monkeypatch, capsys):
+        monkeypatch.setattr(rotors, "_vector_rotor", g1_pivot_rotor)
+        for n in range(1, 9):
+            code, doc = run_json(capsys, ["verify", "--n", str(n), "--samples", "50",
+                                          "--seed", str(seed)])
+            assert code == 1, n
+            failed = [c["name"] for c in doc["results"] if not c["passed"]]
+            assert failed == ["reduction-constructive"], n
+
+    def test_reduced_states_alternate_the_sign_of_g1(self, monkeypatch):
+        signs = []
+        reduce = cli.reduce_to_axis
+
+        def record(rho, gens):
+            signs.append(float(np.sign(extended_expectations(rho.mat, gens)[1])))
+            return reduce(rho, gens)
+
+        monkeypatch.setattr(cli, "reduce_to_axis", record)
+        for n, samples in ((1, 50), (4, 300), (6, 50)):
+            signs.clear()
+            checks = cli._suite_rotors(jordan_wigner(n), np.random.SeedSequence(n), samples)
+            assert all(c["passed"] for c in checks)
+            assert signs == [1.0, -1.0] * (cli._spot_count(samples) // 2)
+
+    @pytest.mark.parametrize("defect", ["commutes with G_0", "zero"])
+    def test_reflection_check_fails_a_wrong_generator_lift(self, defect, monkeypatch):
+        # a det +1 generator lift commutes with G_0; U = 0 has U G_0 + G_0 U = 0,
+        # and only the Frobenius term reads it
+        lift = cli.lift
+
+        def wrong(t, gens):
+            if len(t) == 2 * gens.n + 1:
+                return lift(t, gens)
+            if defect == "zero":
+                return np.zeros((2**gens.n, 2**gens.n), dtype=complex)
+            t = t.copy()
+            t[:, 0] = -t[:, 0]
+            return lift(t, gens)
+
+        monkeypatch.setattr(cli, "lift", wrong)
+        for n in (1, 3, 5):
+            checks = cli._suite_rotors(jordan_wigner(n), np.random.SeedSequence(n), 200)
+            failed = {c["name"]: c["residual"] for c in checks if not c["passed"]}
+            assert list(failed) == ["rotor-reflection"]
+            assert failed["rotor-reflection"] >= 1.0
 
 
 class TestMinimize:
@@ -393,7 +452,7 @@ class TestVerifyMemory:
 
     def test_chunks_in_flight_count(self, monkeypatch, capsys):
         # one 256-state chunk at n = 3 holds its real parts, 256 x 64 x 8 bytes, and
-        # five 256-state slices, 5 x 256 x 64 x 16 bytes: 1.375 MiB, two 2.75 MiB
+        # four 256-state slices, 4 x 256 x 64 x 16 bytes: 1.125 MiB, two 2.25 MiB
         monkeypatch.setattr(cli, "MEMORY_BUDGET", 2**21)
         # two chunks in flight whatever the machine's CPU count
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -559,7 +618,7 @@ class TestThreadPool:
 
     def test_memory_check_counts_the_capped_pool(self, pool, monkeypatch):
         # three 256-state chunks at n = 3 fit the budget, four do not
-        monkeypatch.setattr(cli, "MEMORY_BUDGET", 3 * (256 * 8 + 5 * 256 * 16) * 64)
+        monkeypatch.setattr(cli, "MEMORY_BUDGET", 3 * (256 * 8 + 4 * 256 * 16) * 64)
         cli._check_projection_memory(3, 4 * 256, 100_000)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         with pytest.raises(CapacityError):

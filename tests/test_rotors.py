@@ -1,6 +1,7 @@
 """Euler decomposition, rotor lifts, flips, and the axis reduction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,82 @@ class TestLift:
         monkeypatch.setattr(rotors.np, "zeros", no_alloc)
         with pytest.raises(CapacityError, match="memory budget"):
             lift(t, gens)
+
+
+def conjugation_oracle(u, t, gens):
+    """The lift relation in its conjugation form, ``max_j |U G_j U^H - M_j|`` with
+    ``M_j = sum_i T_ij G_i`` on the extension ``diag(det T, T)``, kept as the oracle."""
+    size = gens.extended_size
+    ext = np.zeros((size, size))
+    ext[0, 0] = np.sign(np.linalg.det(t))
+    ext[size - len(t):, size - len(t):] = t
+    dense = np.array([to_dense(gens.extended(i)) for i in range(size)])
+    return max(float(np.max(np.abs(u @ dense[j] @ u.conj().T
+                                   - np.tensordot(ext[:, j], dense, axes=1))))
+               for j in range(size))
+
+
+def negated_table(gens, i):
+    """A copy of ``gens`` whose cached action of extended index ``i`` has its phase negated."""
+    bad = jordan_wigner(gens.n)
+    actions = list(gens.actions)
+    actions[i] = actions[i]._replace(phase=-actions[i].phase)
+    bad.__dict__["actions"] = tuple(actions)
+    return bad
+
+
+class TestResiduals:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_both_forms_pass_lifts_and_fail_each_mutant(self, n):
+        gens = jordan_wigner(n)
+        rng = np.random.default_rng(60 + n)
+        for size, det_sign in ((2 * n + 1, 1), (2 * n, 1), (2 * n, -1)):
+            t = random_orthogonal(rng, size, det_sign)
+            u = lift(t, gens)
+            for form in (conjugation_residual, conjugation_oracle):
+                assert form(u, t, gens) <= 1e-12
+            column = int(rng.integers(size))
+            negated = t.copy()
+            negated[:, column] = -negated[:, column]
+            mutants = [(u, negated), (1.001 * u, t), (np.zeros_like(u), t),
+                       (lift(t, negated_table(gens, 1)), t)]
+            for bad_u, bad_t in mutants:
+                for form in (conjugation_residual, conjugation_oracle):
+                    assert form(bad_u, bad_t, gens) > 1e-3, (form.__name__, size, det_sign)
+
+    def test_zero_and_scaled_unitaries_are_read_by_the_frobenius_term(self):
+        gens = jordan_wigner(3)
+        t = random_orthogonal(np.random.default_rng(2), 7, det_sign=1)
+        u = lift(t, gens)
+        assert conjugation_residual(np.zeros_like(u), t, gens) == 1.0
+        assert conjugation_residual(1.001 * u, t, gens) == pytest.approx(2.001e-3, rel=1e-9)
+
+    def test_row_blocks_give_the_value_of_one_whole_block(self, monkeypatch):
+        # at n = 9 a 2 MiB block holds 13 rows of the 19 stacked products
+        gens = jordan_wigner(9)
+        rng = np.random.default_rng(19)
+        t = random_orthogonal(rng, 19, det_sign=1)
+        u = lift(t, gens)
+        u[5, 300] += 1e-6  # a defect in one block, so that the value is not rounding
+        assert rotors._RESIDUAL_BLOCK_BYTES // (16 * 19 * 2**9) == 13
+        blocked = conjugation_residual(u, t, gens)
+        monkeypatch.setattr(rotors, "_RESIDUAL_BLOCK_BYTES", 2**40)
+        assert conjugation_residual(u, t, gens) == blocked
+        assert blocked > 1e-7
+
+    def test_holds_a_few_blocks_and_no_dense_product(self):
+        # a 2 MiB stack of row blocks, its mixed copy and their temporaries
+        # (5.0 MiB traced); a d x d product beside its factors takes 12 MiB at n = 9
+        gens = jordan_wigner(9)
+        t = random_orthogonal(np.random.default_rng(4), 18, det_sign=-1)
+        u = lift(t, gens)
+        tracemalloc.start()
+        try:
+            conjugation_residual(u, t, gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * rotors._RESIDUAL_BLOCK_BYTES
 
 
 class TestFlips:

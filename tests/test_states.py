@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -623,6 +624,15 @@ class TestFactorKernel:
                 assert np.shares_memory(gin, into)
             assert into.tobytes() == want.tobytes()
 
+    def test_ginibre_chunks_keep_no_chunk_the_caller_dropped(self):
+        # a factor slice is dead once measured, so the generator must not hold it
+        chunks = states._ginibre_chunks(3, 4, 9, 2)
+        chunk = next(chunks)
+        ref = weakref.ref(chunk)
+        del chunk
+        assert ref() is None
+        assert next(chunks).shape == (2, 8, 8)
+
 
 def whole_hs_batch(n, count, seed):
     """The Hilbert-Schmidt batch built on whole (count, d, d) arrays, kept as the oracle."""
@@ -648,6 +658,29 @@ class TestSampling:
         for count in (1, 5, 300):
             batch = random_state_batch(n, count, 3, "pure-haar")
             assert batch.tobytes() == einsum_pure_batch(n, count, 3).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 10, 12])
+    def test_pure_states_keep_the_whole_draw_bytes(self, n):
+        # the real parts, then the imaginary parts, drawn a chunk at a time into
+        # one array: at n = 10 and 12 the 300 rows span several chunks
+        d = 2**n
+        for count in (0, 1, 7, 300):
+            rng = np.random.default_rng(11)
+            want = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+            want /= np.linalg.norm(want, axis=1, keepdims=True)
+            assert random_pure_states(n, count, 11).tobytes() == want.tobytes()
+
+    def test_pure_states_hold_little_beside_their_output(self):
+        # 16 MiB of vectors at n = 10 plus one chunk's normals and norm (1.13 traced);
+        # the sum of two whole draws peaked at 2.0
+        out = 1000 * 2**10 * 16
+        tracemalloc.start()
+        try:
+            random_pure_states(10, 1000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * out
 
     def test_vector_expectations_reject_other_dimension(self):
         psi = random_pure_states(3, 4, 1)

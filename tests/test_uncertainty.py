@@ -890,15 +890,15 @@ class TestSharedStreams:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_cross_check_over_budget_at_n16(self, monkeypatch):
-        # 2.125 x 2000 x 2**16 x 16 bytes = 4.2 GiB of state vectors and their
+    def test_cross_check_over_budget_at_n17(self, monkeypatch):
+        # 1.3 x 2000 x 2**17 x 16 bytes = 5.1 GiB of state vectors and their
         # draw, refused by arithmetic with nothing drawn
         forbid_draws(monkeypatch)
         with pytest.raises(CapacityError, match="pure-state cross-check"):
-            find_minimizer(jordan_wigner(16), 3, 1, budget=2000, seed=0)
+            find_minimizer(jordan_wigner(17), 3, 1, budget=2000, seed=0)
 
     def test_cross_check_past_the_dense_guard_draws_nothing(self, monkeypatch):
-        # 2.2 GiB at n = 15 fits the budget, but no state vector past
+        # 1.3 GiB at n = 15 fits the budget, but no state vector past
         # DENSE_GUARD qubits is drawn, so the ball search must not run either
         forbid_draws(monkeypatch)
         with pytest.raises(DomainError, match="cross-check's state vectors"):
@@ -924,10 +924,10 @@ class TestSharedStreams:
                 assert abs(rep.numeric_min - dense) <= 1e-14, (n, rep.K)
 
     def test_cross_check_counts_against_budget(self, monkeypatch):
-        # 2.125 x 2000 x 64 x 16 bytes = 4.2 MiB of state vectors and their
-        # draw at n = 6 is over a 4 MiB budget, which the ball search fits
+        # 1.3 x 2000 x 64 x 16 bytes = 2.5 MiB of state vectors and their
+        # draw at n = 6 is over a 2 MiB budget, which the ball search fits
         forbid_draws(monkeypatch)
-        monkeypatch.setattr(uncertainty, "MEMORY_BUDGET", 2**22)
+        monkeypatch.setattr(uncertainty, "MEMORY_BUDGET", 2**21)
         with pytest.raises(CapacityError, match="pure-state cross-check"):
             find_minimizer(jordan_wigner(6), 3, 1, budget=2000, seed=0)
 
@@ -938,7 +938,7 @@ class TestSharedStreams:
 
     def test_cli_refuses_over_budget(self, monkeypatch, capsys):
         forbid_draws(monkeypatch)
-        assert main(["minimize", "--n", "16", "--K", "3", "--samples", "2000"]) == 1
+        assert main(["minimize", "--n", "17", "--K", "3", "--samples", "2000"]) == 1
         assert "memory budget" in capsys.readouterr().err
 
     def test_n10_is_certified(self):

@@ -42,7 +42,7 @@ from .rotors import (_flip, _frobenius_defect, conjugation_residual, euler_decom
 from .states import (
     DensityMatrix,
     GVector,
-    _factor_chunk_states,
+    _block_rows,
     _ginibre_chunks,
     _hs_peak_bytes,
     _psd_shortfall,
@@ -241,11 +241,13 @@ def _suite_anticommutation(gens) -> list[dict]:
 def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int) -> list[dict]:
     sizes = _chunk_sizes(samples)
     seeds = seed_seq.spawn(len(sizes))
+    d = 2**gens.n
+    step = _block_rows(16 * d * d)
 
     def work(item):
         count, seed = item
         shortfall = norm_sq = idem = tr_res = 0.0
-        for gin in _ginibre_chunks(gens.n, count, seed, _factor_chunk_states(gens.n)):
+        for gin in _ginibre_chunks((d, d), count, seed, step):
             g = factor_expectations(gin, gens)
             del gin  # the factors are dead once measured
             proj = matrix_from_expectations(g, gens)
@@ -401,7 +403,7 @@ def _check_projection_memory(n: int, samples: int, threads: int) -> None:
     every chunk, or the rotor suite's state batch, that exceed ``MEMORY_BUDGET``;
     nothing that grows with the samples is built."""
     chunks, size = -(-samples // _CHUNK), min(samples, _CHUNK)
-    slice_states = min(size, _factor_chunk_states(n))
+    slice_states = min(size, _block_rows(16 * 4**n))
     per_chunk = (size * 8 + _PROJECTION_SLICES * slice_states * 16) * 4**n
     check_budget(f"projection at {size} states per chunk",
                  per_chunk * _workers(threads, chunks), MEMORY_BUDGET)

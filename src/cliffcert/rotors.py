@@ -64,7 +64,7 @@ from . import pauli
 from .clifford import GeneratorSet
 from .errors import (DimensionMismatchError, DomainError, OrientationError, check_budget,
                      check_integer)
-from .states import DensityMatrix, extended_expectations
+from .states import DensityMatrix, _block_rows, extended_expectations
 from .tolerances import MEMORY_BUDGET, ORTHOGONALITY
 
 _TWO_PI = 2.0 * math.pi
@@ -76,9 +76,6 @@ _NEGLIGIBLE = 1e-24
 # Complex d x d arrays that lift holds at its peak: U and the last doubling's
 # d x d/2 term.
 _LIFT_ARRAYS = 1.5
-# Bytes of the stacked row blocks of G_i U that conjugation_residual mixes at
-# once, so that its temporaries stay a few MiB whatever n.
-_RESIDUAL_BLOCK_BYTES = 2**21
 
 
 class OrthoTransform:
@@ -354,7 +351,7 @@ def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
     algebra, so by Schur's lemma the first term vanishes only for ``U = c V``
     with V a lift of T, and the Frobenius term pins ``|c| = 1``: for a
     unitary U the form vanishes exactly when the conjugation form does.
-    Rows are taken ``_RESIDUAL_BLOCK_BYTES`` of stacked ``G_i U`` rows at a
+    Rows of the stacked ``G_i U`` are taken :func:`states._block_rows` at a
     time, so no d x d matrix product is formed and the temporaries stay a
     few MiB: O(N**2 d**2) for N = 2n+1.  Used by the verification suites.
     """
@@ -369,7 +366,7 @@ def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
     groups = _xmask_groups(gens)
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    step = max(1, _RESIDUAL_BLOCK_BYTES // (16 * size * d))
+    step = _block_rows(16 * size * d)
     stack = np.empty((size, min(step, d), d), dtype=complex)
     worst = 0.0
     for start in range(0, d, step):

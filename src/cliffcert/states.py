@@ -210,10 +210,21 @@ def extended_expectations(mats: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     return np.stack([pauli.expect(act, mats).real for act in gens.actions], axis=-1)
 
 
+# Bytes of the rows that a blocked kernel or sampler holds at once, so that
+# its temporaries stay a few MiB whatever the number of rows.  Every result
+# is per row or a maximum over rows, so the block size changes no bit.
+_BLOCK_BYTES = 2**21
 # Bytes of state vectors (or factors) measured at once, so that the products
 # and sums of one chunk stay in cache: 2000 vectors took 6.3 ms against
-# 9.3 ms whole at n = 6, and 0.51 s against 1.18 s at n = 12.
+# 9.3 ms whole at n = 6, and 0.51 s against 1.18 s at n = 12; against
+# 2 MiB blocks, 4.7 against 6.5 ms at n = 6 and 19.7 against 22.9 ms at
+# n = 8 (one BLAS thread, Xeon, best of 7).
 _VECTOR_CHUNK_BYTES = 2**19
+
+
+def _block_rows(row_bytes: int, budget: int = _BLOCK_BYTES) -> int:
+    """Rows of ``row_bytes`` each that fit in ``budget`` bytes, at least one."""
+    return max(1, budget // row_bytes)
 
 
 def _vectors(psi, gens: GeneratorSet) -> np.ndarray:
@@ -283,7 +294,7 @@ def vector_expectations(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     d = psi.shape[-1]
     flat = psi.reshape(-1, d)
     out = np.empty((len(flat), 2 * gens.n + 1))
-    step = max(1, _VECTOR_CHUNK_BYTES // (16 * d))
+    step = _block_rows(16 * d, _VECTOR_CHUNK_BYTES)
     for start in range(0, len(flat), step):
         _pair_sums(flat[start:start + step], gens, out[start:start + step])
     return out.reshape(psi.shape[:-1] + out.shape[-1:])
@@ -309,7 +320,7 @@ def factor_expectations(w: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     size = w.shape[-2] * w.shape[-1]
     flat = w.reshape(-1, size)
     out = np.empty((len(flat), 2 * gens.n + 1))
-    step = max(1, _VECTOR_CHUNK_BYTES // (16 * size))
+    step = _block_rows(16 * size, _VECTOR_CHUNK_BYTES)
     for start in range(0, len(flat), step):
         chunk = flat[start:start + step]
         _pair_sums(chunk, gens, out[start:start + step])
@@ -449,18 +460,13 @@ def realize(g: GVector, gens: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
     return psi, np.array([(1.0 + r) / 2.0, (1.0 - r) / 2.0])
 
 
-# Bytes of the matrices one Cholesky call factors, so that the shifted copy
-# and its factor stay a few MiB whatever the number of states.
-_FACTOR_BYTES = 2**21
-
-
 def _psd_shortfall(mats: np.ndarray, shift: float, scale: float = 1.0) -> float:
     """``max(0, -lambda_min)`` over the Hermitian matrices ``mats / scale``.
 
-    ``mats`` has shape ``(..., d, d)`` and is not modified.  Each slice of
-    at most ``_FACTOR_BYTES`` is divided by ``scale``, shifted by
-    ``shift * 1`` and factored by Cholesky; when every slice factors the
-    result is 0.0 and no eigensolver runs.  Only a slice that fails to
+    ``mats`` has shape ``(..., d, d)`` and is not modified.  Each block of
+    matrices (:func:`_block_rows`) is divided by ``scale``, shifted by
+    ``shift * 1`` and factored by Cholesky; when every block factors the
+    result is 0.0 and no eigensolver runs.  Only a block that fails to
     factor is sized by ``eigvalsh`` (its least eigenvalue less ``shift``).
 
     Both LAPACK routines read the lower triangle.  A factorization that
@@ -472,7 +478,7 @@ def _psd_shortfall(mats: np.ndarray, shift: float, scale: float = 1.0) -> float:
     """
     d = mats.shape[-1]
     stack = mats.reshape(-1, d, d)
-    step = max(1, _FACTOR_BYTES // (16 * d * d))
+    step = _block_rows(16 * d * d)
     diag = np.arange(d)
     shortfall = 0.0
     for start in range(0, len(stack), step):
@@ -487,40 +493,26 @@ def _psd_shortfall(mats: np.ndarray, shift: float, scale: float = 1.0) -> float:
 
 
 _ENSEMBLES = ("pure-haar", "mixed-hs")
-# Bytes of one chunk of Hilbert-Schmidt states, so that a chunk's conjugate
-# G^H and G G^H stay a few MiB whatever the number of states.  Every step
-# after the draw is per state, so the size does not change any bit.
-_HS_CHUNK_BYTES = 2**21
-# Bytes of the state vectors that random_pure_states draws and normalizes at
-# once: the normals take half of that, the norm's temporaries about twice.
-_PURE_CHUNK_BYTES = 2**21
 
 
-def _hs_chunk_states(n: int) -> int:
-    """States per Hilbert-Schmidt chunk: as many as fit in ``_HS_CHUNK_BYTES``, at least 16."""
-    return max(16, _HS_CHUNK_BYTES // (16 * 4**n))
+def _ginibre_chunks(shape: tuple[int, ...], count: int, seed, step: int,
+                    out: np.ndarray | None = None):
+    """Yield ``count`` complex Gaussian arrays of trailing ``shape``, ``step`` at a time.
 
-
-def _factor_chunk_states(n: int) -> int:
-    """Ginibre factors per chunk measured on their factors: as many as fit in
-    ``_HS_CHUNK_BYTES``, at least one."""
-    return max(1, _HS_CHUNK_BYTES // (16 * 4**n))
-
-
-def _ginibre_chunks(n: int, count: int, seed, step: int, out: np.ndarray | None = None):
-    """Yield the ``count`` square Ginibre matrices of a ``mixed-hs`` draw, ``step`` at a time.
-
-    The stream is fixed: the real parts of all ``count`` matrices are drawn
-    first, then each chunk's imaginary parts as the chunk is yielded.  With
-    ``out`` (complex, ``(count, d, d)``) the real parts are drawn into it
+    These are the Ginibre factors ``W`` of the induced states
+    ``W W^H / Tr(W W^H)`` (Zyczkowski-Sommers, J. Phys. A 34, 7111): square
+    ``(d, d)`` for ``mixed-hs``, a column ``(d,)`` for a Haar vector.  The
+    stream is fixed: the real parts of all ``count`` arrays are drawn first,
+    then each chunk's imaginary parts as the chunk is yielded, so the bits do
+    not depend on ``step`` (callers take it from :func:`_block_rows`).  With
+    ``out`` (complex, ``(count, *shape)``) the real parts are drawn into it
     and each chunk is a view of it, which the caller may overwrite.  Without
     it they are held in one float array, half a stack, and each chunk is a
     new complex array.  ``seed`` passes :func:`_check_seed` at the first
     ``next``.
     """
     rng = np.random.default_rng(_check_seed(seed))
-    d = 2**n
-    real = np.empty((count, d, d)) if out is None else out.real
+    real = np.empty((count, *shape)) if out is None else out.real
     starts = range(0, count, step)
     for start in starts:
         part = real[start:start + step]
@@ -543,9 +535,10 @@ def _with_imag(rng, real: np.ndarray, chunk: np.ndarray | None) -> np.ndarray:
 
 def _hs_peak_bytes(n: int, count: int) -> int:
     """Bytes a ``mixed-hs`` batch of ``count`` states holds at its peak: the returned
-    stack plus three chunks of temporaries for one chunk's ``G G^H`` (tracemalloc
-    at n = 3, 4, 6 and 8)."""
-    return (count + 3 * min(count, _hs_chunk_states(n))) * 4**n * 16
+    stack plus three :func:`_block_rows` chunks of temporaries for one chunk's
+    ``G G^H`` (tracemalloc at n = 3, 4, 6 and 8)."""
+    size = 16 * 4**n
+    return (count + 3 * min(count, _block_rows(size))) * size
 
 
 def _check_seed(seed):
@@ -559,24 +552,17 @@ def _check_seed(seed):
 def random_pure_states(n: int, count: int, seed) -> np.ndarray:
     """``count`` Haar-random unit state vectors, shape ``(count, d)``.
 
-    The real parts and then the imaginary parts are drawn from
-    ``default_rng(seed)``, a few MiB at a time into the returned array, and
-    normalized as many rows at a time; the stream is sequential,
-    so the bits are those of one whole draw.  The ``pure-haar`` states of
+    The ``(d,)`` factors of :func:`_ginibre_chunks` are drawn into the
+    returned array, :func:`_block_rows` vectors at a time, and each chunk is
+    normalized as its imaginary parts arrive; the stream is sequential, so
+    the bits are those of one whole draw.  The ``pure-haar`` states of
     :func:`random_state_batch` are the outer products of these vectors.
     ``seed`` passes :func:`_check_seed`.
     """
     n, count = check_integer(n, "n", 1, DENSE_GUARD), check_integer(count, "state count", 0)
-    rng = np.random.default_rng(_check_seed(seed))
     d = 2**n
     psi = np.empty((count, d), dtype=complex)
-    starts = range(0, count, max(1, _PURE_CHUNK_BYTES // (16 * d)))
-    for part in (psi.real, psi.imag):
-        for start in starts:
-            rows = part[start:start + starts.step]
-            rows[...] = rng.standard_normal(rows.shape)
-    for start in starts:
-        rows = psi[start:start + starts.step]
+    for rows in _ginibre_chunks((d,), count, seed, _block_rows(16 * d), psi):
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     return psi
 
@@ -587,10 +573,11 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     ``pure-haar`` draws Haar-random pure states; ``mixed-hs`` draws from
     the Hilbert-Schmidt measure (square Ginibre matrix G, normalized
     G G^H).  For ``mixed-hs`` the matrices G are drawn by
-    :func:`_ginibre_chunks` into the returned array, and each chunk is
-    overwritten by its ``G G^H`` over the trace as its imaginary parts
-    arrive.  Standard normals are one stream, so this is bit for bit the
-    whole draw, and beside the returned array the peak holds a few chunks.
+    :func:`_ginibre_chunks` into the returned array, :func:`_block_rows`
+    states at a time, and each chunk is overwritten by its ``G G^H`` over
+    the trace as its imaginary parts arrive.  Standard normals are one
+    stream, so this is bit for bit the whole draw, and beside the returned
+    array the peak holds three chunks (:func:`_hs_peak_bytes`).
     Deterministic given the seed, which passes :func:`_check_seed`.
     """
     if ensemble not in _ENSEMBLES:
@@ -598,10 +585,11 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     n, count = check_integer(n, "n", 1, DENSE_GUARD), check_integer(count, "state count", 0)
     if ensemble == "pure-haar":
         psi = random_pure_states(n, count, seed)
+        # einsum: the broadcast psi[:, :, None] * psi.conj()[:, None, :] gives other bytes
         return np.einsum("si,sj->sij", psi, psi.conj())
     d = 2**n
     out = np.empty((count, d, d), dtype=complex)
-    for gin in _ginibre_chunks(n, count, seed, _hs_chunk_states(n), out):
+    for gin in _ginibre_chunks((d, d), count, seed, _block_rows(16 * d * d), out):
         w = gin @ gin.conj().swapaxes(-1, -2)
         np.divide(w, np.trace(w, axis1=1, axis2=2).real[:, None, None], out=gin)
     return out

@@ -32,7 +32,7 @@ from cliffcert import (
     rotation_matrix,
     to_dense,
 )
-from cliffcert import rotors
+from cliffcert import rotors, states
 from cliffcert.rotors import _rotor_direct
 
 
@@ -392,9 +392,9 @@ class TestResiduals:
         t = random_orthogonal(rng, 19, det_sign=1)
         u = lift(t, gens)
         u[5, 300] += 1e-6  # a defect in one block, so that the value is not rounding
-        assert rotors._RESIDUAL_BLOCK_BYTES // (16 * 19 * 2**9) == 13
+        assert states._block_rows(16 * 19 * 2**9) == 13
         blocked = conjugation_residual(u, t, gens)
-        monkeypatch.setattr(rotors, "_RESIDUAL_BLOCK_BYTES", 2**40)
+        monkeypatch.setattr(rotors, "_block_rows", lambda size: states._block_rows(size, 2**40))
         assert conjugation_residual(u, t, gens) == blocked
         assert blocked > 1e-7
 
@@ -410,7 +410,7 @@ class TestResiduals:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * rotors._RESIDUAL_BLOCK_BYTES
+        assert peak <= 3 * states._BLOCK_BYTES
 
 
 class TestFlips:

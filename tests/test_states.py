@@ -610,23 +610,24 @@ class TestFactorKernel:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_ginibre_chunks_are_one_stream(self, n):
-        # real parts of every matrix first, then each chunk's imaginary parts,
-        # whether the chunks are views of a caller's stack or new arrays
+        # real parts of every matrix (or vector) first, then each chunk's imaginary
+        # parts, whether the chunks are views of a caller's stack or new arrays
         d = 2**n
-        for count, step in ((1, 1), (5, 2), (7, 16)):
+        for shape, (count, step) in itertools.product(((d, d), (d,)),
+                                                      ((1, 1), (5, 2), (7, 16))):
             rng = np.random.default_rng(9)
-            real = rng.standard_normal((count, d, d))
-            want = real + 1j * rng.standard_normal((count, d, d))
-            got = np.concatenate(list(states._ginibre_chunks(n, count, 9, step)))
+            real = rng.standard_normal((count, *shape))
+            want = real + 1j * rng.standard_normal((count, *shape))
+            got = np.concatenate(list(states._ginibre_chunks(shape, count, 9, step)))
             assert got.tobytes() == want.tobytes()
-            into = np.empty((count, d, d), dtype=complex)
-            for gin in states._ginibre_chunks(n, count, 9, step, into):
+            into = np.empty((count, *shape), dtype=complex)
+            for gin in states._ginibre_chunks(shape, count, 9, step, into):
                 assert np.shares_memory(gin, into)
             assert into.tobytes() == want.tobytes()
 
     def test_ginibre_chunks_keep_no_chunk_the_caller_dropped(self):
         # a factor slice is dead once measured, so the generator must not hold it
-        chunks = states._ginibre_chunks(3, 4, 9, 2)
+        chunks = states._ginibre_chunks((8, 8), 4, 9, 2)
         chunk = next(chunks)
         ref = weakref.ref(chunk)
         del chunk
@@ -691,7 +692,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_mixed_hs_equals_whole_batch(self, n):
-        chunk = states._hs_chunk_states(n)
+        chunk = states._block_rows(16 * 4**n)
         for count in (5, chunk, 2 * chunk + 5):
             assert np.array_equal(random_state_batch(n, count, 3), whole_hs_batch(n, count, 3))
 
@@ -707,8 +708,9 @@ class TestSampling:
         assert peak <= 2 * stack
 
     def test_mixed_hs_keeps_the_whole_draw_bytes(self):
-        for n in range(1, 7):
-            chunk = states._hs_chunk_states(n)
+        # at n = 8 a chunk is 2 states, so every count past 2 spans several chunks
+        for n in (*range(1, 7), 8):
+            chunk = states._block_rows(16 * 4**n)
             for count in (0, 1, 7, chunk, chunk + 1, 3 * chunk - 2):
                 got = random_state_batch(n, count, 5)
                 assert got.tobytes() == whole_hs_batch(n, count, 5).tobytes(), (n, count)
@@ -725,6 +727,19 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 1.45 * stack
         assert peak <= states._hs_peak_bytes(6, 256) + 2**16
+
+    def test_mixed_hs_holds_three_block_chunks_beside_the_stack(self):
+        # 20 states at n = 8: the stack plus three 2-state chunks (26 MiB); a floor
+        # of 16 states a chunk peaked at 52 MiB with the same bytes
+        random_state_batch(1, 1, 3)  # numpy's first-call allocations, made before the trace
+        tracemalloc.start()
+        try:
+            random_state_batch(8, 20, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * 4**8 * 16 + 2**16
+        assert states._hs_peak_bytes(8, 20) == 26 * 4**8 * 16
 
     @pytest.mark.parametrize("seed", [True, False, -1, 1.5, "1", None, np.float64(2.0),
                                       np.random.default_rng(1)])

@@ -60,11 +60,10 @@ from .uncertainty import (_check_order, bias_entropy, bias_entropy_d1, bias_entr
 THREADS_ENV = "CLIFFCERT_THREADS"
 _CHUNK = 256
 # Complex slices of Ginibre factors that one projection chunk holds at its
-# peak beside the float real parts of its whole draw: the projection, and the
-# shifted copy and Cholesky factor of the positivity check; the factor slice
-# is dropped once measured (tracemalloc over one 256-state chunk: 3.07 slices
-# at n = 3, 3.02 at n = 4, 3.00 at n = 5..8; the first run in a process adds
-# about 0.75 MiB once).
+# peak: the projection, and the shifted copy and Cholesky factor of the
+# positivity check; the factor slice is drawn a slice at a time and dropped
+# once measured (tracemalloc over one 256-state chunk: 3.07 slices at n = 3,
+# 3.02 at n = 4, 3.01 at n = 5, 3.00 at n = 6..8).
 _PROJECTION_SLICES = 4
 # Bytes that one projection chunk's seed, size and results hold (tracemalloc
 # over 20000 chunks: 656 on one thread, 2201 with a pool, which submits every
@@ -404,7 +403,7 @@ def _check_projection_memory(n: int, samples: int, threads: int) -> None:
     nothing that grows with the samples is built."""
     chunks, size = -(-samples // _CHUNK), min(samples, _CHUNK)
     slice_states = min(size, _block_rows(16 * 4**n))
-    per_chunk = (size * 8 + _PROJECTION_SLICES * slice_states * 16) * 4**n
+    per_chunk = _PROJECTION_SLICES * slice_states * 16 * 4**n
     check_budget(f"projection at {size} states per chunk",
                  per_chunk * _workers(threads, chunks), MEMORY_BUDGET)
     check_budget(f"bookkeeping for {chunks} projection chunks",

@@ -293,7 +293,10 @@ def pairings(strings) -> tuple[Pairing, ...]:
 
     Each group's pivot is the last qubit of its X mask, so the other X bits
     lie before it and only their prefix is gathered (:class:`Pairing`).
+    An empty list has no qubit count and raises :class:`DomainError`.
     """
+    if not strings:
+        raise DomainError("pairings need at least one string")
     n = strings[0].n
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for j, p in enumerate(strings):

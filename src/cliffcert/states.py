@@ -303,8 +303,10 @@ def vector_expectations(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
 def factor_expectations(w: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     """Expectations ``Tr(rho G_j)`` of the states ``rho = W W^H / Tr(W W^H)``.
 
-    ``w`` has shape ``(..., d, r)`` and holds nonzero factors; the result
-    replaces its last two axes by one of length 2n+1 in extended order.
+    ``w`` has shape ``(..., d, r)`` and holds nonzero factors (one whose
+    squared norm is 0 or not finite raises :class:`DomainError`); the
+    result replaces its last two axes by one of length 2n+1 in extended
+    order.
     ``Tr(G_j W W^H) = sum_c <w_c|G_j|w_c>`` over the columns ``w_c``, and
     ``W`` read row-major is a vector on n + log2(r) qubits on which the
     strings act as ``G_j (x) 1``.  So the pairing of
@@ -323,8 +325,13 @@ def factor_expectations(w: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     step = _block_rows(16 * size, _VECTOR_CHUNK_BYTES)
     for start in range(0, len(flat), step):
         chunk = flat[start:start + step]
+        norms = _squared_norms(chunk[:, None, :])
+        ok = (norms > 0.0) & (norms < np.inf)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise DomainError(f"factor {start + k} has squared norm {norms[k]}, not a state")
         _pair_sums(chunk, gens, out[start:start + step])
-        out[start:start + step] /= _squared_norms(chunk[:, None, :])[:, None]
+        out[start:start + step] /= norms[:, None]
     return out.reshape(w.shape[:-2] + out.shape[-1:])
 
 
@@ -404,14 +411,14 @@ def gvector(rho: DensityMatrix, gens: GeneratorSet, K: int | None = None) -> GVe
 def from_gvector(g: GVector, gens: GeneratorSet, *, tol_psd: float = PSD) -> DensityMatrix:
     """State ``(1/d)(1 + sum_j g_j G_j)`` for coefficients in the unit ball.
 
-    Rejects coefficient vectors with ``sum g_j**2 > 1 + tol_psd``, where
-    positivity is no longer guaranteed.
+    Rejects coefficient vectors with ``sum g_j**2 > 1 + tol_psd`` (or not
+    finite), where positivity is no longer guaranteed.
     """
     _check_tolerance(tol_psd, "tol_psd")
     if g.n != gens.n:
         raise DomainError(f"coefficient vector is for n={g.n}, generators for n={gens.n}")
     norm_sq = g.norm_squared
-    if norm_sq > 1.0 + tol_psd:
+    if not norm_sq <= 1.0 + tol_psd:
         raise BallViolationError(f"sum of squares {norm_sq:.12f} exceeds 1")
     return DensityMatrix.from_matrix(matrix_from_expectations(g.values, gens), tol_psd=tol_psd)
 
@@ -501,36 +508,22 @@ def _ginibre_chunks(shape: tuple[int, ...], count: int, seed, step: int,
 
     These are the Ginibre factors ``W`` of the induced states
     ``W W^H / Tr(W W^H)`` (Zyczkowski-Sommers, J. Phys. A 34, 7111): square
-    ``(d, d)`` for ``mixed-hs``, a column ``(d,)`` for a Haar vector.  The
-    stream is fixed: the real parts of all ``count`` arrays are drawn first,
-    then each chunk's imaginary parts as the chunk is yielded, so the bits do
-    not depend on ``step`` (callers take it from :func:`_block_rows`).  With
-    ``out`` (complex, ``(count, *shape)``) the real parts are drawn into it
-    and each chunk is a view of it, which the caller may overwrite.  Without
-    it they are held in one float array, half a stack, and each chunk is a
-    new complex array.  ``seed`` passes :func:`_check_seed` at the first
-    ``next``.
+    ``(d, d)`` for ``mixed-hs``, a column ``(d,)`` for a Haar vector.  Each
+    chunk is filled by one ``standard_normal`` call on its float view, so an
+    entry's real and imaginary parts are consecutive normals and the stream
+    is that of ``rng.standard_normal((count, *shape, 2)).view(complex)[..., 0]``
+    whatever ``step`` (callers take it from :func:`_block_rows`).  Nothing
+    is drawn ahead of its chunk.  With ``out`` (complex, ``(count, *shape)``)
+    each chunk is a view of it, which the caller may overwrite; without it
+    each chunk is a new array.  ``seed`` passes :func:`_check_seed` at the
+    first ``next``.
     """
     rng = np.random.default_rng(_check_seed(seed))
-    real = np.empty((count, *shape)) if out is None else out.real
-    starts = range(0, count, step)
-    for start in starts:
-        part = real[start:start + step]
-        part[...] = rng.standard_normal(part.shape)
-    for start in starts:
-        chunk = slice(start, start + step)
-        # yielded unnamed, so that this frame keeps no chunk the caller is done with
-        yield _with_imag(rng, real[chunk], None if out is None else out[chunk])
-
-
-def _with_imag(rng, real: np.ndarray, chunk: np.ndarray | None) -> np.ndarray:
-    """``chunk``, whose real parts are ``real``, or a new complex array holding them, with
-    its imaginary parts drawn from ``rng``."""
-    if chunk is None:
-        chunk = np.empty(real.shape, dtype=complex)
-        chunk.real = real
-    chunk.imag = rng.standard_normal(chunk.shape)
-    return chunk
+    for start in range(0, count, step):
+        # filled and yielded unnamed, so that this frame keeps no chunk the caller is done with
+        yield rng.standard_normal(out=(
+            np.empty((min(step, count - start), *shape), dtype=complex) if out is None
+            else out[start:start + step]).view(float)).view(complex)
 
 
 def _hs_peak_bytes(n: int, count: int) -> int:
@@ -554,9 +547,9 @@ def random_pure_states(n: int, count: int, seed) -> np.ndarray:
 
     The ``(d,)`` factors of :func:`_ginibre_chunks` are drawn into the
     returned array, :func:`_block_rows` vectors at a time, and each chunk is
-    normalized as its imaginary parts arrive; the stream is sequential, so
-    the bits are those of one whole draw.  The ``pure-haar`` states of
-    :func:`random_state_batch` are the outer products of these vectors.
+    normalized as it is drawn; the bits are those of one whole draw.  The
+    ``pure-haar`` states of :func:`random_state_batch` are the outer
+    products of these vectors.
     ``seed`` passes :func:`_check_seed`.
     """
     n, count = check_integer(n, "n", 1, DENSE_GUARD), check_integer(count, "state count", 0)
@@ -575,9 +568,9 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     G G^H).  For ``mixed-hs`` the matrices G are drawn by
     :func:`_ginibre_chunks` into the returned array, :func:`_block_rows`
     states at a time, and each chunk is overwritten by its ``G G^H`` over
-    the trace as its imaginary parts arrive.  Standard normals are one
-    stream, so this is bit for bit the whole draw, and beside the returned
-    array the peak holds three chunks (:func:`_hs_peak_bytes`).
+    the trace as it is drawn.  This is bit for bit the whole draw, and
+    beside the returned array the peak holds three chunks
+    (:func:`_hs_peak_bytes`).
     Deterministic given the seed, which passes :func:`_check_seed`.
     """
     if ensemble not in _ENSEMBLES:

@@ -443,17 +443,25 @@ def forbid_sampling(monkeypatch):
 
 
 class TestVerifyMemory:
-    def test_n11_at_default_samples_is_refused(self, monkeypatch, capsys):
-        # the real parts of 200 Ginibre factors at n = 11, 200 x 2048 x 2048 floats,
-        # are 6.25 GiB against the 4 GiB budget (n = 10 needs 1.6 GiB and runs)
+    def test_n13_at_default_samples_is_refused(self, monkeypatch, capsys):
+        # the rotor suite's 4 Hilbert-Schmidt states at n = 13 and three one-state
+        # chunks of temporaries, 7 x 8192**2 x 16 bytes, are 7 GiB against the 4 GiB
+        # budget; four one-state projection slices are exactly 4 GiB
         forbid_sampling(monkeypatch)
-        assert main(["verify", "--n", "11"]) == 1
-        assert "memory budget" in capsys.readouterr().err
+        assert main(["verify", "--n", "13"]) == 1
+        assert "rotor suite" in capsys.readouterr().err
+
+    def test_n11_at_default_samples_fits_by_arithmetic(self, monkeypatch):
+        # four one-state slices at n = 11, 4 x 2048**2 x 16 bytes = 256 MiB, and the
+        # rotor suite's 4 states and 3 slices, 448 MiB; at n = 12, 1 and 1.75 GiB
+        forbid_sampling(monkeypatch)
+        for n in (11, 12):
+            cli._check_projection_memory(n, 200, 1)
 
     def test_chunks_in_flight_count(self, monkeypatch, capsys):
-        # one 256-state chunk at n = 3 holds its real parts, 256 x 64 x 8 bytes, and
-        # four 256-state slices, 4 x 256 x 64 x 16 bytes: 1.125 MiB, two 2.25 MiB
-        monkeypatch.setattr(cli, "MEMORY_BUDGET", 2**21)
+        # one 256-state chunk at n = 3 holds four 256-state slices,
+        # 4 x 256 x 64 x 16 bytes: 1 MiB, two 2 MiB, against 1.5 MiB
+        monkeypatch.setattr(cli, "MEMORY_BUDGET", 3 * 2**19)
         # two chunks in flight whatever the machine's CPU count
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = ["verify", "--n", "3", "--samples", "512", "--format", "json"]
@@ -512,12 +520,13 @@ class TestProjectionSuite:
         assert all(c["passed"] for c in checks)
         assert peak <= 2 * stack
 
-    def test_chunk_holds_the_real_parts_and_a_few_slices(self):
-        # 256 states at n = 7: half a stack of real parts, then four 8-state
-        # slices (factors, projection, Cholesky copy and factor), about 0.64 stacks
-        stack = 256 * 128**2 * 16
-        gens = jordan_wigner(7)
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_chunk_holds_a_few_slices(self, n):
+        # 256 states: at most four slices of 2 MiB of factors (factors, projection,
+        # Cholesky copy and factor; 3.00 traced), nothing the size of the chunk
+        gens = jordan_wigner(n)
         gens.actions, gens.pairings  # cached tables, built before the trace
+        slice_bytes = cli._block_rows(16 * 4**n) * 16 * 4**n
         tracemalloc.start()
         try:
             checks = cli._suite_projection(gens, np.random.SeedSequence(5), 256, PSD, 1)
@@ -525,7 +534,7 @@ class TestProjectionSuite:
         finally:
             tracemalloc.stop()
         assert all(c["passed"] for c in checks)
-        assert peak <= 0.7 * stack
+        assert peak <= cli._PROJECTION_SLICES * slice_bytes + 2**20
 
     def test_builds_no_hilbert_schmidt_state(self, monkeypatch):
         def no_states(*args):

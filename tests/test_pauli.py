@@ -27,7 +27,7 @@ from cliffcert import (
     to_dense,
     to_label,
 )
-from cliffcert.pauli import action, apply, compose, expect, scatter, symplectic_inner
+from cliffcert.pauli import action, apply, compose, expect, pairings, scatter, symplectic_inner
 from cliffcert.rotors import _rotor_direct
 from cliffcert.tolerances import DENSE_GUARD
 
@@ -345,3 +345,10 @@ class TestActionKernel:
             scatter([1.0, 2.0], [p])
         with pytest.raises(ValueError):
             apply(p, np.eye(4), "middle")
+
+    def test_pairings_refuse_an_empty_list(self):
+        # an empty list has no qubit count to read; it raised a bare IndexError
+        with pytest.raises(DomainError, match="at least one string"):
+            pairings([])
+        with pytest.raises(DimensionMismatchError):
+            pairings([from_label("X"), from_label("XZ")])

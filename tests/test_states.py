@@ -410,6 +410,16 @@ class TestFromGVector:
         with pytest.raises(DomainError):
             from_gvector(GVector(1, np.zeros(3)), jordan_wigner(2))
 
+    def test_nan_is_refused_before_the_matrix_is_built(self, monkeypatch):
+        # NaN > 1 + tol_psd is false, so NaN passed the ball test and the dense
+        # matrix failed validation as non-finite; realize refuses it as outside
+        def no_matrix(*args):
+            raise AssertionError("from_gvector built the matrix")
+
+        monkeypatch.setattr(states, "matrix_from_expectations", no_matrix)
+        with pytest.raises(BallViolationError):
+            from_gvector(GVector(1, np.array([np.nan, 0.0, 0.0])), jordan_wigner(1))
+
     @pytest.mark.parametrize("bad", [np.nan, -1e-9])
     def test_rejects_bad_tolerance(self, bad):
         # with tol_psd = NaN, (1 + 3 G_1)/2 came back with eigenvalue -1
@@ -602,6 +612,17 @@ class TestFactorKernel:
         got = states.factor_expectations(psi[..., None], gens)
         assert np.max(np.abs(got - vector_expectations(psi, gens))) <= 1e-15
 
+    def test_refuses_a_factor_of_no_state(self):
+        # a zero factor divided 0 by 0 into a NaN row, and an infinite one warned
+        # in the pair sums; 4097 factors at n = 2 span two chunks, so the index
+        # counts from the first factor
+        gens = jordan_wigner(2)
+        for bad in (0.0, np.nan, np.inf):
+            w = np.ones((4097, 4, 2), dtype=complex)
+            w[4096] = bad
+            with pytest.raises(DomainError, match="factor 4096 "):
+                states.factor_expectations(w, gens)
+
     def test_rejects_factors_of_another_shape(self):
         gens = jordan_wigner(2)
         for shape in ((4,), (8, 2), (3, 2, 4), (4, 0)):
@@ -610,14 +631,12 @@ class TestFactorKernel:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_ginibre_chunks_are_one_stream(self, n):
-        # real parts of every matrix (or vector) first, then each chunk's imaginary
-        # parts, whether the chunks are views of a caller's stack or new arrays
+        # one interleaved draw, each entry's real and imaginary parts consecutive,
+        # whether the chunks are views of a caller's stack or new arrays
         d = 2**n
         for shape, (count, step) in itertools.product(((d, d), (d,)),
-                                                      ((1, 1), (5, 2), (7, 16))):
-            rng = np.random.default_rng(9)
-            real = rng.standard_normal((count, *shape))
-            want = real + 1j * rng.standard_normal((count, *shape))
+                                                      ((1, 1), (5, 2), (7, 3), (7, 16))):
+            want = whole_draw(9, count, shape)
             got = np.concatenate(list(states._ginibre_chunks(shape, count, 9, step)))
             assert got.tobytes() == want.tobytes()
             into = np.empty((count, *shape), dtype=complex)
@@ -635,20 +654,24 @@ class TestFactorKernel:
         assert next(chunks).shape == (2, 8, 8)
 
 
+def whole_draw(seed, count, shape):
+    """``count`` complex Gaussian arrays of ``shape`` in one interleaved draw, the
+    real and imaginary parts of each entry consecutive normals."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((count, *shape, 2)).view(complex)[..., 0]
+
+
 def whole_hs_batch(n, count, seed):
     """The Hilbert-Schmidt batch built on whole (count, d, d) arrays, kept as the oracle."""
-    rng = np.random.default_rng(seed)
     d = 2**n
-    gin = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    gin = whole_draw(seed, count, (d, d))
     w = gin @ gin.conj().swapaxes(-1, -2)
     return w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
 
 
 def einsum_pure_batch(n, count, seed):
     """The pure-haar batch as outer products built by einsum, kept as the oracle."""
-    rng = np.random.default_rng(seed)
-    d = 2**n
-    psi = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    psi = whole_draw(seed, count, (2**n,))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     return np.einsum("si,sj->sij", psi, psi.conj())
 
@@ -662,12 +685,10 @@ class TestSampling:
 
     @pytest.mark.parametrize("n", [1, 3, 8, 10, 12])
     def test_pure_states_keep_the_whole_draw_bytes(self, n):
-        # the real parts, then the imaginary parts, drawn a chunk at a time into
-        # one array: at n = 10 and 12 the 300 rows span several chunks
-        d = 2**n
+        # one interleaved draw, taken a chunk at a time into one array: at
+        # n = 10 and 12 the 300 rows span several chunks
         for count in (0, 1, 7, 300):
-            rng = np.random.default_rng(11)
-            want = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+            want = whole_draw(11, count, (2**n,))
             want /= np.linalg.norm(want, axis=1, keepdims=True)
             assert random_pure_states(n, count, 11).tobytes() == want.tobytes()
 

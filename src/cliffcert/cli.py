@@ -33,14 +33,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__, pauli
+from . import __version__, pauli, rotors
 from .clifford import jordan_wigner
 from .errors import CliffcertError, check_budget
 from .pauli import PauliString
-from .rotors import (_flip, _frobenius_defect, conjugation_residual, euler_decompose, lift,
-                     recompose, reduce_to_axis)
+from .rotors import _flip, _frobenius_defect, conjugation_residual, euler_decompose, lift, recompose
 from .states import (
-    DensityMatrix,
     GVector,
     _block_rows,
     _ginibre_chunks,
@@ -204,10 +202,7 @@ def _map_chunks(fn, items, threads: int):
 
 
 def _chunk_sizes(total: int, size: int = _CHUNK) -> list[int]:
-    out = [size] * (total // size)
-    if total % size:
-        out.append(total % size)
-    return out
+    return [size] * (total // size) + ([total % size] if total % size else [])
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +219,7 @@ def _suite_anticommutation(gens) -> list[dict]:
                      "exact pairwise {G_j, G_k} = 2 delta_jk over the extended set")]
     if gens.n <= 6:
         stack = gens.dense_extended
-        size = stack.shape[0]
-        d = stack.shape[1]
+        size, d = stack.shape[:2]
         worst = 0.0
         for j in range(size):
             for k in range(j, size):
@@ -258,10 +252,7 @@ def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int
         return shortfall, norm_sq, idem, tr_res
 
     parts = _map_chunks(work, list(zip(sizes, seeds)), threads)
-    shortfall = max(p[0] for p in parts)
-    norm_sq = max(p[1] for p in parts)
-    idem = max(p[2] for p in parts)
-    tr_res = max(p[3] for p in parts)
+    shortfall, norm_sq, idem, tr_res = (max(column) for column in zip(*parts))
     return [
         _check("projection-positivity", shortfall <= tol_psd, shortfall,
                f"worst projected eigenvalue over {samples} states"),
@@ -315,7 +306,6 @@ def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
         euler_res = max(euler_res, float(np.max(np.abs(recompose(euler_decompose(t)) - t))))
 
     constr_res = 0.0
-    axis = np.zeros(size)
     f1 = _flip(gens, 1)
     for k, mat in enumerate(random_state_batch(gens.n, count, s_constr, "mixed-hs")):
         # every second state has g_1 < 0, so both branches of the rotor run; the
@@ -323,14 +313,15 @@ def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
         # the Hilbert-Schmidt measure
         if (extended_expectations(mat, gens)[1] < 0.0) != (k % 2 == 1):
             mat = -pauli.apply(f1, pauli.apply(f1, mat, "left"), "right")
-        rho = DensityMatrix.from_matrix(mat)
-        rho_hat, u, ell = reduce_to_axis(rho, gens)
-        algebraic = matrix_from_expectations(extended_expectations(rho.mat, gens), gens)
-        # U^H rho_hat U matches the projection for either sign of G_1: check the sign too
-        axis[1] = math.sqrt(ell)
-        landing = rho_hat.mat - matrix_from_expectations(axis, gens)
-        constr_res = max(constr_res, float(np.max(np.abs(landing))), float(np.max(np.abs(
-            u.conj().T @ rho_hat.mat @ u - algebraic))))
+        # U lands g on +sqrt(ell) e_1 for either sign of g_1; measured relative to sqrt(ell)
+        g = extended_expectations(mat, gens)
+        ell = float(np.dot(g, g))
+        scale = math.sqrt(ell) if ell > rotors._NEGLIGIBLE else 1.0
+        if ell > rotors._NEGLIGIBLE:
+            u = rotors._vector_rotor(gens, g / scale)
+            g = extended_expectations(u @ mat @ u.conj().T, gens)
+        g[1] -= math.sqrt(ell)
+        constr_res = max(constr_res, float(np.max(np.abs(g))) / scale)
 
     return [
         _check("rotor-lift", lift_res <= LIFT, lift_res,
@@ -339,7 +330,7 @@ def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
                "pseudoscalar sign under det=-1 generator lifts"),
         _check("euler-roundtrip", euler_res <= 1e-10, euler_res, ""),
         _check("reduction-constructive", constr_res <= RECONSTRUCTION, constr_res,
-               "axis reduction against the algebraic projection and the G_1 axis"),
+               "expectation vector of the reduced state against sqrt(ell) e_1, relative"),
     ]
 
 

@@ -58,6 +58,9 @@ from .states import (
 from .tolerances import DENSE_GUARD, MEMORY_BUDGET, ORTHOGONALITY, PSD, TRACE
 
 _LN2 = math.log(2.0)
+# Shannon's phi''(t) = -(1/(2 ln2)) sum_{k>=2} (k-1) t**(k-2)/(2k-1): eight terms reach
+# rounding below t = 1e-3, where the closed form cancels (relative error 8.5 at 1e-12)
+_D2_SERIES = [(1 - k) / ((2 * k - 1) * 2 * _LN2) for k in range(2, 10)]
 _SHANNON_EPS = 1e-12  # alpha within this of 1 is treated as Shannon
 # Rows of the unit-ball search built and scored at once: the search's working
 # set beyond its draws is a few arrays of this many rows, whatever the budget.
@@ -222,8 +225,10 @@ def _shannon_d1(t):
 
 
 def _shannon_d2(t):
-    b = np.sqrt(t)
-    return (np.log((1.0 + b) / (1.0 - b)) - 2.0 * b / (1.0 - t)) / (8.0 * _LN2 * t**1.5)
+    u = np.maximum(t, 1e-3)  # so that the unused closed form never underflows t**1.5
+    b = np.sqrt(u)
+    closed = (np.log((1.0 + b) / (1.0 - b)) - 2.0 * b / (1.0 - u)) / (8.0 * _LN2 * u**1.5)
+    return np.where(t < 1e-3, np.polynomial.polynomial.polyval(t, _D2_SERIES), closed)
 
 
 # The orders with a floor, and so a closed form: min-entropy, Shannon and collision.
@@ -279,8 +284,11 @@ def renyi_entropy(p, alpha) -> float:
 
 
 def entropy_of_expectations(g, alpha) -> np.ndarray:
-    """Vectorized two-outcome entropy for observables with (finite) expectations ``g``."""
-    return _order(alpha).term(_finite(g, "expectations"))
+    """Vectorized two-outcome entropy of finite expectations ``g`` within ``PSD`` of [-1, 1]."""
+    order, g = _order(alpha), _finite(g, "expectations")
+    if np.any(np.abs(g) > 1.0 + PSD):
+        raise DomainError(f"expectation outside [-1, 1]: {np.max(np.abs(g)):.17g}")
+    return order.term(g)
 
 
 def observable_entropy(rho: DensityMatrix, g: PauliString, alpha) -> float:
@@ -318,7 +326,8 @@ def closed_form_kind(alpha) -> str:
 def closed_form_min(K: int, alpha) -> float:
     """The least K-observable entropy average (bits): the order's floor at radius 1."""
     K = check_integer(K, "K", 1)
-    return float(_closed_form(alpha).floor(1.0, K))
+    # + 0.0 turns the -0.0 of a zero entropy, at K = 1, into 0.0 and moves no other bit
+    return float(_closed_form(alpha).floor(1.0, K)) + 0.0
 
 
 def _ball_objective(g, order: _Order) -> np.ndarray:
@@ -620,9 +629,9 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
         argmin_g = GVector(gens.n, padded)
         psi, weights = realize(argmin_g, gens)
         measured = weights @ outcome_expectations(psi, gens)
-        numeric_min = float(entropy_of_expectations(measured[:K], alpha).mean())
-
-        bound = None if order.floor is None else float(order.floor(1.0, K))
+        # + 0.0 here and on the cross-check, as in closed_form_min: no -0.0 in a report
+        numeric_min = float(entropy_of_expectations(measured[:K], alpha).mean()) + 0.0
+        bound = None if order.floor is None else closed_form_min(K, alpha)
 
         reports.append(EntropyReport(
             n=gens.n,
@@ -635,7 +644,7 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
             samples=budget,
             seed=seed,
             gap=None if bound is None else numeric_min - bound,
-            cross_check_min=f_state,
+            cross_check_min=f_state + 0.0,
             descent_steps=(ball_steps, state_steps),
             converged=ball_converged and state_converged,
         ))

@@ -9,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cliffcert import (__version__, cli, extended_expectations, jordan_wigner, pauli,
-                       random_state_batch, rotors, uncertainty)
+from cliffcert import (DensityMatrix, __version__, cli, extended_expectations, jordan_wigner,
+                       matrix_from_expectations, pauli, random_state_batch, reduce_to_axis,
+                       rotors, uncertainty)
 from cliffcert.cli import main
 from cliffcert.errors import CapacityError
 from cliffcert.tolerances import OPTIMIZATION, PSD
@@ -94,6 +95,37 @@ def g1_pivot_rotor(gens, coeffs):
     return pauli.apply(gens.actions[1], pauli.scatter(m, gens.actions), "left")
 
 
+VECTOR_ROTOR = rotors._vector_rotor
+
+
+def off_axis_rotor(gens, coeffs):
+    """``_vector_rotor`` aimed 1e-6 off: c_2 moved by 1e-6 and renormalized."""
+    c = coeffs.copy()
+    c[2] += 1e-6
+    return VECTOR_ROTOR(gens, c / np.linalg.norm(c))
+
+
+def reduced_by_the_suite(monkeypatch, n, samples):
+    """The rotor suite's checks, and each state it reduces with the rotor it builds for
+    it; the state is the last matrix the suite measured before it built the rotor."""
+    measured, reduced = [], []
+
+    def measure(mat, gens):
+        measured.append(mat)
+        return extended_expectations(mat, gens)
+
+    def rotor(gens, coeffs):
+        u = VECTOR_ROTOR(gens, coeffs)
+        reduced.append((measured[-1], u))
+        return u
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "extended_expectations", measure)
+        m.setattr(rotors, "_vector_rotor", rotor)
+        checks = cli._suite_rotors(jordan_wigner(n), np.random.SeedSequence(n), samples)
+    return checks, reduced
+
+
 class TestRotorSuite:
     @pytest.mark.parametrize("seed", [1234, 7])
     def test_flip_branch_runs_at_every_n(self, seed, monkeypatch, capsys):
@@ -106,19 +138,40 @@ class TestRotorSuite:
             assert failed == ["reduction-constructive"], n
 
     def test_reduced_states_alternate_the_sign_of_g1(self, monkeypatch):
-        signs = []
-        reduce = cli.reduce_to_axis
-
-        def record(rho, gens):
-            signs.append(float(np.sign(extended_expectations(rho.mat, gens)[1])))
-            return reduce(rho, gens)
-
-        monkeypatch.setattr(cli, "reduce_to_axis", record)
         for n, samples in ((1, 50), (4, 300), (6, 50)):
-            signs.clear()
-            checks = cli._suite_rotors(jordan_wigner(n), np.random.SeedSequence(n), samples)
+            checks, reduced = reduced_by_the_suite(monkeypatch, n, samples)
             assert all(c["passed"] for c in checks)
+            gens = jordan_wigner(n)
+            signs = [float(np.sign(extended_expectations(mat, gens)[1])) for mat, _ in reduced]
             assert signs == [1.0, -1.0] * (cli._spot_count(samples) // 2)
+
+    def test_rotor_aimed_off_fails_only_the_reduction(self, monkeypatch, capsys):
+        # compared as d x d entries of size 1/d, this rotor passed from n = 5 on
+        monkeypatch.setattr(rotors, "_vector_rotor", off_axis_rotor)
+        for n in range(2, 9):
+            code, doc = run_json(capsys, ["verify", "--n", str(n), "--samples", "50",
+                                          "--seed", "1234"])
+            assert code == 1, n
+            failed = {c["name"]: c["residual"] for c in doc["results"] if not c["passed"]}
+            assert list(failed) == ["reduction-constructive"], n
+            assert 1e-7 <= failed["reduction-constructive"] <= 1e-5, n
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_suite_rotor_is_the_library_reduction(self, n, monkeypatch):
+        # reduce_to_axis twirls the rotated state onto the G_1 axis; the suite measures
+        # it unrotated and untwirled, so tie the two together on the suite's own states
+        gens = jordan_wigner(n)
+        checks, reduced = reduced_by_the_suite(monkeypatch, n, 200)
+        assert all(c["passed"] for c in checks)
+        signs = {float(np.sign(extended_expectations(mat, gens)[1])) for mat, _ in reduced}
+        assert signs == {1.0, -1.0}
+        axis = np.zeros(2 * n + 1)
+        for mat, u in reduced:
+            # the drawn state, unnormalized: from_matrix would divide by a trace 1 ulp off
+            rho_hat, u_lib, _ = reduce_to_axis(DensityMatrix(n, mat), gens)
+            assert u_lib.tobytes() == u.tobytes()
+            axis[1] = extended_expectations(u @ mat @ u.conj().T, gens)[1]
+            assert np.max(np.abs(rho_hat.mat - matrix_from_expectations(axis, gens))) <= 1e-15
 
     @pytest.mark.parametrize("defect", ["commutes with G_0", "zero"])
     def test_reflection_check_fails_a_wrong_generator_lift(self, defect, monkeypatch):
@@ -240,6 +293,19 @@ class TestSweep:
         )
         assert code == 0
         assert doc["results"][0]["closed_form"] == 0.0
+
+    @pytest.mark.parametrize("alpha", ["1", "2", "inf"])
+    def test_k1_zeros_are_positive(self, alpha, capsys):
+        # the K = 1 closed form at alpha = inf and 2 once printed as -0.0
+        argv = ["sweep", "--n", "2", "--k-min", "1", "--k-max", "2", "--alpha", alpha]
+        assert main(argv + ["--format", "csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[2:] == ["0.0", "0.0", "0.0"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        first = doc["results"][0]
+        for key in ("closed_form", "numeric_min", "gap", "cross_check_min"):
+            assert math.copysign(1.0, first[key]) == 1.0 and first[key] == 0.0, key
 
     def test_bad_range(self):
         assert main(["sweep", "--n", "2", "--alpha", "1", "--k-min", "3", "--k-max", "2"]) == 2

@@ -176,6 +176,14 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             closed_form_min(3, 1.5)
 
+    @pytest.mark.parametrize("alpha", [1, 2, math.inf])
+    def test_zero_at_k1_is_positive_zero(self, alpha):
+        # one observable at +-1 has no entropy; the floor at alpha = 2 and inf read -0.0
+        assert math.copysign(1.0, closed_form_min(1, alpha)) == 1.0
+        rep = find_minimizer(jordan_wigner(2), 1, alpha, budget=200, seed=0)
+        for value in (rep.closed_form_bound, rep.numeric_min, rep.cross_check_min, rep.gap):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
 
 class TestObservableCount:
     """One check of K: bool and non-integral counts are refused, numpy integers accepted."""
@@ -432,6 +440,16 @@ class TestInputValidation:
             entropy_of_expectations([bad], alpha)
         with pytest.raises(DomainError, match="must be finite"):
             entropy_of_expectations(np.array([[0.3, 0.1], [0.2, bad]]), alpha)
+
+    @pytest.mark.parametrize("alpha", [1, 2, math.inf, 0.5])
+    def test_expectation_outside_unit_interval_is_domain_error(self, alpha):
+        # 2.0 once came out as -0.0, zero entropy, from a silent clip to 1
+        for bad in ([2.0], [-1.5, 0.3], np.array([[0.3, 0.1], [0.2, -1.0 - 2e-9]])):
+            with pytest.raises(DomainError, match=r"outside \[-1, 1\]"):
+                entropy_of_expectations(bad, alpha)
+        # rounding within PSD of the interval is clipped
+        edge = entropy_of_expectations([1.0 + 1e-12, -1.0 - 1e-12], alpha)
+        assert edge.tobytes() == entropy_of_expectations([1.0, -1.0], alpha).tobytes()
 
 
 def decreasing_log_uniforms(rng, budget):
@@ -977,8 +995,14 @@ def branch_derivatives(t, alpha):
         d1 = -1.0 / (2.0 * b * ln2 * (1.0 + b))
         return d1, d1 * (-1.0 / b - 1.0 / (1.0 + b)) / (2.0 * b)
     if abs(alpha - 1.0) < 1e-12:
+        # below t = 1e-3, where the closed form of phi'' cancels, its Taylor series
+        u = np.maximum(t, 1e-3)
+        bu = np.sqrt(u)
+        closed = (np.log((1.0 + bu) / (1.0 - bu)) - 2.0 * bu / (1.0 - u)) / (8.0 * ln2 * u**1.5)
+        series = np.polynomial.polynomial.polyval(
+            t, [(1 - k) / ((2 * k - 1) * 2 * ln2) for k in range(2, 10)])
         return ((np.log(1.0 - b) - np.log(1.0 + b)) / (4.0 * ln2 * b),
-                (np.log((1.0 + b) / (1.0 - b)) - 2.0 * b / (1.0 - t)) / (8.0 * ln2 * t**1.5))
+                np.where(t < 1e-3, series, closed))
     if alpha == 2.0:
         return -1.0 / ((1.0 + t) * ln2), 1.0 / ((1.0 + t) ** 2 * ln2)
     a, c = alpha, alpha - 1.0
@@ -1067,7 +1091,7 @@ class TestOrderTable:
         # outside the Shannon window, where nothing may cancel: the exact distance from
         # Shannon is about 3e-12 for the term and 1e-12 for the entropy, and, by mpmath,
         # 3.1e-11 for d1 at t <= 0.98 and 4.3e-11 for d2 on [1e-3, 0.8] (1.1e-10 at 0.9;
-        # below 1e-3 Shannon's d2 cancels, 1.6e-11 at 1e-4)
+        # below 1e-3 the general order's d2 cancels, 5.7e-12 off Shannon's series at 1e-4)
         order, shannon = uncertainty._order(alpha), uncertainty._order(1)
         assert order is not shannon
         rng = np.random.default_rng(4)
@@ -1125,6 +1149,16 @@ class TestConcavity:
 
     def test_curvature_negative_at_half(self):
         assert bias_entropy_d2(0.5) < 0.0
+
+    def test_curvature_near_zero_is_the_series(self):
+        # the closed form cancels near t = 0: bias_entropy_d2(1e-12) once read +1.79
+        t = np.concatenate([[1e-15, 1e-12, 1e-9, 1e-3, 1e-2], np.geomspace(1e-15, 1e-2, 500)])
+        k = np.arange(2, 40)[:, None]
+        series = -np.sum((k - 1) * t ** (k - 2) / (2 * k - 1), axis=0) / (2.0 * math.log(2.0))
+        curvature = bias_entropy_d2(t)
+        assert np.all(curvature < 0.0)
+        assert np.max(np.abs(curvature / series - 1.0)) <= 1e-10
+        assert bias_entropy_d2(1e-12) == pytest.approx(-1.0 / (6.0 * math.log(2.0)), rel=1e-11)
 
     def test_profile_matches_finite_differences(self):
         grid = np.linspace(0.01, 0.99, 197)

@@ -41,9 +41,9 @@ from .rotors import _flip, _frobenius_defect, conjugation_residual, euler_decomp
 from .states import (
     GVector,
     _block_rows,
+    _bloch_shortfall,
     _ginibre_chunks,
     _hs_peak_bytes,
-    _psd_shortfall,
     extended_expectations,
     factor_expectations,
     matrix_from_expectations,
@@ -58,11 +58,12 @@ from .uncertainty import (_check_order, bias_entropy, bias_entropy_d1, bias_entr
 THREADS_ENV = "CLIFFCERT_THREADS"
 _CHUNK = 256
 # Complex slices of Ginibre factors that one projection chunk holds at its
-# peak: the projection, and the shifted copy and Cholesky factor of the
-# positivity check; the factor slice is drawn a slice at a time and dropped
-# once measured (tracemalloc over one 256-state chunk: 3.07 slices at n = 3,
-# 3.02 at n = 4, 3.01 at n = 5, 3.00 at n = 6..8).
-_PROJECTION_SLICES = 4
+# peak: a factor slice, drawn a slice at a time and dropped once measured,
+# beside the last projection; the positivity check multiplies the projection
+# into two probe vectors and copies nothing of its size (tracemalloc over one
+# 256-state chunk: 2.57 slices at n = 3, 1.65 at n = 4, 2.26-2.27 at
+# n = 5..7, 2.51 at n = 8).
+_PROJECTION_SLICES = 3
 # Bytes that one projection chunk's seed, size and results hold (tracemalloc
 # over 20000 chunks: 656 on one thread, 2201 with a pool, which submits every
 # chunk at once).
@@ -236,6 +237,9 @@ def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int
     seeds = seed_seq.spawn(len(sizes))
     d = 2**gens.n
     step = _block_rows(16 * d * d)
+    # two probe vectors for the positivity certificate, spawned after the
+    # chunks' seeds so that every chunk keeps its stream
+    probes = next(_ginibre_chunks((d, 2), 1, seed_seq.spawn(1)[0], 1))[0]
 
     def work(item):
         count, seed = item
@@ -244,7 +248,7 @@ def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int
             g = factor_expectations(gin, gens)
             del gin  # the factors are dead once measured
             proj = matrix_from_expectations(g, gens)
-            shortfall = max(shortfall, _psd_shortfall(proj, 0.0))
+            shortfall = max(shortfall, _bloch_shortfall(proj, g, probes))
             norm_sq = max(norm_sq, float((g * g).sum(axis=1).max()))
             idem = max(idem, float(np.max(np.abs(extended_expectations(proj, gens) - g))))
             traces = np.trace(proj, axis1=1, axis2=2)

@@ -625,11 +625,12 @@ def find_minimizers(gens: GeneratorSet, ks, alpha, budget: int, seed: int) -> li
             gs[int(np.argmin(_ball_objective(gs, order)))], order)
 
         padded = np.zeros(size)
-        padded[:K] = g_ball
+        # + 0.0 here, on the minimum and on the cross-check, as in closed_form_min:
+        # no -0.0 in a report
+        padded[:K] = g_ball + 0.0
         argmin_g = GVector(gens.n, padded)
         psi, weights = realize(argmin_g, gens)
         measured = weights @ outcome_expectations(psi, gens)
-        # + 0.0 here and on the cross-check, as in closed_form_min: no -0.0 in a report
         numeric_min = float(entropy_of_expectations(measured[:K], alpha).mean()) + 0.0
         bound = None if order.floor is None else closed_form_min(K, alpha)
 

@@ -512,22 +512,22 @@ class TestVerifyMemory:
     def test_n13_at_default_samples_is_refused(self, monkeypatch, capsys):
         # the rotor suite's 4 Hilbert-Schmidt states at n = 13 and three one-state
         # chunks of temporaries, 7 x 8192**2 x 16 bytes, are 7 GiB against the 4 GiB
-        # budget; four one-state projection slices are exactly 4 GiB
+        # budget; three one-state projection slices are 3 GiB
         forbid_sampling(monkeypatch)
         assert main(["verify", "--n", "13"]) == 1
         assert "rotor suite" in capsys.readouterr().err
 
     def test_n11_at_default_samples_fits_by_arithmetic(self, monkeypatch):
-        # four one-state slices at n = 11, 4 x 2048**2 x 16 bytes = 256 MiB, and the
-        # rotor suite's 4 states and 3 slices, 448 MiB; at n = 12, 1 and 1.75 GiB
+        # three one-state slices at n = 11, 3 x 2048**2 x 16 bytes = 192 MiB, and the
+        # rotor suite's 4 states and 3 slices, 448 MiB; at n = 12, 0.75 and 1.75 GiB
         forbid_sampling(monkeypatch)
         for n in (11, 12):
             cli._check_projection_memory(n, 200, 1)
 
     def test_chunks_in_flight_count(self, monkeypatch, capsys):
-        # one 256-state chunk at n = 3 holds four 256-state slices,
-        # 4 x 256 x 64 x 16 bytes: 1 MiB, two 2 MiB, against 1.5 MiB
-        monkeypatch.setattr(cli, "MEMORY_BUDGET", 3 * 2**19)
+        # one 256-state chunk at n = 3 holds three 256-state slices,
+        # 3 x 256 x 64 x 16 bytes: 0.75 MiB, two 1.5 MiB, against 1 MiB
+        monkeypatch.setattr(cli, "MEMORY_BUDGET", 2**20)
         # two chunks in flight whatever the machine's CPU count
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         argv = ["verify", "--n", "3", "--samples", "512", "--format", "json"]
@@ -588,8 +588,9 @@ class TestProjectionSuite:
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_chunk_holds_a_few_slices(self, n):
-        # 256 states: at most four slices of 2 MiB of factors (factors, projection,
-        # Cholesky copy and factor; 3.00 traced), nothing the size of the chunk
+        # 256 states: at most three slices of 2 MiB of factors (the next factors
+        # beside the last projection; 2.26 traced at n = 7, 2.51 at n = 8), nothing
+        # the size of the chunk
         gens = jordan_wigner(n)
         gens.actions, gens.pairings  # cached tables, built before the trace
         slice_bytes = cli._block_rows(16 * 4**n) * 16 * 4**n
@@ -693,7 +694,7 @@ class TestThreadPool:
 
     def test_memory_check_counts_the_capped_pool(self, pool, monkeypatch):
         # three 256-state chunks at n = 3 fit the budget, four do not
-        monkeypatch.setattr(cli, "MEMORY_BUDGET", 3 * (256 * 8 + 4 * 256 * 16) * 64)
+        monkeypatch.setattr(cli, "MEMORY_BUDGET", 3 * (256 * 8 + 3 * 256 * 16) * 64)
         cli._check_projection_memory(3, 4 * 256, 100_000)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         with pytest.raises(CapacityError):
@@ -701,14 +702,74 @@ class TestThreadPool:
 
 
 class TestProjectionPositivity:
-    def test_factorization_alone_decides_passing_states(self, monkeypatch, capsys):
-        def no_eigvalsh(*args, **kwargs):
-            raise AssertionError("eigvalsh ran")
+    @staticmethod
+    def forbid(monkeypatch, *names):
+        def no_call(*args, **kwargs):
+            raise AssertionError("a factorization or eigensolver ran")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-        code, doc = run_json(capsys, ["verify", "--n", "3"])
-        assert code == 0
-        assert doc["residuals"]["projection-positivity"] == 0.0
+        for name in names:
+            monkeypatch.setattr(np.linalg, name, no_call)
+
+    def test_probes_alone_decide_passing_states(self, monkeypatch, capsys):
+        self.forbid(monkeypatch, "cholesky", "eigvalsh")
+        for n in range(1, 9):
+            code, doc = run_json(capsys, ["verify", "--n", str(n)])
+            assert code == 0
+            assert doc["residuals"]["projection-positivity"] == 0.0
+
+    def test_state_outside_the_ball_is_sized_by_its_norm(self, monkeypatch, capsys):
+        # one state of the chunk moved to |g| = 1.5 and rendered in Bloch form: the
+        # probes certify A**2 = 2.25 * 1, so its least eigenvalue (1 - 1.5)/d is
+        # read from |g| and no eigensolver runs
+        eigvalsh = np.linalg.eigvalsh
+        self.forbid(monkeypatch, "cholesky", "eigvalsh")
+        real_factor, real_render = cli.factor_expectations, cli.matrix_from_expectations
+        chunks = []
+
+        def outside(w, gens):
+            g = real_factor(w, gens)
+            g[len(g) // 2] *= 1.5 / np.linalg.norm(g[len(g) // 2])
+            return g
+
+        def render(g, gens):
+            chunks.append(real_render(g, gens))
+            return chunks[-1]
+
+        monkeypatch.setattr(cli, "factor_expectations", outside)
+        monkeypatch.setattr(cli, "matrix_from_expectations", render)
+        code, doc = run_json(capsys, ["verify", "--n", "3", "--samples", "40"])
+        check = next(c for c in doc["results"] if c["name"] == "projection-positivity")
+        assert code == 1 and not check["passed"]
+        assert len(chunks) == 1
+        assert abs(check["residual"] - (1.5 - 1.0) / 8) <= 1e-15
+        assert abs(check["residual"] + eigvalsh(chunks[0])[:, 0].min()) <= 1e-15
+
+    def test_perturbed_state_is_factored_and_passes(self, monkeypatch, capsys):
+        # a positive perturbation (1e-6/d) x x^H of one state, x the uniform unit
+        # vector, breaks A**2 = |g|**2 * 1 far above the rounding bound, so that
+        # state alone is factored, and it passes
+        cholesky = np.linalg.cholesky
+        factored = []
+
+        def record(a):
+            factored.append(len(a))
+            return cholesky(a)
+
+        self.forbid(monkeypatch, "eigvalsh")
+        monkeypatch.setattr(np.linalg, "cholesky", record)
+        real = cli.matrix_from_expectations
+
+        def perturbed(g, gens):
+            out = real(g, gens)
+            d = out.shape[-1]
+            out[len(out) // 2] += 1e-6 / d**2
+            return out
+
+        monkeypatch.setattr(cli, "matrix_from_expectations", perturbed)
+        code, doc = run_json(capsys, ["verify", "--n", "3", "--samples", "40"])
+        check = next(c for c in doc["results"] if c["name"] == "projection-positivity")
+        assert check["passed"] and check["residual"] == 0.0
+        assert factored == [1]
 
     def test_indefinite_matrix_is_sized_by_eigvalsh(self, monkeypatch, capsys):
         # a trace-one Hermitian matrix with eigenvalues (-0.25, 0.25, 0.4, 0.6)

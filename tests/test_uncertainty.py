@@ -184,6 +184,13 @@ class TestClosedForms:
         for value in (rep.closed_form_bound, rep.numeric_min, rep.cross_check_min, rep.gap):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
+    @pytest.mark.parametrize("seed", [777780533, 655853295])
+    def test_argmin_has_no_negative_zero(self, seed):
+        # the descent leaves -0.0 coordinates in the minimizer at these seeds
+        rep = find_minimizer(jordan_wigner(6), 5, 1, budget=20000, seed=seed)
+        zeros = [v for v in rep.to_dict()["argmin_g"] if v == 0.0]
+        assert zeros and all(math.copysign(1.0, v) == 1.0 for v in zeros)
+
 
 class TestObservableCount:
     """One check of K: bool and non-integral counts are refused, numpy integers accepted."""

@@ -64,7 +64,7 @@ from . import pauli
 from .clifford import GeneratorSet
 from .errors import (DimensionMismatchError, DomainError, OrientationError, check_budget,
                      check_integer)
-from .states import DensityMatrix, _block_rows, extended_expectations
+from .states import DensityMatrix, _block_rows, _squared_norms, extended_expectations
 from .tolerances import MEMORY_BUDGET, ORTHOGONALITY
 
 _TWO_PI = 2.0 * math.pi
@@ -336,8 +336,9 @@ def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatri
 
 
 def _frobenius_defect(u: np.ndarray) -> float:
-    """``|||U||_F**2 / d - 1|``: zero for a unitary, and for ``c`` times one only at ``|c| = 1``."""
-    return abs(float(np.vdot(u, u).real) / u.shape[0] - 1.0)
+    """``|||U||_F**2 / d - 1|``: zero for a unitary, and for ``c`` times one only at ``|c| = 1``;
+    summed in a fixed order, so the BLAS thread count moves no bit."""
+    return abs(float(_squared_norms(u)) / u.shape[0] - 1.0)
 
 
 def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
@@ -368,7 +369,7 @@ def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
     d = u.shape[0]
     step = _block_rows(16 * size * d)
     stack = np.empty((size, min(step, d), d), dtype=complex)
-    worst = 0.0
+    worst = [_frobenius_defect(u)]
     for start in range(0, d, step):
         stop = min(start + step, d)
         part = stack[:, :stop - start]
@@ -386,6 +387,6 @@ def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
             cols = u[start:stop, perm]
             for j in members:
                 mixed[j] -= cols * acts[j].phase
-        worst = max(worst, float(np.max(np.abs(mixed))))
+        worst.append(np.max(np.abs(mixed)))
         del mixed  # so that the next block's product does not hold two
-    return max(worst, _frobenius_defect(u))
+    return float(np.max(worst))  # by numpy, which keeps a NaN

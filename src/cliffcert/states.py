@@ -85,7 +85,7 @@ class DensityMatrix:
         # The normalized copy and its factor are dropped before the output
         # is formed, so validation holds at most four d x d arrays.
         shortfall = _psd_shortfall(m, tol_psd, tr.real)
-        if shortfall > tol_psd:
+        if not shortfall <= tol_psd:
             raise ValidationError(f"minimum eigenvalue {-shortfall:.3e} below -{tol_psd}")
         m = m / tr.real
         m.setflags(write=False)
@@ -326,10 +326,7 @@ def factor_expectations(w: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     for start in range(0, len(flat), step):
         chunk = flat[start:start + step]
         norms = _squared_norms(chunk[:, None, :])
-        ok = (norms > 0.0) & (norms < np.inf)
-        if not ok.all():
-            k = int(np.argmin(ok))
-            raise DomainError(f"factor {start + k} has squared norm {norms[k]}, not a state")
+        _refuse_null(norms, "factor", start)
         _pair_sums(chunk, gens, out[start:start + step])
         out[start:start + step] /= norms[:, None]
     return out.reshape(w.shape[:-2] + out.shape[-1:])
@@ -343,12 +340,13 @@ def outcome_expectations(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     a unit vector.  At an eigenvector, whose paired amplitudes agree up to
     the exact phase of ``G_j``, one weight is exactly 0 and the ratio exactly
     ``+-1``, where :func:`vector_expectations` can round to ``1 - 1e-16``.
-    Shapes as there; the strings must be Hermitian involutions.  Each string
-    forms its own ``(1 +- G_j) psi`` over the pairs of
-    :attr:`GeneratorSet.pairings`, O((2n+1) d) per vector, which suits a
-    few vectors, such as the two of :func:`realize`.
+    Shapes as there; the strings must be Hermitian involutions.  Each string forms its own
+    ``(1 +- G_j) psi`` over the pairs of :attr:`GeneratorSet.pairings`, O((2n+1) d) per
+    vector, which suits a few vectors, such as the two of :func:`realize`.  A vector whose
+    squared norm is 0 or not finite raises :class:`DomainError`.
     """
     psi = _vectors(psi, gens)
+    _refuse_null(_squared_norms(psi.reshape(-1, 1, psi.shape[-1])), "vector")
     lead = psi.shape[:-1]
     out = np.empty(lead + (2 * gens.n + 1,))
     for pair in gens.pairings:
@@ -360,6 +358,13 @@ def outcome_expectations(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
         plus, minus = _squared_norms(lo + flipped), _squared_norms(lo - flipped)
         out[..., pair.rows] = (plus - minus) / (plus + minus)
     return out
+
+
+def _refuse_null(norms: np.ndarray, what: str, start: int = 0) -> None:
+    """Raise :class:`DomainError` for the first squared norm that is 0 or not finite."""
+    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+    if bad.size:
+        raise DomainError(f"{what} {start + bad[0]} has squared norm {norms[bad[0]]}, not a state")
 
 
 def _squared_norms(v: np.ndarray) -> np.ndarray:
@@ -468,7 +473,7 @@ def realize(g: GVector, gens: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _psd_shortfall(mats: np.ndarray, shift: float, scale: float = 1.0) -> float:
-    """``max(0, -lambda_min)`` over the Hermitian matrices ``mats / scale``.
+    """``max(0, -lambda_min)`` of the Hermitian ``mats / scale``, NaN for a non-finite entry.
 
     ``mats`` has shape ``(..., d, d)`` and is not modified.  Each block of
     matrices (:func:`_block_rows`) is divided by ``scale``, shifted by
@@ -486,17 +491,18 @@ def _psd_shortfall(mats: np.ndarray, shift: float, scale: float = 1.0) -> float:
     d = mats.shape[-1]
     stack = mats.reshape(-1, d, d)
     step = _block_rows(16 * d * d)
+    if not np.isfinite(stack).all():  # Cholesky can factor a NaN without raising
+        return np.nan
     diag = np.arange(d)
-    shortfall = 0.0
+    shortfalls = [0.0]
     for start in range(0, len(stack), step):
         work = stack[start:start + step] / scale
         work[:, diag, diag] += shift
         try:
             np.linalg.cholesky(work)
         except np.linalg.LinAlgError:
-            least = float(np.linalg.eigvalsh(work)[:, 0].min()) - shift
-            shortfall = max(shortfall, -least)
-    return shortfall
+            shortfalls.append(shift - np.linalg.eigvalsh(work)[:, 0].min())
+    return float(np.max(shortfalls))
 
 
 # Largest entry of ``A(Av) - |g|**2 v`` that :func:`_bloch_shortfall` accepts
@@ -539,10 +545,8 @@ def _bloch_shortfall(proj: np.ndarray, g: np.ndarray, probes: np.ndarray) -> flo
     norm_sq = (g * g).sum(axis=1)
     residual = np.abs(a2v - norm_sq[:, None, None] * probes).max(axis=(1, 2))
     bloch = residual <= _SQUARE_ROUNDING
-    shortfall = float(((np.sqrt(norm_sq[bloch]) - 1.0) / d).max(initial=0.0))
-    if not bloch.all():
-        shortfall = max(shortfall, _psd_shortfall(proj[~bloch], 0.0))
-    return shortfall
+    shortfall = ((np.sqrt(norm_sq[bloch]) - 1.0) / d).max(initial=0.0)
+    return float(np.maximum(shortfall, _psd_shortfall(proj[~bloch], 0.0)))
 
 
 _ENSEMBLES = ("pure-haar", "mixed-hs")

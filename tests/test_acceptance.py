@@ -65,7 +65,7 @@ def test_criterion_01_anticommutation():
             for k in range(j, len(stack)):
                 anti = stack[j] @ stack[k] + stack[k] @ stack[j]
                 target = eye2 if j == k else 0.0
-                dense_worst = max(dense_worst, float(np.max(np.abs(anti - target))))
+                dense_worst = np.maximum(dense_worst, np.max(np.abs(anti - target)))
     elapsed = time.perf_counter() - t0
     ok = exact_ok and dense_worst <= 1e-12 and elapsed < 1.0
     _report(1, "anticommutation", ok, f"dense residual {dense_worst:.2e}, {elapsed:.2f}s")
@@ -83,8 +83,8 @@ def test_criterion_02_projection_positivity():
         mats = random_state_batch(n, 1000, seed=1000 + n, ensemble="mixed-hs")
         g = extended_expectations(mats, gens)
         proj = matrix_from_expectations(g, gens)
-        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(proj)[:, 0].min()))
-        worst_norm = max(worst_norm, float((g * g).sum(axis=1).max()))
+        worst_eig = np.minimum(worst_eig, np.linalg.eigvalsh(proj)[:, 0].min())
+        worst_norm = np.maximum(worst_norm, (g * g).sum(axis=1).max())
     elapsed = time.perf_counter() - t0
     ok = worst_eig >= -1e-9 and worst_norm <= 1.0 + 1e-9 and elapsed < 30.0
     _report(2, "projection positivity", ok,
@@ -103,7 +103,7 @@ def test_criterion_03_constructive_equals_algebraic():
             rho = DensityMatrix.from_matrix(mat)
             rho_hat, u, _ = reduce_to_axis(rho, gens)
             proj = project_bloch(rho, gens)
-            worst = max(worst, float(np.max(np.abs(u.conj().T @ rho_hat.mat @ u - proj.mat))))
+            worst = np.maximum(worst, np.max(np.abs(u.conj().T @ rho_hat.mat @ u - proj.mat)))
     ok = worst <= 1e-8
     _report(3, "constructive = algebraic", ok, f"worst entry {worst:.2e}")
     assert worst <= 1e-8
@@ -162,12 +162,12 @@ def test_criterion_07_rotor_lifting():
         rng = np.random.default_rng(700 + n)
         for _ in range(100):
             t = _random_orthogonal(rng, 2 * n + 1, det_sign=1)
-            lift_worst = max(lift_worst, conjugation_residual(lift(t, gens), t, gens))
+            lift_worst = np.maximum(lift_worst, conjugation_residual(lift(t, gens), t, gens))
         g0 = to_dense(gens.gamma0)
         for _ in range(20):
             t = _random_orthogonal(rng, 2 * n, det_sign=-1)
             u = lift(t, gens)
-            flip_worst = max(flip_worst, float(np.max(np.abs(u @ g0 @ u.conj().T + g0))))
+            flip_worst = np.maximum(flip_worst, np.max(np.abs(u @ g0 @ u.conj().T + g0)))
     ok = lift_worst <= 1e-8 and flip_worst <= 1e-10
     _report(7, "rotor lifting", ok,
             f"conjugation {lift_worst:.2e}, pseudoscalar flip {flip_worst:.2e}")
@@ -182,7 +182,7 @@ def test_criterion_08_euler_round_trip():
         size = 2 + i % 8  # sizes 2..9
         det = 1 if i % 2 == 0 else -1
         t = _random_orthogonal(rng, size, det_sign=det)
-        worst = max(worst, float(np.max(np.abs(recompose(euler_decompose(t)) - t))))
+        worst = np.maximum(worst, np.max(np.abs(recompose(euler_decompose(t)) - t)))
     ok = worst <= 1e-10
     _report(8, "Euler round-trip", ok, f"worst entry {worst:.2e}")
     assert worst <= 1e-10
@@ -219,7 +219,7 @@ def test_criterion_10_bound_suite():
         gens = jordan_wigner(n)
         mats = random_state_batch(n, 10_000, seed=100 + n, ensemble="mixed-hs")
         g_full = extended_expectations(mats, gens)
-        worst_norm = max(worst_norm, float((g_full * g_full).sum(axis=1).max()))
+        worst_norm = np.maximum(worst_norm, (g_full * g_full).sum(axis=1).max())
         g = g_full[:, :k]
         p = (1.0 + g) / 2.0
         q = (1.0 - g) / 2.0
@@ -233,7 +233,7 @@ def test_criterion_10_bound_suite():
             (collision.mean(axis=1), 1.0 - math.log2(1.0 + 1.0 / k)),
             (minent.mean(axis=1), 1.0 - math.log2(1.0 + 1.0 / math.sqrt(k))),
         ):
-            worst_margin = min(worst_margin, float((avg - bound).min()))
+            worst_margin = np.minimum(worst_margin, (avg - bound).min())
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     mu = maassen_uffink_bound(np.eye(2), hadamard)
     mu_ok = abs(mu - 0.5) <= 1e-15

@@ -196,6 +196,37 @@ class TestRotorSuite:
             assert failed["rotor-reflection"] >= 1.0
 
 
+def nan_at(real, index):
+    """``real`` with NaN written at ``index`` of the array it returns (a tuple's first item)."""
+    def faulty(*args):
+        out = real(*args)
+        (out[0] if isinstance(out, tuple) else out)[index] = np.nan
+        return out
+
+    return faulty
+
+
+PROJECTION_CHECKS = ["projection-positivity", "projection-idempotent", "projection-trace"]
+
+
+class TestNaNFaults:
+    @pytest.mark.parametrize("module, name, index, failing", [
+        (cli, "lift", ..., ["rotor-lift", "rotor-reflection"]),
+        (cli, "realize", (0, 0), ["ball-realization"]),
+        (rotors, "_vector_rotor", ..., ["reduction-constructive"]),
+        (cli, "matrix_from_expectations", (-1, 0, 0), PROJECTION_CHECKS),
+        (cli, "factor_expectations", -1, PROJECTION_CHECKS + ["expectation-ball"]),
+        (cli, "bias_entropy_d2", 500, ["concavity-sign", "concavity-curvature-fd"]),
+    ], ids=["lift", "realize", "vector-rotor", "render", "factor", "curvature"])
+    def test_nan_fails_exactly_its_checks(self, monkeypatch, capsys, module, name, index,
+                                          failing):
+        monkeypatch.setattr(module, name, nan_at(getattr(module, name), index))
+        code, doc = run_json(capsys, ["verify", "--n", "3", "--samples", "50"])
+        assert code == 1
+        assert [c["name"] for c in doc["results"] if not c["passed"]] == failing
+        assert all(math.isnan(doc["residuals"][check]) for check in failing)
+
+
 class TestMinimize:
     def test_shannon_case(self, capsys):
         code, doc = run_json(
@@ -413,6 +444,16 @@ class TestExitCheck:
         assert main(argv) == 0
         shift_gaps(monkeypatch, 2.0 * OPTIMIZATION)
         assert main(argv) == 1
+
+    @pytest.mark.parametrize("command, residual", [
+        (["minimize", "--n", "2", "--K", "5", "--alpha", "2"], "bound_gap"),
+        (["sweep", "--n", "1", "--k-min", "1", "--k-max", "3", "--alpha", "1"], "max_abs_gap"),
+    ])
+    def test_nan_gap_fails(self, monkeypatch, capsys, command, residual):
+        shift_gaps(monkeypatch, math.nan)
+        code, doc = run_json(capsys, command + ["--samples", "2000", "--seed", "3"])
+        assert code == 1
+        assert math.isnan(doc["residuals"][residual])
 
     def test_tiny_tolerance_fails_a_positive_gap(self, capsys):
         argv = ["minimize", "--n", "2", "--K", "5", "--alpha", "2", "--samples", "2000",

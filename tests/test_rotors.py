@@ -523,9 +523,10 @@ class TestReduceToAxis:
                     rho = from_gvector(GVector(n, g), gens)
                     rho_hat, u, _ = reduce_to_axis(rho, gens)
                     proj = project_bloch(rho, gens)
-                    worst_unitary = max(worst_unitary, np.max(np.abs(u.conj().T @ u - np.eye(d))))
-                    worst_projection = max(worst_projection,
-                                           np.max(np.abs(u.conj().T @ rho_hat.mat @ u - proj.mat)))
+                    worst_unitary = np.maximum(worst_unitary,
+                                               np.max(np.abs(u.conj().T @ u - np.eye(d))))
+                    worst_projection = np.maximum(
+                        worst_projection, np.max(np.abs(u.conj().T @ rho_hat.mat @ u - proj.mat)))
         assert worst_unitary <= 1e-15
         assert worst_projection <= 1e-15
 

@@ -559,6 +559,16 @@ class TestStringKernel:
             assert weights.tolist() == [1.0, 0.0]
             assert states.outcome_expectations(psi, gens)[0, j] == sign
 
+    def test_outcomes_refuse_a_vector_of_no_state(self):
+        # a zero vector divided 0 by 0, which warned; the index counts over the
+        # leading axes in order
+        gens = jordan_wigner(2)
+        for bad in (0.0, np.nan, np.inf):
+            psi = np.ones((2, 3, 4), dtype=complex)
+            psi[1, 2] = 0.0 if bad == 0.0 else [1.0, bad, 0.0, 0.0]
+            with pytest.raises(DomainError, match="vector 5 "):
+                states.outcome_expectations(psi, gens)
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_state_vector_paths_read_no_table(self, n, monkeypatch):
         def no_table(*args):

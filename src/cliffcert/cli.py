@@ -45,6 +45,7 @@ from .states import (
     _block_rows,
     _bloch_shortfall,
     _ginibre_chunks,
+    _hs_factors,
     _hs_peak_bytes,
     extended_expectations,
     factor_expectations,
@@ -59,12 +60,12 @@ from .uncertainty import (_check_order, bias_entropy, bias_entropy_d1, bias_entr
 
 THREADS_ENV = "CLIFFCERT_THREADS"
 _CHUNK = 256
-# Complex slices of Ginibre factors that one projection chunk holds at its
-# peak: a factor slice, drawn a slice at a time and dropped once measured,
-# beside the last projection; the positivity check multiplies the projection
-# into two probe vectors and copies nothing of its size (tracemalloc over one
-# 256-state chunk: 2.57 slices at n = 3, 1.65 at n = 4, 2.26-2.27 at
-# n = 5..7, 2.51 at n = 8).
+# Complex slices of Hilbert-Schmidt factors that one projection chunk holds
+# at its peak: a factor slice, drawn a slice at a time and dropped once
+# measured, beside the last projection; the positivity check multiplies the
+# projection into two probe vectors and copies nothing of its size
+# (tracemalloc over one 256-state chunk: 2.57 slices at n = 3, 1.65 at
+# n = 4, 2.26-2.27 at n = 5..7, 2.52 at n = 8).
 _PROJECTION_SLICES = 3
 # Bytes that one projection chunk's seed, size and results hold (tracemalloc
 # over 20000 chunks: 656 on one thread, 2201 with a pool, which submits every
@@ -244,9 +245,9 @@ def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int
     def work(item):
         count, seed = item
         blocks = []
-        for gin in _ginibre_chunks((d, d), count, seed, step):
-            g = factor_expectations(gin, gens)
-            del gin  # the factors are dead once measured
+        for factor in _hs_factors(d, count, seed, step):
+            g = factor_expectations(factor, gens)
+            del factor  # the factors are dead once measured
             proj = matrix_from_expectations(g, gens)
             blocks.append((_bloch_shortfall(proj, g, probes), np.max((g * g).sum(axis=1)),
                            np.max(np.abs(extended_expectations(proj, gens) - g)),

@@ -220,6 +220,11 @@ _BLOCK_BYTES = 2**21
 # 2 MiB blocks, 4.7 against 6.5 ms at n = 6 and 19.7 against 22.9 ms at
 # n = 8 (one BLAS thread, Xeon, best of 7).
 _VECTOR_CHUNK_BYTES = 2**19
+# Entries of one complex dot in the pair sums.  OpenBLAS splits a dot of more
+# than 10000 entries across its threads, and the split sum rounds otherwise
+# (10001 entries gave other bits under 1 and 2 threads, 10000 the same), so
+# longer sums are cut into blocks of this many and the blocks added by numpy.
+_DOT_BLOCK = 2**13
 
 
 def _block_rows(row_bytes: int, budget: int = _BLOCK_BYTES) -> int:
@@ -260,12 +265,17 @@ def _pair_sums(flat: np.ndarray, gens: GeneratorSet, out: np.ndarray) -> None:
 
     ``flat`` has shape ``(m, L)`` with ``L`` a multiple of ``d``; ``out`` has
     shape ``(m, 2n+1)``.  The pairing loop of :func:`vector_expectations`.
+    Each suffix sum is ``np.vecdot`` over blocks of at most ``_DOT_BLOCK``
+    entries, the blocks added by ``np.add.reduce``.
     """
     for pair in gens.pairings:
         lo, hi = _halves(flat, pair)
-        w = np.conjugate(hi)
-        w *= lo
-        w = np.add.reduce(w.reshape(len(flat), pair.signs.shape[-1], -1), axis=-1)
+        size, prefix = pair.signs.shape[-1], lo.shape[-2]
+        suffix = lo.shape[-1] * prefix // size
+        block = min(suffix, _DOT_BLOCK)
+        shape = (len(flat), prefix, size // prefix, suffix // block, block)
+        w = np.add.reduce(np.vecdot(hi.reshape(shape), lo.reshape(shape)), axis=-1)
+        w = w.reshape(len(flat), size)
         s = np.add.reduce(w[:, None, :] * pair.signs, axis=-1)[:, pair.which]
         if pair.pivot is not None:
             s += pair.eps * s.conj()
@@ -287,8 +297,11 @@ def vector_expectations(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     ``eps = (-1)**popcount(xmask & zmask)``; a diagonal string's ``w`` runs
     over every amplitude and its expectation is ``Re(i**p S)``.  In
     Jordan-Wigner, n+1 products serve the 2n+1 strings and nothing is
-    gathered.  O(d) per vector and X mask, every sum an ``np.add.reduce``
-    in a fixed order, so the bits do not depend on the BLAS thread count.
+    gathered.  O(d) per vector and X mask.  Each suffix sum is a
+    ``np.vecdot`` over blocks of at most ``_DOT_BLOCK`` = 8192 entries,
+    below the 10000 from which OpenBLAS splits a dot across its threads,
+    and the blocks and the sign sums are added by ``np.add.reduce``; so the
+    bits do not depend on the BLAS thread count.
     """
     psi = _vectors(psi, gens)
     d = psi.shape[-1]
@@ -313,7 +326,9 @@ def factor_expectations(w: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     :func:`vector_expectations` serves unchanged, its suffix sum running
     over the r columns too, and each row is divided by its squared norm
     ``Tr(W W^H)``.  O(K d r) per factor, no ``d x d`` product, the sums
-    taken a chunk of factors at a time by ``np.add.reduce``.
+    taken a chunk of factors at a time as there, by blocked dots: a
+    ``d x d`` factor at n = 8 has suffix sums of up to 32768 entries, four
+    dots of 8192 each, and its bits do not depend on the BLAS thread count.
     """
     w = np.asarray(w, dtype=complex)
     if w.ndim < 2 or w.shape[-2] != 2**gens.n or w.shape[-1] < 1:
@@ -556,12 +571,12 @@ def _ginibre_chunks(shape: tuple[int, ...], count: int, seed, step: int,
                     out: np.ndarray | None = None):
     """Yield ``count`` complex Gaussian arrays of trailing ``shape``, ``step`` at a time.
 
-    These are the Ginibre factors ``W`` of the induced states
-    ``W W^H / Tr(W W^H)`` (Zyczkowski-Sommers, J. Phys. A 34, 7111): square
-    ``(d, d)`` for ``mixed-hs``, a column ``(d,)`` for a Haar vector.  Each
-    chunk is filled by one ``standard_normal`` call on its float view, so an
-    entry's real and imaginary parts are consecutive normals and the stream
-    is that of ``rng.standard_normal((count, *shape, 2)).view(complex)[..., 0]``
+    A column ``(d,)`` is the Ginibre factor of a Haar vector (the induced
+    state ``W W^H / Tr(W W^H)``, Zyczkowski-Sommers, J. Phys. A 34, 7111);
+    ``verify`` draws its probe vectors here too.  Each chunk is filled by
+    one ``standard_normal`` call on its float view, so an entry's real and
+    imaginary parts are consecutive normals and the stream is that of
+    ``rng.standard_normal((count, *shape, 2)).view(complex)[..., 0]``
     whatever ``step`` (callers take it from :func:`_block_rows`).  Nothing
     is drawn ahead of its chunk.  With ``out`` (complex, ``(count, *shape)``)
     each chunk is a view of it, which the caller may overwrite; without it
@@ -576,10 +591,92 @@ def _ginibre_chunks(shape: tuple[int, ...], count: int, seed, step: int,
             else out[start:start + step]).view(float)).view(complex)
 
 
+def _hs_factors(d: int, count: int, seed, step: int, out: np.ndarray | None = None):
+    """Yield ``count`` Hilbert-Schmidt factors ``(d, d)``, ``step`` at a time.
+
+    A Wishart matrix ``W W^H`` of a square complex Gaussian ``W`` is
+    ``L L^H`` for a lower-triangular Bartlett factor ``L``: its strict lower
+    triangle is Gaussian like ``W`` and ``|L_ii|**2 ~ chi2_{2(d-i)}``
+    (Goodman, Ann. Math. Statist. 34, 152), so ``L L^H / Tr`` is a
+    Hilbert-Schmidt state.  Each ``d x d`` block ``Z_k`` of complex normals
+    (real and imaginary parts standard, as :func:`_ginibre_chunks` draws
+    them) gives two such factors: factor ``2k`` is its strict lower
+    triangle with ``chi2_{2(d-i)}`` diagonals, factor ``2k + 1`` its strict
+    upper triangle with ``chi2_{2(i+1)}`` diagonals, which is the lower
+    factor in reversed basis order (``J A J`` is Wishart again).  So a state
+    takes ``d**2`` normals (``d`` of them, on the block's diagonal, unused)
+    and ``d`` gammas, about one real number per real degree of freedom,
+    where ``W`` took ``2 d**2`` normals.
+
+    Each chunk's blocks are drawn by ``standard_normal`` into its last
+    entries and spread over it by masked multiplies (:func:`_bartlett_fill`),
+    so nothing the size of a chunk is allocated beside it.  The diagonals,
+    ``sqrt(2 standard_gamma)``, one row per factor, come from a jumped copy
+    of the generator.  A chunk that starts at an odd factor redraws the block
+    it shares with the previous chunk, from the generator state saved before
+    that block, so the factors are the same whatever ``step``; at an even
+    ``step`` nothing is redrawn.  ``out`` and ``seed`` as in
+    :func:`_ginibre_chunks`.
+    """
+    rng = np.random.default_rng(_check_seed(seed))
+    diagonals = np.random.Generator(rng.bit_generator.jumped())
+    shared = []  # the generator state before the last block drawn
+    for start in range(0, count, step):
+        # filled and yielded unnamed, so that this frame keeps no chunk the caller is done with
+        yield _bartlett_fill(
+            np.empty((min(step, count - start), d, d), dtype=complex) if out is None
+            else out[start:start + step], start, rng, diagonals, shared)
+
+
+def _bartlett_fill(chunk: np.ndarray, start: int, rng, diagonals, shared: list) -> np.ndarray:
+    """Fill ``chunk`` with the factors from ``start`` on (:func:`_hs_factors`) and return it.
+
+    The blocks that the chunk needs are drawn into its last entries, the
+    first one again from ``shared[0]`` when ``start`` is odd, and ``shared``
+    is left holding the state before the last one.  Block ``j`` (counted
+    from the first drawn) gives its strict lower triangle to entry
+    ``2j - odd`` and its strict upper one to entry ``2j + 1 - odd``, where
+    those exist.  Runs of blocks are spread in order, each as long as its
+    targets end before its first block, so no write reaches a block still to
+    be read; a run of one may keep a triangle in place, after the block is
+    read.  Both triangles are masked by a multiply, so the zeros carry the
+    same signs whatever the runs.
+    """
+    rows, d = chunk.shape[:2]
+    odd = start % 2
+    first = rows - (rows + odd + 1) // 2
+    blocks = chunk[first:]
+    if odd:
+        rng.bit_generator.state = shared[0]
+    rng.standard_normal(out=blocks[:-1].view(float))
+    shared[:] = [rng.bit_generator.state]
+    rng.standard_normal(out=blocks[-1:].view(float))
+    lower = np.tri(d, k=-1, dtype=bool)
+    run = 0
+    while run < len(blocks):
+        stop = max(run + 1, (first + run + odd) // 2)
+        low = max(run, odd)  # at an odd start, block 0's lower factor is the previous chunk's
+        _masked(blocks[low:], lower, chunk[2 * low - odd:2 * stop - odd:2])
+        _masked(blocks[run:], lower.T, chunk[2 * run + 1 - odd:2 * stop - odd:2])
+        run = stop
+    parity = (start + np.arange(rows)) % 2
+    degrees = np.where(parity[:, None] == 1, np.arange(1, d + 1), np.arange(d, 0, -1))
+    chunk.reshape(rows, d * d)[:, ::d + 1] = np.sqrt(2.0 * diagonals.standard_gamma(degrees))
+    return chunk
+
+
+def _masked(blocks: np.ndarray, mask: np.ndarray, targets: np.ndarray) -> None:
+    """``targets[:] = blocks[:len(targets)] * mask``.  A target that is its own block
+    is written through the block's view: numpy copies an operand that overlaps
+    the output under other strides."""
+    source = blocks[:len(targets)]
+    np.multiply(source, mask, out=source if np.may_share_memory(source, targets) else targets)
+
+
 def _hs_peak_bytes(n: int, count: int) -> int:
     """Bytes a ``mixed-hs`` batch of ``count`` states holds at its peak: the returned
     stack plus three :func:`_block_rows` chunks of temporaries for one chunk's
-    ``G G^H`` (tracemalloc at n = 3, 4, 6 and 8)."""
+    ``L L^H`` (tracemalloc at n = 3, 4, 6 and 8)."""
     size = 16 * 4**n
     return (count + 3 * min(count, _block_rows(size))) * size
 
@@ -614,12 +711,12 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     """Stack of ``count`` random states, shape ``(count, d, d)``.
 
     ``pure-haar`` draws Haar-random pure states; ``mixed-hs`` draws from
-    the Hilbert-Schmidt measure (square Ginibre matrix G, normalized
-    G G^H).  For ``mixed-hs`` the matrices G are drawn by
-    :func:`_ginibre_chunks` into the returned array, :func:`_block_rows`
-    states at a time, and each chunk is overwritten by its ``G G^H`` over
-    the trace as it is drawn.  This is bit for bit the whole draw, and
-    beside the returned array the peak holds three chunks
+    the Hilbert-Schmidt measure (``L L^H`` over its trace, for the Bartlett
+    factors ``L`` of :func:`_hs_factors`, two per ``d x d`` Gaussian block).
+    For ``mixed-hs`` the factors are drawn into the returned array,
+    :func:`_block_rows` states at a time, and each chunk is overwritten by its
+    ``L L^H`` over the trace as it is drawn.  The bits do not depend on the
+    chunk size, and beside the returned array the peak holds three chunks
     (:func:`_hs_peak_bytes`).
     Deterministic given the seed, which passes :func:`_check_seed`.
     """
@@ -632,9 +729,9 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
         return np.einsum("si,sj->sij", psi, psi.conj())
     d = 2**n
     out = np.empty((count, d, d), dtype=complex)
-    for gin in _ginibre_chunks((d, d), count, seed, _block_rows(16 * d * d), out):
-        w = gin @ gin.conj().swapaxes(-1, -2)
-        np.divide(w, np.trace(w, axis1=1, axis2=2).real[:, None, None], out=gin)
+    for factor in _hs_factors(d, count, seed, _block_rows(16 * d * d), out):
+        w = factor @ factor.conj().swapaxes(-1, -2)
+        np.divide(w, np.trace(w, axis1=1, axis2=2).real[:, None, None], out=factor)
     return out
 
 

@@ -62,6 +62,7 @@ _LN2 = math.log(2.0)
 # rounding below t = 1e-3, where the closed form cancels (relative error 8.5 at 1e-12)
 _D2_SERIES = [(1 - k) / ((2 * k - 1) * 2 * _LN2) for k in range(2, 10)]
 _SHANNON_EPS = 1e-12  # alpha within this of 1 is treated as Shannon
+_D2_TERMS = 8  # terms of a general order's phi'' series (_series_d2)
 # Rows of the unit-ball search built and scored at once: the search's working
 # set beyond its draws is a few arrays of this many rows, whatever the budget.
 _BALL_CHUNK = 8192
@@ -183,7 +184,7 @@ def _power(a: float) -> _Order:
         return (a / c) * np.expm1(c * ln_r) / (
             2.0 * b * _LN2 * (1.0 + b) * (1.0 + np.exp(a * ln_r)))
 
-    def d2(t):
+    def closed_d2(t):
         b = np.sqrt(t)
         ln_r = -2.0 * np.arctanh(b)
         dln_r = -2.0 / (1.0 - t)
@@ -193,6 +194,8 @@ def _power(a: float) -> _Order:
         log_slope = (c * np.exp(cl) * dln_r / np.expm1(cl) - 1.0 / b - 1.0 / (1.0 + b)
                      - a * r_a * dln_r / (1.0 + r_a))
         return d1(t) * log_slope / (2.0 * b)
+
+    d2 = _series_d2(a, closed_d2)
 
     def entropy(p):
         top = p.max()
@@ -207,6 +210,42 @@ def _power(a: float) -> _Order:
     if c > 1e305:
         term, d1, d2, entropy = (np.errstate(over="ignore")(f) for f in (term, d1, d2, entropy))
     return _clipped(term, d1, d2, entropy)
+
+
+def _series_d2(a: float, closed):
+    """``phi''`` of the order ``a``: ``closed`` from ``cut = min(1e-3, 1e-2/a**2)`` on,
+    a series below.
+
+    The closed form's ``1/b`` terms cancel as ``b = sqrt(t) -> 0``, to a
+    relative error of about ``eps/t``.  The series comes from
+    ``p**a + q**a = 2**(1 - a) S(t)`` with ``S = sum_j C(a, 2j) t**j``.
+    Every ``C(a, 2j)`` with ``j >= 1`` holds the factor ``a - 1``, divided out
+    exactly: ``S = 1 + c T`` with ``c = a - 1`` and ``T = sum_{j>=1} k_j t**j``,
+    ``k_1 = a/2``, ``k_{j+1} = k_j (a - 2j)(a - 2j - 1)/((2j + 1)(2j + 2))``.
+    Then ``phi = 1 + ln(S)/((1 - a) ln 2)`` gives
+    ``phi'' = -(T''/S - c (T'/S)**2)/ln 2``, where nothing cancels as
+    ``a -> 1``.  Below the cut each term is at most 1e-3 of the one before,
+    so ``_D2_TERMS`` terms reach rounding.  ``t`` is clipped at 1e-12, so
+    from ``a = 1e5`` on no ``t`` reaches the series and ``closed`` is returned.
+    """
+    cut = min(1e-3, 1e-2 / (a * a))
+    if cut <= 1e-12:
+        return closed
+    c = a - 1.0
+    j = np.arange(1, _D2_TERMS + 1)
+    i = j[:-1]
+    ratios = (a - 2 * i) * (a - 2 * i - 1) / ((2 * i + 1) * (2 * i + 2))
+    k = np.cumprod(np.concatenate([[a / 2.0], ratios]))
+
+    def d2(t):
+        polyval = np.polynomial.polynomial.polyval  # looked up here: numpy imports it lazily
+        s = np.minimum(t, cut)
+        big_s = 1.0 + c * s * polyval(s, k)
+        slope = polyval(s, j * k) / big_s
+        series = -(polyval(s, (j * (j - 1) * k)[1:]) / big_s - c * slope * slope) / _LN2
+        return np.where(t < cut, series, closed(np.maximum(t, cut)))
+
+    return d2
 
 
 def _min_entropy_d1(t):

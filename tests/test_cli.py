@@ -547,6 +547,7 @@ def forbid_sampling(monkeypatch):
 
     monkeypatch.setattr(cli, "random_state_batch", no_draw)
     monkeypatch.setattr(cli, "_ginibre_chunks", no_draw)
+    monkeypatch.setattr(cli, "_hs_factors", no_draw)
 
 
 class TestVerifyMemory:

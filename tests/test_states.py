@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -35,6 +38,7 @@ from cliffcert import (
     to_document,
     vector_expectations,
 )
+import cliffcert
 from cliffcert import pauli, states
 from cliffcert.clifford import GeneratorSet
 from cliffcert.pauli import PauliString, expect, scatter, to_dense
@@ -596,6 +600,16 @@ def hs_by_products(w):
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
+# Hash of the expectations of two Gaussian d x d factors at n = 8.
+FACTOR_BITS_SCRIPT = """
+import hashlib
+import numpy as np
+from cliffcert import factor_expectations, jordan_wigner
+w = np.random.default_rng(3).standard_normal((2, 256, 256, 2)).view(complex)[..., 0]
+print(hashlib.sha256(factor_expectations(w, jordan_wigner(8)).tobytes()).hexdigest())
+"""
+
+
 class TestFactorKernel:
     """States measured on their factors against the dense ``W W^H`` they stand for."""
 
@@ -622,6 +636,21 @@ class TestFactorKernel:
         got = states.factor_expectations(psi[..., None], gens)
         assert np.max(np.abs(got - vector_expectations(psi, gens))) <= 1e-15
 
+    def test_bits_do_not_depend_on_the_blas_threads(self):
+        # a d x d factor at n = 8 is a vector on 16 qubits, whose suffix sums run
+        # to 32768 entries; OpenBLAS splits a complex dot of more than 10000
+        # across its threads, so unblocked dots gave other bits under 2 threads
+        src = os.path.dirname(os.path.dirname(cliffcert.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        bits = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", FACTOR_BITS_SCRIPT], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            bits.append(proc.stdout)
+        assert bits[0] == bits[1]
+
     def test_refuses_a_factor_of_no_state(self):
         # a zero factor divided 0 by 0 into a NaN row, and an infinite one warned
         # in the pair sums; 4097 factors at n = 2 span two chunks, so the index
@@ -642,9 +671,10 @@ class TestFactorKernel:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_ginibre_chunks_are_one_stream(self, n):
         # one interleaved draw, each entry's real and imaginary parts consecutive,
-        # whether the chunks are views of a caller's stack or new arrays
+        # whether the chunks are views of a caller's stack or new arrays; the
+        # shapes of the Haar vectors and of verify's probe pair
         d = 2**n
-        for shape, (count, step) in itertools.product(((d, d), (d,)),
+        for shape, (count, step) in itertools.product(((d, 2), (d,)),
                                                       ((1, 1), (5, 2), (7, 3), (7, 16))):
             want = whole_draw(9, count, shape)
             got = np.concatenate(list(states._ginibre_chunks(shape, count, 9, step)))
@@ -655,8 +685,30 @@ class TestFactorKernel:
             assert into.tobytes() == want.tobytes()
 
     def test_ginibre_chunks_keep_no_chunk_the_caller_dropped(self):
+        chunks = states._ginibre_chunks((8, 2), 4, 9, 2)
+        chunk = next(chunks)
+        ref = weakref.ref(chunk)
+        del chunk
+        assert ref() is None
+        assert next(chunks).shape == (2, 8, 2)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_hs_factors_are_one_stream(self, n):
+        # the Bartlett factors of whole blocks, whatever the step (an odd one
+        # redraws the block two chunks share), into a caller's stack or not
+        d = 2**n
+        for count, step in ((1, 1), (2, 1), (5, 2), (7, 3), (7, 16), (9, 4), (12, 5)):
+            want = bartlett_factors(9, count, d)
+            got = np.concatenate(list(states._hs_factors(d, count, 9, step)))
+            assert got.tobytes() == want.tobytes(), (count, step)
+            into = np.empty((count, d, d), dtype=complex)
+            for factor in states._hs_factors(d, count, 9, step, into):
+                assert np.shares_memory(factor, into)
+            assert into.tobytes() == want.tobytes(), (count, step)
+
+    def test_hs_factors_keep_no_chunk_the_caller_dropped(self):
         # a factor slice is dead once measured, so the generator must not hold it
-        chunks = states._ginibre_chunks((8, 8), 4, 9, 2)
+        chunks = states._hs_factors(8, 4, 9, 2)
         chunk = next(chunks)
         ref = weakref.ref(chunk)
         del chunk
@@ -671,11 +723,26 @@ def whole_draw(seed, count, shape):
     return rng.standard_normal((count, *shape, 2)).view(complex)[..., 0]
 
 
+def bartlett_factors(seed, count, d):
+    """``count`` Hilbert-Schmidt factors from whole arrays, kept as the oracle: the
+    strict lower (even factors) and upper (odd factors) triangles of ``ceil(count/2)``
+    Gaussian blocks in one interleaved draw, with diagonals ``sqrt(2 gamma)`` of
+    ``d - i`` and ``i + 1`` degrees from the jumped generator, one row per factor."""
+    rng = np.random.default_rng(seed)
+    diagonals = np.random.Generator(rng.bit_generator.jumped())
+    blocks = rng.standard_normal(((count + 1) // 2, d, d, 2)).view(complex)[..., 0]
+    lower = np.tri(d, k=-1, dtype=bool)
+    factors = np.stack([blocks * lower, blocks * lower.T], axis=1).reshape(-1, d, d)[:count]
+    i = np.arange(d)
+    degrees = np.where(np.arange(count)[:, None] % 2 == 1, i + 1, d - i)
+    factors[:, i, i] = np.sqrt(2.0 * diagonals.standard_gamma(degrees))
+    return factors
+
+
 def whole_hs_batch(n, count, seed):
     """The Hilbert-Schmidt batch built on whole (count, d, d) arrays, kept as the oracle."""
-    d = 2**n
-    gin = whole_draw(seed, count, (d, d))
-    w = gin @ gin.conj().swapaxes(-1, -2)
+    factors = bartlett_factors(seed, count, 2**n)
+    w = factors @ factors.conj().swapaxes(-1, -2)
     return w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
 
 
@@ -726,6 +793,29 @@ class TestSampling:
         chunk = states._block_rows(16 * 4**n)
         for count in (5, chunk, 2 * chunk + 5):
             assert np.array_equal(random_state_batch(n, count, 3), whole_hs_batch(n, count, 3))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_mixed_hs_purity_and_expectations_have_the_exact_means(self, n):
+        # on the Hilbert-Schmidt measure E Tr rho**2 = 2d/(d**2 + 1), and every
+        # traceless involution has E g**2 = 1/(d**2 + 1); within 5 standard errors
+        d = 2**n
+        rho = random_state_batch(n, 4000, 40 + n)
+        purity = np.einsum("sij,sji->s", rho, rho).real
+        assert abs(purity.mean() - 2 * d / (d * d + 1)) <= 5 * purity.std() / np.sqrt(4000)
+        g2 = extended_expectations(rho, jordan_wigner(n)) ** 2
+        assert np.all(np.abs(g2.mean(axis=0) - 1 / (d * d + 1))
+                      <= 5 * g2.std(axis=0) / np.sqrt(4000))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mixed_hs_diagonal_is_uniform_on_both_factors(self, n):
+        # E rho_ii = 1/d on the states of lower (even) and of upper (odd) factors
+        # apart; with the two diagonal degree sequences swapped, row i of a factor
+        # would carry 4i + 2 or 4(d - i) - 2 of the expected trace 2 d**2
+        d = 2**n
+        diag = np.einsum("sii->si", random_state_batch(n, 4000, 60 + n)).real
+        for part in (diag[0::2], diag[1::2]):
+            assert np.all(np.abs(part.mean(axis=0) - 1 / d)
+                          <= 5 * part.std(axis=0) / np.sqrt(len(part)))
 
     def test_mixed_hs_holds_one_stack_and_a_draw(self):
         # the returned stack, plus one float draw of half its size

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1020,10 +1021,40 @@ def branch_derivatives(t, alpha):
     d1 = (a / c) * np.expm1(c * ln_r) / (2.0 * b * ln2 * (1.0 + b) * (1.0 + r_a))
     log_slope = (c * np.exp(c * ln_r) * dln_r / np.expm1(c * ln_r) - 1.0 / b - 1.0 / (1.0 + b)
                  - a * r_a * dln_r / (1.0 + r_a))
-    return d1, d1 * log_slope / (2.0 * b)
+    d2 = d1 * log_slope / (2.0 * b)
+    cut = min(1e-3, 1e-2 / (a * a))
+    if cut <= 1e-12:
+        return d1, d2
+    # below the cut, where the closed form of phi'' cancels, the series of
+    # S(t) = 1 + c T(t), T = sum_j k_j t**j, k_j = C(a, 2j)/(a - 1), in eight terms
+    j = np.arange(1, 9)
+    i = j[:-1]
+    ratios = (a - 2 * i) * (a - 2 * i - 1) / ((2 * i + 1) * (2 * i + 2))
+    k = np.cumprod(np.concatenate([[a / 2.0], ratios]))
+    u = np.minimum(t, cut)
+    poly = np.polynomial.polynomial.polyval
+    s = 1.0 + c * u * poly(u, k)
+    slope = poly(u, j * k) / s
+    series = -(poly(u, (j * (j - 1) * k)[1:]) / s - c * slope * slope) / ln2
+    return d1, np.where(t < cut, series, d2)
 
 
 TABLE_ORDERS = [1.0, 1.0 + 1e-13, 2.0, math.inf, 0.5, 1.5, 3.0]
+
+
+def exact_power_d2(alpha, t, terms=40):
+    """``phi''(t)`` of the order ``alpha`` in exact rationals, rounded once: with
+    ``p**a + q**a = 2**(1 - a) S(t)``, ``S = sum_j C(a, 2j) t**j`` (40 terms reach
+    1e-80 at t <= 1e-3), ``phi'' = (S'' S - S'**2) / (S**2 (1 - a) ln 2)``."""
+    a, t = Fraction(alpha), Fraction(t)
+    coeff, s, s1, s2 = Fraction(1), Fraction(0), Fraction(0), Fraction(0)
+    for j in range(terms):
+        if j:
+            coeff *= (a - 2 * j + 2) * (a - 2 * j + 1) / ((2 * j - 1) * (2 * j))
+        s += coeff * t**j
+        s1 += j * coeff * t ** max(j - 1, 0)
+        s2 += j * (j - 1) * coeff * t ** max(j - 2, 0)
+    return float((s2 * s - s1 * s1) / (s * s * (1 - a))) / math.log(2.0)
 
 
 class TestOrderTable:
@@ -1098,7 +1129,7 @@ class TestOrderTable:
         # outside the Shannon window, where nothing may cancel: the exact distance from
         # Shannon is about 3e-12 for the term and 1e-12 for the entropy, and, by mpmath,
         # 3.1e-11 for d1 at t <= 0.98 and 4.3e-11 for d2 on [1e-3, 0.8] (1.1e-10 at 0.9;
-        # below 1e-3 the general order's d2 cancels, 5.7e-12 off Shannon's series at 1e-4)
+        # below 1e-3 see test_general_order_curvature_near_zero_is_the_series)
         order, shannon = uncertainty._order(alpha), uncertainty._order(1)
         assert order is not shannon
         rng = np.random.default_rng(4)
@@ -1110,6 +1141,18 @@ class TestOrderTable:
         assert np.max(np.abs(order.d2(t) - shannon.d2(t))) <= 1e-10
         p = [0.5, 0.3, 0.2]
         assert abs(renyi_entropy(p, alpha) - renyi_entropy(p, 1)) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0 - 1e-11, 1.0 + 1e-11, 1.5, 3.0])
+    def test_general_order_curvature_near_zero_is_the_series(self, alpha):
+        # the closed form's 1/b terms cancel as t -> 0: at 1 +- 1e-11 its d2 lay 6e-5
+        # from Shannon's at t = 1e-12, and 2.6e-4 (relative) from the exact value
+        t = np.geomspace(1e-12, 1e-3, 31)[:-1]  # the series' range: t < 1e-3
+        order = uncertainty._order(alpha)
+        want = np.array([exact_power_d2(alpha, x) for x in t])
+        assert np.max(np.abs(order.d2(t) / want - 1.0)) <= 1e-14
+        if abs(alpha - 1.0) < 1e-9:
+            shannon = uncertainty._order(1).d2(t)
+            assert np.max(np.abs(order.d2(t) - shannon)) <= 1e-10
 
     @pytest.mark.parametrize("alpha", [4e306, 1e307, 1.7e308])
     def test_huge_order_is_silent(self, alpha):

@@ -223,13 +223,20 @@ _VECTOR_CHUNK_BYTES = 2**19
 # Entries of one complex dot in the pair sums.  OpenBLAS splits a dot of more
 # than 10000 entries across its threads, and the split sum rounds otherwise
 # (10001 entries gave other bits under 1 and 2 threads, 10000 the same), so
-# longer sums are cut into blocks of this many and the blocks added by numpy.
+# longer sums are cut into blocks of at most this many and the blocks added by numpy.
 _DOT_BLOCK = 2**13
 
 
 def _block_rows(row_bytes: int, budget: int = _BLOCK_BYTES) -> int:
     """Rows of ``row_bytes`` each that fit in ``budget`` bytes, at least one."""
     return max(1, budget // row_bytes)
+
+
+def _dot_block(length: int) -> int:
+    """Entries of each dot in a sum of ``length``: its largest divisor of at most
+    ``_DOT_BLOCK``, so ``length`` itself up to 8192 and 8192 for a power of two
+    above it; a factor with ``r`` columns not a power of two may need fewer."""
+    return next(b for b in range(min(length, _DOT_BLOCK), 0, -1) if length % b == 0)
 
 
 def _vectors(psi, gens: GeneratorSet) -> np.ndarray:
@@ -265,14 +272,14 @@ def _pair_sums(flat: np.ndarray, gens: GeneratorSet, out: np.ndarray) -> None:
 
     ``flat`` has shape ``(m, L)`` with ``L`` a multiple of ``d``; ``out`` has
     shape ``(m, 2n+1)``.  The pairing loop of :func:`vector_expectations`.
-    Each suffix sum is ``np.vecdot`` over blocks of at most ``_DOT_BLOCK``
+    Each suffix sum is ``np.vecdot`` over blocks of :func:`_dot_block`
     entries, the blocks added by ``np.add.reduce``.
     """
     for pair in gens.pairings:
         lo, hi = _halves(flat, pair)
         size, prefix = pair.signs.shape[-1], lo.shape[-2]
         suffix = lo.shape[-1] * prefix // size
-        block = min(suffix, _DOT_BLOCK)
+        block = _dot_block(suffix)
         shape = (len(flat), prefix, size // prefix, suffix // block, block)
         w = np.add.reduce(np.vecdot(hi.reshape(shape), lo.reshape(shape)), axis=-1)
         w = w.reshape(len(flat), size)
@@ -608,59 +615,50 @@ def _hs_factors(d: int, count: int, seed, step: int, out: np.ndarray | None = No
     and ``d`` gammas, about one real number per real degree of freedom,
     where ``W`` took ``2 d**2`` normals.
 
-    Each chunk's blocks are drawn by ``standard_normal`` into its last
-    entries and spread over it by masked multiplies (:func:`_bartlett_fill`),
-    so nothing the size of a chunk is allocated beside it.  The diagonals,
-    ``sqrt(2 standard_gamma)``, one row per factor, come from a jumped copy
-    of the generator.  A chunk that starts at an odd factor redraws the block
-    it shares with the previous chunk, from the generator state saved before
-    that block, so the factors are the same whatever ``step``; at an even
-    ``step`` nothing is redrawn.  ``out`` and ``seed`` as in
-    :func:`_ginibre_chunks`.
+    Each chunk pairs its own factors, so the factors are the same for every
+    even ``step``; a chunk of odd length gives its last factor a block of its
+    own, of which it keeps the lower triangle.  Callers take ``step`` from
+    :func:`_block_rows`, a power of two, and so from ``d`` alone; it is 1
+    from n = 9 on, where each factor takes a whole block, ``2 d**2`` normals
+    as ``W`` did.  Each chunk's blocks are drawn by ``standard_normal``
+    into its last entries and spread over it by masked multiplies
+    (:func:`_bartlett_fill`), so nothing the size of a chunk is allocated
+    beside it.  The diagonals, ``sqrt(2 standard_gamma)``, one row per
+    factor, come from a jumped copy of the generator.  ``out`` and ``seed``
+    as in :func:`_ginibre_chunks`.
     """
     rng = np.random.default_rng(_check_seed(seed))
     diagonals = np.random.Generator(rng.bit_generator.jumped())
-    shared = []  # the generator state before the last block drawn
     for start in range(0, count, step):
         # filled and yielded unnamed, so that this frame keeps no chunk the caller is done with
         yield _bartlett_fill(
             np.empty((min(step, count - start), d, d), dtype=complex) if out is None
-            else out[start:start + step], start, rng, diagonals, shared)
+            else out[start:start + step], rng, diagonals)
 
 
-def _bartlett_fill(chunk: np.ndarray, start: int, rng, diagonals, shared: list) -> np.ndarray:
-    """Fill ``chunk`` with the factors from ``start`` on (:func:`_hs_factors`) and return it.
+def _bartlett_fill(chunk: np.ndarray, rng, diagonals) -> np.ndarray:
+    """Fill ``chunk`` with Bartlett factors (:func:`_hs_factors`) and return it.
 
-    The blocks that the chunk needs are drawn into its last entries, the
-    first one again from ``shared[0]`` when ``start`` is odd, and ``shared``
-    is left holding the state before the last one.  Block ``j`` (counted
-    from the first drawn) gives its strict lower triangle to entry
-    ``2j - odd`` and its strict upper one to entry ``2j + 1 - odd``, where
-    those exist.  Runs of blocks are spread in order, each as long as its
-    targets end before its first block, so no write reaches a block still to
-    be read; a run of one may keep a triangle in place, after the block is
-    read.  Both triangles are masked by a multiply, so the zeros carry the
-    same signs whatever the runs.
+    Its ``ceil(rows/2)`` blocks are drawn into its last entries.  Block ``j``
+    gives its strict lower triangle to entry ``2j`` and its strict upper one
+    to entry ``2j + 1``, where that exists.  Runs of blocks are spread in
+    order, each as long as its targets end before its first block, so no
+    write reaches a block still to be read; a run of one may keep a triangle
+    in place, after the block is read.  Both triangles are masked by a
+    multiply, so the zeros carry the same signs whatever the runs.
     """
     rows, d = chunk.shape[:2]
-    odd = start % 2
-    first = rows - (rows + odd + 1) // 2
+    first = rows // 2
     blocks = chunk[first:]
-    if odd:
-        rng.bit_generator.state = shared[0]
-    rng.standard_normal(out=blocks[:-1].view(float))
-    shared[:] = [rng.bit_generator.state]
-    rng.standard_normal(out=blocks[-1:].view(float))
+    rng.standard_normal(out=blocks.view(float))
     lower = np.tri(d, k=-1, dtype=bool)
     run = 0
     while run < len(blocks):
-        stop = max(run + 1, (first + run + odd) // 2)
-        low = max(run, odd)  # at an odd start, block 0's lower factor is the previous chunk's
-        _masked(blocks[low:], lower, chunk[2 * low - odd:2 * stop - odd:2])
-        _masked(blocks[run:], lower.T, chunk[2 * run + 1 - odd:2 * stop - odd:2])
+        stop = max(run + 1, (first + run) // 2)
+        _masked(blocks[run:], lower, chunk[2 * run:2 * stop:2])
+        _masked(blocks[run:], lower.T, chunk[2 * run + 1:2 * stop:2])
         run = stop
-    parity = (start + np.arange(rows)) % 2
-    degrees = np.where(parity[:, None] == 1, np.arange(1, d + 1), np.arange(d, 0, -1))
+    degrees = np.where(np.arange(rows)[:, None] % 2 == 1, np.arange(1, d + 1), np.arange(d, 0, -1))
     chunk.reshape(rows, d * d)[:, ::d + 1] = np.sqrt(2.0 * diagonals.standard_gamma(degrees))
     return chunk
 

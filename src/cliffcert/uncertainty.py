@@ -58,9 +58,6 @@ from .states import (
 from .tolerances import DENSE_GUARD, MEMORY_BUDGET, ORTHOGONALITY, PSD, TRACE
 
 _LN2 = math.log(2.0)
-# Shannon's phi''(t) = -(1/(2 ln2)) sum_{k>=2} (k-1) t**(k-2)/(2k-1): eight terms reach
-# rounding below t = 1e-3, where the closed form cancels (relative error 8.5 at 1e-12)
-_D2_SERIES = [(1 - k) / ((2 * k - 1) * 2 * _LN2) for k in range(2, 10)]
 _SHANNON_EPS = 1e-12  # alpha within this of 1 is treated as Shannon
 _D2_TERMS = 8  # terms of a general order's phi'' series (_series_d2)
 # Rows of the unit-ball search built and scored at once: the search's working
@@ -224,9 +221,10 @@ def _series_d2(a: float, closed):
     ``k_1 = a/2``, ``k_{j+1} = k_j (a - 2j)(a - 2j - 1)/((2j + 1)(2j + 2))``.
     Then ``phi = 1 + ln(S)/((1 - a) ln 2)`` gives
     ``phi'' = -(T''/S - c (T'/S)**2)/ln 2``, where nothing cancels as
-    ``a -> 1``.  Below the cut each term is at most 1e-3 of the one before,
-    so ``_D2_TERMS`` terms reach rounding.  ``t`` is clipped at 1e-12, so
-    from ``a = 1e5`` on no ``t`` reaches the series and ``closed`` is returned.
+    ``a -> 1``, and at ``a = 1`` it is Shannon's.  Below the cut each term
+    is at most 1e-3 of the one before, so ``_D2_TERMS`` terms reach
+    rounding.  A general order clips ``t`` at 1e-12, so from ``a = 1e5`` on
+    no ``t`` reaches the series and ``closed`` is returned.
     """
     cut = min(1e-3, 1e-2 / (a * a))
     if cut <= 1e-12:
@@ -263,11 +261,15 @@ def _shannon_d1(t):
     return (np.log(1.0 - b) - np.log(1.0 + b)) / (4.0 * _LN2 * b)
 
 
-def _shannon_d2(t):
-    u = np.maximum(t, 1e-3)  # so that the unused closed form never underflows t**1.5
-    b = np.sqrt(u)
-    closed = (np.log((1.0 + b) / (1.0 - b)) - 2.0 * b / (1.0 - u)) / (8.0 * _LN2 * u**1.5)
-    return np.where(t < 1e-3, np.polynomial.polynomial.polyval(t, _D2_SERIES), closed)
+def _shannon_closed_d2(t):
+    b = np.sqrt(t)
+    return (np.log((1.0 + b) / (1.0 - b)) - 2.0 * b / (1.0 - t)) / (8.0 * _LN2 * t**1.5)
+
+
+# At a = 1, c = 0 and k_j = 1/(2j (2j - 1)), the series is Shannon's
+# phi'' = -(1/(2 ln2)) sum_{j>=2} (j - 1) t**(j-2)/(2j - 1), below t = 1e-3, where
+# the closed form cancels (relative error 8.5 at t = 1e-12).
+_shannon_d2 = _series_d2(1.0, _shannon_closed_d2)
 
 
 # The orders with a floor, and so a closed form: min-entropy, Shannon and collision.

@@ -636,6 +636,18 @@ class TestFactorKernel:
         got = states.factor_expectations(psi[..., None], gens)
         assert np.max(np.abs(got - vector_expectations(psi, gens))) <= 1e-15
 
+    @pytest.mark.parametrize("n, r", [(8, 100), (3, 10007)])
+    def test_long_suffix_not_a_multiple_of_the_dot_block(self, n, r):
+        # a suffix of 12800 (n = 8, r = 100) or of a prime 10007 entries past
+        # 8192 is cut into dots of one of its divisors; a cut of 8192 dropped
+        # the remainder and failed to reshape
+        gens = jordan_wigner(n)
+        rng = np.random.default_rng(71)
+        w = rng.standard_normal((2, 2**n, r)) + 1j * rng.standard_normal((2, 2**n, r))
+        got = states.factor_expectations(w, gens)
+        want = extended_expectations(hs_by_products(w), gens)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_bits_do_not_depend_on_the_blas_threads(self):
         # a d x d factor at n = 8 is a vector on 16 qubits, whose suffix sums run
         # to 32768 entries; OpenBLAS splits a complex dot of more than 10000
@@ -694,11 +706,11 @@ class TestFactorKernel:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_hs_factors_are_one_stream(self, n):
-        # the Bartlett factors of whole blocks, whatever the step (an odd one
-        # redraws the block two chunks share), into a caller's stack or not
+        # the Bartlett factors of whole blocks, whatever the even step, and one
+        # block a factor at step 1, into a caller's stack or not
         d = 2**n
-        for count, step in ((1, 1), (2, 1), (5, 2), (7, 3), (7, 16), (9, 4), (12, 5)):
-            want = bartlett_factors(9, count, d)
+        for count, step in ((1, 1), (2, 1), (5, 1), (1, 2), (5, 2), (7, 16), (9, 4), (12, 4)):
+            want = bartlett_factors(9, count, d, paired=step > 1)
             got = np.concatenate(list(states._hs_factors(d, count, 9, step)))
             assert got.tobytes() == want.tobytes(), (count, step)
             into = np.empty((count, d, d), dtype=complex)
@@ -723,18 +735,22 @@ def whole_draw(seed, count, shape):
     return rng.standard_normal((count, *shape, 2)).view(complex)[..., 0]
 
 
-def bartlett_factors(seed, count, d):
+def bartlett_factors(seed, count, d, paired=True):
     """``count`` Hilbert-Schmidt factors from whole arrays, kept as the oracle: the
     strict lower (even factors) and upper (odd factors) triangles of ``ceil(count/2)``
     Gaussian blocks in one interleaved draw, with diagonals ``sqrt(2 gamma)`` of
-    ``d - i`` and ``i + 1`` degrees from the jumped generator, one row per factor."""
+    ``d - i`` and ``i + 1`` degrees from the jumped generator, one row per factor.
+    Unpaired, each factor is the strict lower triangle of a block of its own."""
     rng = np.random.default_rng(seed)
     diagonals = np.random.Generator(rng.bit_generator.jumped())
-    blocks = rng.standard_normal(((count + 1) // 2, d, d, 2)).view(complex)[..., 0]
     lower = np.tri(d, k=-1, dtype=bool)
-    factors = np.stack([blocks * lower, blocks * lower.T], axis=1).reshape(-1, d, d)[:count]
+    if paired:
+        blocks = rng.standard_normal(((count + 1) // 2, d, d, 2)).view(complex)[..., 0]
+        factors = np.stack([blocks * lower, blocks * lower.T], axis=1).reshape(-1, d, d)[:count]
+    else:
+        factors = rng.standard_normal((count, d, d, 2)).view(complex)[..., 0] * lower
     i = np.arange(d)
-    degrees = np.where(np.arange(count)[:, None] % 2 == 1, i + 1, d - i)
+    degrees = np.where(paired & (np.arange(count)[:, None] % 2 == 1), i + 1, d - i)
     factors[:, i, i] = np.sqrt(2.0 * diagonals.standard_gamma(degrees))
     return factors
 

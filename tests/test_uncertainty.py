@@ -994,8 +994,9 @@ def branch_term(g, alpha):
 
 
 def branch_derivatives(t, alpha):
-    """phi' and phi'' of phi(t) = term(sqrt(t)) as one branching function computed them,
-    kept as the oracle; t is taken 1e-12 inside [0, 1]."""
+    """phi' and phi'' of phi(t) = term(sqrt(t)) in closed form, as one branching function
+    computed them, kept as the oracle; t is taken 1e-12 inside [0, 1].  phi'' holds only
+    from :func:`series_cut` on."""
     t = np.clip(t, 1e-12, 1.0 - 1e-12)
     b = np.sqrt(t)
     ln2 = math.log(2.0)
@@ -1003,14 +1004,8 @@ def branch_derivatives(t, alpha):
         d1 = -1.0 / (2.0 * b * ln2 * (1.0 + b))
         return d1, d1 * (-1.0 / b - 1.0 / (1.0 + b)) / (2.0 * b)
     if abs(alpha - 1.0) < 1e-12:
-        # below t = 1e-3, where the closed form of phi'' cancels, its Taylor series
-        u = np.maximum(t, 1e-3)
-        bu = np.sqrt(u)
-        closed = (np.log((1.0 + bu) / (1.0 - bu)) - 2.0 * bu / (1.0 - u)) / (8.0 * ln2 * u**1.5)
-        series = np.polynomial.polynomial.polyval(
-            t, [(1 - k) / ((2 * k - 1) * 2 * ln2) for k in range(2, 10)])
         return ((np.log(1.0 - b) - np.log(1.0 + b)) / (4.0 * ln2 * b),
-                np.where(t < 1e-3, series, closed))
+                (np.log((1.0 + b) / (1.0 - b)) - 2.0 * b / (1.0 - t)) / (8.0 * ln2 * t**1.5))
     if alpha == 2.0:
         return -1.0 / ((1.0 + t) * ln2), 1.0 / ((1.0 + t) ** 2 * ln2)
     a, c = alpha, alpha - 1.0
@@ -1021,22 +1016,17 @@ def branch_derivatives(t, alpha):
     d1 = (a / c) * np.expm1(c * ln_r) / (2.0 * b * ln2 * (1.0 + b) * (1.0 + r_a))
     log_slope = (c * np.exp(c * ln_r) * dln_r / np.expm1(c * ln_r) - 1.0 / b - 1.0 / (1.0 + b)
                  - a * r_a * dln_r / (1.0 + r_a))
-    d2 = d1 * log_slope / (2.0 * b)
-    cut = min(1e-3, 1e-2 / (a * a))
-    if cut <= 1e-12:
-        return d1, d2
-    # below the cut, where the closed form of phi'' cancels, the series of
-    # S(t) = 1 + c T(t), T = sum_j k_j t**j, k_j = C(a, 2j)/(a - 1), in eight terms
-    j = np.arange(1, 9)
-    i = j[:-1]
-    ratios = (a - 2 * i) * (a - 2 * i - 1) / ((2 * i + 1) * (2 * i + 2))
-    k = np.cumprod(np.concatenate([[a / 2.0], ratios]))
-    u = np.minimum(t, cut)
-    poly = np.polynomial.polynomial.polyval
-    s = 1.0 + c * u * poly(u, k)
-    slope = poly(u, j * k) / s
-    series = -(poly(u, (j * (j - 1) * k)[1:]) / s - c * slope * slope) / ln2
-    return d1, np.where(t < cut, series, d2)
+    return d1, d1 * log_slope / (2.0 * b)
+
+
+def series_cut(alpha):
+    """Below this ``t`` the code sums phi'' as a series, where the closed forms of
+    :func:`branch_derivatives` cancel: 1e-3 for Shannon, ``min(1e-3, 1e-2/a**2)``
+    for a general order, 0 for the collision and min-entropies."""
+    if math.isinf(alpha) or alpha == 2.0:
+        return 0.0
+    a = 1.0 if abs(alpha - 1.0) < 1e-12 else alpha
+    return min(1e-3, 1e-2 / (a * a))
 
 
 TABLE_ORDERS = [1.0, 1.0 + 1e-13, 2.0, math.inf, 0.5, 1.5, 3.0]
@@ -1045,7 +1035,12 @@ TABLE_ORDERS = [1.0, 1.0 + 1e-13, 2.0, math.inf, 0.5, 1.5, 3.0]
 def exact_power_d2(alpha, t, terms=40):
     """``phi''(t)`` of the order ``alpha`` in exact rationals, rounded once: with
     ``p**a + q**a = 2**(1 - a) S(t)``, ``S = sum_j C(a, 2j) t**j`` (40 terms reach
-    1e-80 at t <= 1e-3), ``phi'' = (S'' S - S'**2) / (S**2 (1 - a) ln 2)``."""
+    1e-80 at t <= 1e-3), ``phi'' = (S'' S - S'**2) / (S**2 (1 - a) ln 2)``.  An order
+    within 1e-12 of 1 is Shannon's, whose ``phi = 1 - sum_j t**j/(2j (2j - 1) ln 2)``."""
+    if abs(alpha - 1.0) < 1e-12:
+        t = Fraction(t)
+        series = sum(Fraction(j - 1, 2 * (2 * j - 1)) * t ** (j - 2) for j in range(2, terms))
+        return -float(series) / math.log(2.0)
     a, t = Fraction(alpha), Fraction(t)
     coeff, s, s1, s2 = Fraction(1), Fraction(0), Fraction(0), Fraction(0)
     for j in range(terms):
@@ -1071,13 +1066,22 @@ class TestOrderTable:
 
     @pytest.mark.parametrize("alpha", TABLE_ORDERS)
     def test_term_and_slope_are_the_branch_formulas(self, alpha):
+        # phi'' bit for bit from the series cut on; below it, where the closed form
+        # cancels, within rounding of the exact value
         order = uncertainty._order(alpha)
         for g in (self.GRID, self.GRID.reshape(-1, 7)):
             assert order.term(g).tobytes() == branch_term(g, alpha).tobytes()
-        for t in (self.T_GRID, self.T_GRID.reshape(-1, 8)):
+        t_grid = np.concatenate([self.T_GRID, np.geomspace(1e-12, 1e-3, 10)[:-1]])
+        below = np.clip(t_grid, 1e-12, 1.0 - 1e-12) < series_cut(alpha)
+        for t in (t_grid, t_grid.reshape(-1, 11)):
             d1, d2 = branch_derivatives(t, alpha)
             assert order.d1(t).tobytes() == d1.tobytes()
-            assert order.d2(t).tobytes() == d2.tobytes()
+            got = order.d2(t)
+            mask = below.reshape(t.shape)
+            assert got[~mask].tobytes() == d2[~mask].tobytes()
+        clipped = np.maximum(t_grid[below], 1e-12)
+        want = np.array([exact_power_d2(alpha, x) for x in clipped])
+        assert np.max(np.abs(order.d2(clipped) / want - 1.0), initial=0.0) <= 1e-14
         assert entropy_of_expectations(self.GRID, alpha).tobytes() == (
             branch_term(self.GRID, alpha).tobytes())
 

@@ -44,7 +44,6 @@ from .states import (
     GVector,
     _block_rows,
     _bloch_shortfall,
-    _ginibre_chunks,
     _hs_factors,
     _hs_peak_bytes,
     extended_expectations,
@@ -237,15 +236,15 @@ def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int
     sizes = _chunk_sizes(samples)
     seeds = seed_seq.spawn(len(sizes))
     d = 2**gens.n
-    step = _block_rows(16 * d * d)
-    # two probe vectors for the positivity certificate, spawned after the
-    # chunks' seeds so that every chunk keeps its stream
-    probes = next(_ginibre_chunks((d, 2), 1, seed_seq.spawn(1)[0], 1))[0]
+    # two complex Gaussian probe vectors for the positivity certificate, each
+    # entry's real and imaginary parts consecutive normals, from a seed spawned
+    # after the chunks' seeds so that every chunk keeps its stream
+    probes = np.random.default_rng(seed_seq.spawn(1)[0]).standard_normal((d, 4)).view(complex)
 
     def work(item):
         count, seed = item
         blocks = []
-        for factor in _hs_factors(d, count, seed, step):
+        for factor in _hs_factors(d, count, seed):
             g = factor_expectations(factor, gens)
             del factor  # the factors are dead once measured
             proj = matrix_from_expectations(g, gens)

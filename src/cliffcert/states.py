@@ -574,66 +574,42 @@ def _bloch_shortfall(proj: np.ndarray, g: np.ndarray, probes: np.ndarray) -> flo
 _ENSEMBLES = ("pure-haar", "mixed-hs")
 
 
-def _ginibre_chunks(shape: tuple[int, ...], count: int, seed, step: int,
-                    out: np.ndarray | None = None):
-    """Yield ``count`` complex Gaussian arrays of trailing ``shape``, ``step`` at a time.
-
-    A column ``(d,)`` is the Ginibre factor of a Haar vector (the induced
-    state ``W W^H / Tr(W W^H)``, Zyczkowski-Sommers, J. Phys. A 34, 7111);
-    ``verify`` draws its probe vectors here too.  Each chunk is filled by
-    one ``standard_normal`` call on its float view, so an entry's real and
-    imaginary parts are consecutive normals and the stream is that of
-    ``rng.standard_normal((count, *shape, 2)).view(complex)[..., 0]``
-    whatever ``step`` (callers take it from :func:`_block_rows`).  Nothing
-    is drawn ahead of its chunk.  With ``out`` (complex, ``(count, *shape)``)
-    each chunk is a view of it, which the caller may overwrite; without it
-    each chunk is a new array.  ``seed`` passes :func:`_check_seed` at the
-    first ``next``.
-    """
-    rng = np.random.default_rng(_check_seed(seed))
-    for start in range(0, count, step):
-        # filled and yielded unnamed, so that this frame keeps no chunk the caller is done with
-        yield rng.standard_normal(out=(
-            np.empty((min(step, count - start), *shape), dtype=complex) if out is None
-            else out[start:start + step]).view(float)).view(complex)
-
-
-def _hs_factors(d: int, count: int, seed, step: int, out: np.ndarray | None = None):
-    """Yield ``count`` Hilbert-Schmidt factors ``(d, d)``, ``step`` at a time.
+def _hs_factors(d: int, count: int, seed):
+    """Yield ``count`` Hilbert-Schmidt factors ``(d, d)``, :func:`_block_rows` at a time.
 
     A Wishart matrix ``W W^H`` of a square complex Gaussian ``W`` is
     ``L L^H`` for a lower-triangular Bartlett factor ``L``: its strict lower
     triangle is Gaussian like ``W`` and ``|L_ii|**2 ~ chi2_{2(d-i)}``
     (Goodman, Ann. Math. Statist. 34, 152), so ``L L^H / Tr`` is a
     Hilbert-Schmidt state.  Each ``d x d`` block ``Z_k`` of complex normals
-    (real and imaginary parts standard, as :func:`_ginibre_chunks` draws
-    them) gives two such factors: factor ``2k`` is its strict lower
-    triangle with ``chi2_{2(d-i)}`` diagonals, factor ``2k + 1`` its strict
-    upper triangle with ``chi2_{2(i+1)}`` diagonals, which is the lower
-    factor in reversed basis order (``J A J`` is Wishart again).  So a state
+    (real and imaginary parts consecutive standard normals) gives two such
+    factors: factor ``2k`` is its strict lower triangle with
+    ``chi2_{2(d-i)}`` diagonals, factor ``2k + 1`` its strict upper
+    triangle with ``chi2_{2(i+1)}`` diagonals, which is the lower factor in
+    reversed basis order (``J A J`` is Wishart again).  So a state
     takes ``d**2`` normals (``d`` of them, on the block's diagonal, unused)
     and ``d`` gammas, about one real number per real degree of freedom,
     where ``W`` took ``2 d**2`` normals.
 
     Each chunk pairs its own factors, so the factors are the same for every
-    even ``step``; a chunk of odd length gives its last factor a block of its
-    own, of which it keeps the lower triangle.  Callers take ``step`` from
-    :func:`_block_rows`, a power of two, and so from ``d`` alone; it is 1
+    even chunk size; a chunk of odd length gives its last factor a block of
+    its own, of which it keeps the lower triangle.  The chunk size,
+    ``_block_rows(16 d**2)``, is a power of two set by ``d`` alone; it is 1
     from n = 9 on, where each factor takes a whole block, ``2 d**2`` normals
-    as ``W`` did.  Each chunk's blocks are drawn by ``standard_normal``
-    into its last entries and spread over it by masked multiplies
-    (:func:`_bartlett_fill`), so nothing the size of a chunk is allocated
-    beside it.  The diagonals, ``sqrt(2 standard_gamma)``, one row per
-    factor, come from a jumped copy of the generator.  ``out`` and ``seed``
-    as in :func:`_ginibre_chunks`.
+    as ``W`` did.  Each chunk is a new array, whose blocks are drawn by
+    ``standard_normal`` into its last entries and spread over it by masked
+    multiplies (:func:`_bartlett_fill`), so nothing the size of a chunk is
+    allocated beside it.  The diagonals, ``sqrt(2 standard_gamma)``, one row
+    per factor, come from a jumped copy of the generator.  ``seed`` passes
+    :func:`_check_seed` at the first ``next``.
     """
     rng = np.random.default_rng(_check_seed(seed))
     diagonals = np.random.Generator(rng.bit_generator.jumped())
+    step = _block_rows(16 * d * d)
     for start in range(0, count, step):
         # filled and yielded unnamed, so that this frame keeps no chunk the caller is done with
-        yield _bartlett_fill(
-            np.empty((min(step, count - start), d, d), dtype=complex) if out is None
-            else out[start:start + step], rng, diagonals)
+        yield _bartlett_fill(np.empty((min(step, count - start), d, d), dtype=complex),
+                             rng, diagonals)
 
 
 def _bartlett_fill(chunk: np.ndarray, rng, diagonals) -> np.ndarray:
@@ -673,10 +649,11 @@ def _masked(blocks: np.ndarray, mask: np.ndarray, targets: np.ndarray) -> None:
 
 def _hs_peak_bytes(n: int, count: int) -> int:
     """Bytes a ``mixed-hs`` batch of ``count`` states holds at its peak: the returned
-    stack plus three :func:`_block_rows` chunks of temporaries for one chunk's
-    ``L L^H`` (tracemalloc at n = 3, 4, 6 and 8)."""
+    stack plus two :func:`_block_rows` chunks, one chunk's factors and their
+    conjugate, while its ``L L^H`` is written into the stack (tracemalloc
+    within 4 KiB of it at n = 3 to 9)."""
     size = 16 * 4**n
-    return (count + 3 * min(count, _block_rows(size))) * size
+    return (count + 2 * min(count, _block_rows(size))) * size
 
 
 def _check_seed(seed):
@@ -690,17 +667,22 @@ def _check_seed(seed):
 def random_pure_states(n: int, count: int, seed) -> np.ndarray:
     """``count`` Haar-random unit state vectors, shape ``(count, d)``.
 
-    The ``(d,)`` factors of :func:`_ginibre_chunks` are drawn into the
-    returned array, :func:`_block_rows` vectors at a time, and each chunk is
-    normalized as it is drawn; the bits are those of one whole draw.  The
-    ``pure-haar`` states of :func:`random_state_batch` are the outer
-    products of these vectors.
+    Each vector is the normalized column ``(d,)`` of a complex Gaussian, the
+    Ginibre factor of a Haar state (Zyczkowski-Sommers, J. Phys. A 34, 7111).
+    The returned array is filled by one ``standard_normal`` call on its float
+    view, so an entry's real and imaginary parts are consecutive normals,
+    and normalized :func:`_block_rows` vectors at a time.  The ``pure-haar``
+    states of :func:`random_state_batch` are the outer products of these
+    vectors.
     ``seed`` passes :func:`_check_seed`.
     """
     n, count = check_integer(n, "n", 1, DENSE_GUARD), check_integer(count, "state count", 0)
     d = 2**n
     psi = np.empty((count, d), dtype=complex)
-    for rows in _ginibre_chunks((d,), count, seed, _block_rows(16 * d), psi):
+    np.random.default_rng(_check_seed(seed)).standard_normal(out=psi.view(float))
+    step = _block_rows(16 * d)
+    for start in range(0, count, step):
+        rows = psi[start:start + step]
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     return psi
 
@@ -711,11 +693,10 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     ``pure-haar`` draws Haar-random pure states; ``mixed-hs`` draws from
     the Hilbert-Schmidt measure (``L L^H`` over its trace, for the Bartlett
     factors ``L`` of :func:`_hs_factors`, two per ``d x d`` Gaussian block).
-    For ``mixed-hs`` the factors are drawn into the returned array,
-    :func:`_block_rows` states at a time, and each chunk is overwritten by its
-    ``L L^H`` over the trace as it is drawn.  The bits do not depend on the
-    chunk size, and beside the returned array the peak holds three chunks
-    (:func:`_hs_peak_bytes`).
+    For ``mixed-hs`` each chunk of factors writes its ``L L^H`` into the
+    returned array, where it is divided by its trace.  The bits
+    do not depend on the chunk size, and beside the returned array the peak
+    holds two chunks (:func:`_hs_peak_bytes`).
     Deterministic given the seed, which passes :func:`_check_seed`.
     """
     if ensemble not in _ENSEMBLES:
@@ -727,9 +708,13 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
         return np.einsum("si,sj->sij", psi, psi.conj())
     d = 2**n
     out = np.empty((count, d, d), dtype=complex)
-    for factor in _hs_factors(d, count, seed, _block_rows(16 * d * d), out):
-        w = factor @ factor.conj().swapaxes(-1, -2)
-        np.divide(w, np.trace(w, axis1=1, axis2=2).real[:, None, None], out=factor)
+    start = 0
+    for factor in _hs_factors(d, count, seed):
+        rho = out[start:start + len(factor)]
+        np.matmul(factor, factor.conj().swapaxes(-1, -2), out=rho)
+        del factor  # dead once multiplied, so the next chunk is drawn beside the stack alone
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        start += len(rho)
     return out
 
 

@@ -210,8 +210,8 @@ def _power(a: float) -> _Order:
 
 
 def _series_d2(a: float, closed):
-    """``phi''`` of the order ``a``: ``closed`` from ``cut = min(1e-3, 1e-2/a**2)`` on,
-    a series below.
+    """``phi''`` of the order ``a``: ``closed`` from ``cut`` on, a series below;
+    ``cut = 1e-3`` for ``a < 1`` and ``min(1e-3, 1e-2/a**2)`` from 1 on.
 
     The closed form's ``1/b`` terms cancel as ``b = sqrt(t) -> 0``, to a
     relative error of about ``eps/t``.  The series comes from
@@ -226,7 +226,8 @@ def _series_d2(a: float, closed):
     rounding.  A general order clips ``t`` at 1e-12, so from ``a = 1e5`` on
     no ``t`` reaches the series and ``closed`` is returned.
     """
-    cut = min(1e-3, 1e-2 / (a * a))
+    # a * a underflows to 0 below a = 1.5e-162, so the small orders take 1e-3 outright
+    cut = 1e-3 if a < 1.0 else min(1e-3, 1e-2 / (a * a))
     if cut <= 1e-12:
         return closed
     c = a - 1.0

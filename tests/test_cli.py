@@ -546,22 +546,21 @@ def forbid_sampling(monkeypatch):
         raise AssertionError("verify sampled states")
 
     monkeypatch.setattr(cli, "random_state_batch", no_draw)
-    monkeypatch.setattr(cli, "_ginibre_chunks", no_draw)
     monkeypatch.setattr(cli, "_hs_factors", no_draw)
 
 
 class TestVerifyMemory:
     def test_n13_at_default_samples_is_refused(self, monkeypatch, capsys):
-        # the rotor suite's 4 Hilbert-Schmidt states at n = 13 and three one-state
-        # chunks of temporaries, 7 x 8192**2 x 16 bytes, are 7 GiB against the 4 GiB
-        # budget; three one-state projection slices are 3 GiB
+        # the rotor suite's 4 Hilbert-Schmidt states at n = 13 and two one-state
+        # chunks, 6 x 8192**2 x 16 bytes, are 6 GiB against the 4 GiB budget;
+        # three one-state projection slices are 3 GiB
         forbid_sampling(monkeypatch)
         assert main(["verify", "--n", "13"]) == 1
         assert "rotor suite" in capsys.readouterr().err
 
     def test_n11_at_default_samples_fits_by_arithmetic(self, monkeypatch):
         # three one-state slices at n = 11, 3 x 2048**2 x 16 bytes = 192 MiB, and the
-        # rotor suite's 4 states and 3 slices, 448 MiB; at n = 12, 0.75 and 1.75 GiB
+        # rotor suite's 4 states and 2 chunks, 384 MiB; at n = 12, 0.75 and 1.5 GiB
         forbid_sampling(monkeypatch)
         for n in (11, 12):
             cli._check_projection_memory(n, 200, 1)

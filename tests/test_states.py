@@ -681,46 +681,21 @@ class TestFactorKernel:
                 states.factor_expectations(np.ones(shape), gens)
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_ginibre_chunks_are_one_stream(self, n):
-        # one interleaved draw, each entry's real and imaginary parts consecutive,
-        # whether the chunks are views of a caller's stack or new arrays; the
-        # shapes of the Haar vectors and of verify's probe pair
-        d = 2**n
-        for shape, (count, step) in itertools.product(((d, 2), (d,)),
-                                                      ((1, 1), (5, 2), (7, 3), (7, 16))):
-            want = whole_draw(9, count, shape)
-            got = np.concatenate(list(states._ginibre_chunks(shape, count, 9, step)))
-            assert got.tobytes() == want.tobytes()
-            into = np.empty((count, *shape), dtype=complex)
-            for gin in states._ginibre_chunks(shape, count, 9, step, into):
-                assert np.shares_memory(gin, into)
-            assert into.tobytes() == want.tobytes()
-
-    def test_ginibre_chunks_keep_no_chunk_the_caller_dropped(self):
-        chunks = states._ginibre_chunks((8, 2), 4, 9, 2)
-        chunk = next(chunks)
-        ref = weakref.ref(chunk)
-        del chunk
-        assert ref() is None
-        assert next(chunks).shape == (2, 8, 2)
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_hs_factors_are_one_stream(self, n):
-        # the Bartlett factors of whole blocks, whatever the even step, and one
-        # block a factor at step 1, into a caller's stack or not
+    def test_hs_factors_are_one_stream(self, n, monkeypatch):
+        # the Bartlett factors of whole blocks, whatever the even slice, and one
+        # block a factor at a slice of 1; the slice is set through _block_rows
         d = 2**n
         for count, step in ((1, 1), (2, 1), (5, 1), (1, 2), (5, 2), (7, 16), (9, 4), (12, 4)):
+            monkeypatch.setattr(states, "_block_rows", lambda row_bytes, step=step: step)
             want = bartlett_factors(9, count, d, paired=step > 1)
-            got = np.concatenate(list(states._hs_factors(d, count, 9, step)))
-            assert got.tobytes() == want.tobytes(), (count, step)
-            into = np.empty((count, d, d), dtype=complex)
-            for factor in states._hs_factors(d, count, 9, step, into):
-                assert np.shares_memory(factor, into)
-            assert into.tobytes() == want.tobytes(), (count, step)
+            chunks = list(states._hs_factors(d, count, 9))
+            assert [len(chunk) for chunk in chunks[:-1]] == [step] * (len(chunks) - 1)
+            assert np.concatenate(chunks).tobytes() == want.tobytes(), (count, step)
 
-    def test_hs_factors_keep_no_chunk_the_caller_dropped(self):
+    def test_hs_factors_keep_no_chunk_the_caller_dropped(self, monkeypatch):
         # a factor slice is dead once measured, so the generator must not hold it
-        chunks = states._hs_factors(8, 4, 9, 2)
+        monkeypatch.setattr(states, "_block_rows", lambda row_bytes: 2)
+        chunks = states._hs_factors(8, 4, 9)
         chunk = next(chunks)
         ref = weakref.ref(chunk)
         del chunk
@@ -853,7 +828,7 @@ class TestSampling:
                 assert got.tobytes() == whole_hs_batch(n, count, 5).tobytes(), (n, count)
 
     def test_mixed_hs_draws_no_whole_float_stack(self):
-        # the stack plus three 32-state chunks, 1.375 stacks; a whole float
+        # the stack plus two 32-state chunks, 1.25 stacks; a whole float
         # draw of the real or imaginary parts would add half a stack
         stack = 256 * 64**2 * 16
         tracemalloc.start()
@@ -866,8 +841,9 @@ class TestSampling:
         assert peak <= states._hs_peak_bytes(6, 256) + 2**16
 
     def test_mixed_hs_holds_three_block_chunks_beside_the_stack(self):
-        # 20 states at n = 8: the stack plus three 2-state chunks (26 MiB); a floor
-        # of 16 states a chunk peaked at 52 MiB with the same bytes
+        # 20 states at n = 8: the stack plus two 2-state chunks, the factors and
+        # their conjugate (24 MiB); a third chunk, the product formed beside the
+        # stack, peaked at 26 MiB, and a floor of 16 states a chunk at 52 MiB
         random_state_batch(1, 1, 3)  # numpy's first-call allocations, made before the trace
         tracemalloc.start()
         try:
@@ -875,8 +851,8 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 26 * 4**8 * 16 + 2**16
-        assert states._hs_peak_bytes(8, 20) == 26 * 4**8 * 16
+        assert peak <= 24 * 4**8 * 16 + 2**16
+        assert states._hs_peak_bytes(8, 20) == 24 * 4**8 * 16
 
     @pytest.mark.parametrize("seed", [True, False, -1, 1.5, "1", None, np.float64(2.0),
                                       np.random.default_rng(1)])

@@ -1158,6 +1158,24 @@ class TestOrderTable:
             shannon = uncertainty._order(1).d2(t)
             assert np.max(np.abs(order.d2(t) - shannon)) <= 1e-10
 
+    @pytest.mark.parametrize("alpha", [1e-162, 1e-300, 5e-324])
+    def test_tiny_order_has_a_series_cut(self, alpha, capsys):
+        # the cut 1e-2/a**2 divided by a * a, which underflows to 0 here, and every
+        # entry point raised ZeroDivisionError; below a = 1 the cut is 1e-3
+        assert renyi_entropy([0.5, 0.5], alpha) == pytest.approx(1.0, abs=1e-14)
+        assert entropy_of_expectations([0.3], alpha) == pytest.approx([1.0], abs=1e-14)
+        # phi'' is a times a function of t, up to O(a**2): that of a = 1e-100, on both
+        # sides of the cut; a subnormal order keeps only its sign
+        t = np.concatenate([np.geomspace(1e-12, 0.99, 40), [0.0, 1.0]])
+        d2 = uncertainty._order(alpha).d2(t)
+        assert np.all(d2 <= 0.0)
+        if alpha >= np.finfo(float).tiny:
+            want = uncertainty._order(1e-100).d2(t) * (alpha / 1e-100)
+            assert np.max(np.abs(d2 / want - 1.0)) <= 1e-15
+        argv = ["minimize", "--n", "2", "--K", "5", "--alpha", repr(alpha), "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["alpha"] == alpha
+
     @pytest.mark.parametrize("alpha", [4e306, 1e307, 1.7e308])
     def test_huge_order_is_silent(self, alpha):
         # (a - 1) ln r overflows to -inf here, which expm1 takes to the right -1

@@ -41,31 +41,31 @@ from .errors import CliffcertError, check_budget
 from .pauli import PauliString
 from .rotors import _flip, _frobenius_defect, conjugation_residual, euler_decompose, lift, recompose
 from .states import (
+    _VECTOR_CHUNK_BYTES,
     GVector,
     _block_rows,
     _bloch_shortfall,
+    _clifford_apply,
     _hs_factors,
     _hs_peak_bytes,
+    _squared_norms,
     extended_expectations,
     factor_expectations,
-    matrix_from_expectations,
     random_state_batch,
     realize,
     vector_expectations,
 )
-from .tolerances import CONCAVITY, LIFT, MEMORY_BUDGET, OPTIMIZATION, PSD, RECONSTRUCTION
+from .tolerances import (CONCAVITY, LIFT_ROUNDING, MEMORY_BUDGET, OPTIMIZATION, PSD,
+                         RECONSTRUCTION)
 from .uncertainty import (_check_order, bias_entropy, bias_entropy_d1, bias_entropy_d2,
                           find_minimizer, find_minimizers)
 
 THREADS_ENV = "CLIFFCERT_THREADS"
 _CHUNK = 256
-# Complex slices of Hilbert-Schmidt factors that one projection chunk holds
-# at its peak: a factor slice, drawn a slice at a time and dropped once
-# measured, beside the last projection; the positivity check multiplies the
-# projection into two probe vectors and copies nothing of its size
-# (tracemalloc over one 256-state chunk: 2.57 slices at n = 3, 1.65 at
-# n = 4, 2.26-2.27 at n = 5..7, 2.52 at n = 8).
-_PROJECTION_SLICES = 3
+# Complex slices of Hilbert-Schmidt factors that one projection chunk holds at
+# its peak: a slice and the squares of its norms; no projection is rendered
+# (tracemalloc: 2.55-2.67 at n = 3, 4, 1.26-1.64 at n = 5..8, 2.01 at n = 9, 10).
+_PROJECTION_SLICES = 2.75
 # Bytes that one projection chunk's seed, size and results hold (tracemalloc
 # over 20000 chunks: 656 on one thread, 2201 with a pool, which submits every
 # chunk at once).
@@ -240,18 +240,19 @@ def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int
     # entry's real and imaginary parts consecutive normals, from a seed spawned
     # after the chunks' seeds so that every chunk keeps its stream
     probes = np.random.default_rng(seed_seq.spawn(1)[0]).standard_normal((d, 4)).view(complex)
+    # Tr G_j, read from a diagonal string's table (X mask 0: perm[0] == 0); else 0
+    traces = np.array([act.phase.sum() if act.perm[0] == 0 else 0.0 for act in gens.actions])
+    step = _block_rows(16 * probes.size, _VECTOR_CHUNK_BYTES)
 
     def work(item):
         count, seed = item
-        blocks = []
+        rows = []
         for factor in _hs_factors(d, count, seed):
-            g = factor_expectations(factor, gens)
+            rows.append(factor_expectations(factor, gens))
             del factor  # the factors are dead once measured
-            proj = matrix_from_expectations(g, gens)
-            blocks.append((_bloch_shortfall(proj, g, probes), np.max((g * g).sum(axis=1)),
-                           np.max(np.abs(extended_expectations(proj, gens) - g)),
-                           np.max(np.abs(np.trace(proj, axis1=1, axis2=2) - 1.0))))
-        return np.max(blocks, axis=0)
+        g = np.concatenate(rows)
+        return np.max([_projection_residuals(g[i:i + step], probes, traces, gens)
+                       for i in range(0, len(g), step)], axis=0)
 
     shortfall, norm_sq, idem, tr_res = np.max(
         _map_chunks(work, list(zip(sizes, seeds)), threads), axis=0)
@@ -263,6 +264,26 @@ def _suite_projection(gens, seed_seq, samples: int, tol_psd: float, threads: int
         _check("expectation-ball", np.maximum(norm_sq - 1.0, 0.0), tol_psd,
                "sum of squared expectations against 1"),
     ]
+
+
+def _projection_residuals(g, probes, traces, gens) -> tuple:
+    """Positivity, ``max |g|**2``, idempotency and trace residuals of the projections
+    ``(1/d)(1 + |g| A_c)``, ``A_c = sum_j c_j G_j``, ``g = |g| c`` (``c = e_0`` at 0).
+    ``A_c**2 = 1``, so ``(1 +- A_c) v`` has the expectations ``+-c``; measured by
+    another kernel and weighted ``(1 +- |g|)/2``, the two must give back ``g``."""
+    norm_sq = (g * g).sum(axis=1)
+    norm = np.sqrt(norm_sq)
+    c = g / np.where(norm > 0.0, norm, 1.0)[:, None]
+    c[norm == 0.0, 0] = 1.0
+    ac = _clifford_apply(c, probes, gens)
+    mixture = 0.0
+    for sign in (1.0, -1.0):
+        u = (probes + sign * ac).swapaxes(-1, -2)
+        mixture = mixture + (1.0 + sign * norm[:, None, None]) / 2.0 * (
+            vector_expectations(u, gens) / _squared_norms(u[..., None, :])[..., None])
+    return (_bloch_shortfall(g, norm[:, None, None] * ac, probes, gens), np.max(norm_sq),
+            np.max(np.abs(mixture - g[:, None, :])),
+            np.max(np.abs(np.add.reduce(g * traces, axis=1))) / probes.shape[0])
 
 
 def _random_orthogonal(rng, size: int, det_sign: int | None = None) -> np.ndarray:
@@ -326,7 +347,7 @@ def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
         constr_res.append(np.max(np.abs(g)) / scale)
 
     return [
-        _check("rotor-lift", lift_res, LIFT,
+        _check("rotor-lift", lift_res, LIFT_ROUNDING * size * sys.float_info.epsilon,
                f"conjugation residual over {count} special-orthogonal lifts"),
         _check("rotor-reflection", pseudo_res, 1e-10,
                "pseudoscalar sign under det=-1 generator lifts"),

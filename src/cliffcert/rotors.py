@@ -24,33 +24,17 @@ extended set.  The axis reflection lifts to U = G_0 G_1, which flips G_1
 together with G_0 - under a 2n-generator lift the pseudoscalar therefore
 picks up the factor det T.
 
-A plane rotor is a sum of two signed Pauli strings.  The table of a flip
-F_j = G_0 G_j is composed from two cached generator tables.  The axis
-reduction's rotor is a product of two Clifford vectors A_c = sum_j c_j G_j,
-each a Hermitian involution for a unit c: G_1 A_m, with m the unit midpoint
-of e_1 and s g_hat for s = sign(g_1), or G_0 A_m, which folds in F_1, when
-s = -1.  The lift applies its factors, through the basis-action kernel of
-:mod:`pauli`, to one row only, which gives the vacuum column of U, and
-fills the other columns by n doublings through the lifted creation
-operators: O(N d**2) in all for N observables.  Strings that share an X
-mask share a row permutation, so each doubling folds their coefficients
-and phases into one diagonal and gathers rows once per X mask.  Dense
-rotors are rendered by scatter, never through products of dense
-observables.
+A plane rotor is a sum of two signed Pauli strings, a flip F_j = G_0 G_j
+one table composed from two cached ones, and the axis reduction's rotor
+``G_1 A_m`` (or ``G_0 A_m``) a product of Clifford vectors
+``A_c = sum_j c_j G_j`` (:func:`_vector_rotor`).  The lift builds the vacuum
+column of U from its factors and the other columns by n doublings
+(:func:`lift`), O(N d**2) for N observables; dense rotors are rendered by
+scatter, never through products of dense observables.
 
 :func:`conjugation_residual` checks the lift relation in its intertwining
-form ``U G_j = M_j U``, ``M_j = sum_i T_ij G_i``, together with
-``||U||_F**2 = d``, and multiplies no two d x d matrices.  The form is as
-strong as the conjugation form.  The M_j obey the same anti-commutation
-relations as the G_j, so some unitary V has ``V G_j V^H = M_j``; if U
-intertwines every G_j with M_j, then ``V^H U`` commutes with every G_j,
-which generate the full matrix algebra, and Schur's lemma gives
-``U = c V``.  The Frobenius term pins ``|c| = 1``, so for a unitary U
-both forms vanish together.  The rows of ``G_i U`` are table gathers; a
-few MiB of rows of all of them are stacked at a time, mixed by the real
-``T^T`` in one product on their float view and compared with the same rows
-of ``U G_j``, a column gather times the phases: O(N**2 d**2) in all,
-where the conjugation form took O(N d**3).
+form ``U G_j = M_j U``, ``M_j = sum_i T_ij G_i``, on probe vectors, with
+``||U||_F**2 = d``: two mat-vecs and O(N d) string work, no d x d product.
 """
 
 from __future__ import annotations
@@ -64,7 +48,7 @@ from . import pauli
 from .clifford import GeneratorSet
 from .errors import (DimensionMismatchError, DomainError, OrientationError, check_budget,
                      check_integer)
-from .states import DensityMatrix, _block_rows, _squared_norms, extended_expectations
+from .states import DensityMatrix, _squared_norms, _vecdots, extended_expectations
 from .tolerances import MEMORY_BUDGET, ORTHOGONALITY
 
 _TWO_PI = 2.0 * math.pi
@@ -161,17 +145,6 @@ def recompose(fact: EulerFactorization) -> np.ndarray:
     return out
 
 
-def _rotor_direct(gens: GeneratorSet, j: int, k: int, theta: float) -> np.ndarray:
-    """cos(theta/2) 1 + sin(theta/2) G_k G_j on extended indices.
-
-    Kronecker-rendered reference that the tests hold :func:`plane_rotor` to.
-    """
-    gj = pauli.to_dense(gens.extended(j))
-    gk = pauli.to_dense(gens.extended(k))
-    eye = np.eye(gj.shape[0], dtype=complex)
-    return math.cos(theta / 2.0) * eye + math.sin(theta / 2.0) * (gk @ gj)
-
-
 def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float,
                 u: np.ndarray | None = None) -> np.ndarray:
     """Unitary sending G_j to cos(theta) G_j + sin(theta) G_k by conjugation.
@@ -226,8 +199,7 @@ def lift(t, gens: GeneratorSet) -> np.ndarray:
     observables.  The strings of one X mask (the pairs ``G_{2k-1}, G_{2k}``
     and ``G_0`` for Jordan-Wigner) permute rows alike, so each doubling sums
     their coefficients times their phases into one diagonal and gathers the
-    rows once per X mask: one gather per X mask where there was one per
-    string.
+    rows once per X mask (``groups``: members and shared permutation).
 
     Raises :class:`CapacityError`, before anything of size d is allocated,
     when U and the last doubling's term exceed ``MEMORY_BUDGET``.
@@ -258,7 +230,8 @@ def lift(t, gens: GeneratorSet) -> np.ndarray:
     if fact.reflection_flag < 0:
         column = flip_unitary(gens, 1) @ column
 
-    groups = _xmask_groups(gens, base)
+    groups = [[i for i in pair.rows.tolist() if i >= base] for pair in gens.pairings]
+    groups = [(gens.actions[members[0]].perm, members) for members in groups if members]
     u = np.zeros((d, d), dtype=complex)
     u[:, 0] = column
     for k in range(n, 0, -1):
@@ -272,13 +245,6 @@ def lift(t, gens: GeneratorSet) -> np.ndarray:
             target += term
             del term  # so that the next gather does not hold two terms
     return u
-
-
-def _xmask_groups(gens: GeneratorSet, base: int = 0) -> list[tuple[np.ndarray, list[int]]]:
-    """The extended indices from ``base`` on, grouped by X mask (:attr:`GeneratorSet.pairings`),
-    each group with the row permutation ``c -> c ^ xmask`` that its strings share."""
-    groups = [[i for i in pair.rows.tolist() if i >= base] for pair in gens.pairings]
-    return [(gens.actions[members[0]].perm, members) for members in groups if members]
 
 
 def _vector_rotor(gens: GeneratorSet, coeffs: np.ndarray) -> np.ndarray:
@@ -344,17 +310,18 @@ def _frobenius_defect(u: np.ndarray) -> float:
 def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
     """Worst-case error of the lift relation ``U G_j U^H = sum_i T_ij G_i`` over the extended set.
 
-    A 2n-sized transform acts on the generators, and the pseudoscalar must
-    acquire det T, so it is checked as the extended transform
-    ``diag(det T, T)``.  The relation is checked in its intertwining form,
-    ``max(max_j |U G_j - M_j U|, |||U||_F**2 / d - 1|)`` with
-    ``M_j = sum_i T_ij G_i``, entrywise.  The G_j generate the full matrix
-    algebra, so by Schur's lemma the first term vanishes only for ``U = c V``
-    with V a lift of T, and the Frobenius term pins ``|c| = 1``: for a
-    unitary U the form vanishes exactly when the conjugation form does.
-    Rows of the stacked ``G_i U`` are taken :func:`states._block_rows` at a
-    time, so no d x d matrix product is formed and the temporaries stay a
-    few MiB: O(N**2 d**2) for N = 2n+1.  Used by the verification suites.
+    A 2n-sized T is checked as ``diag(det T, T)``.  For ``M_j = sum_i T_ij G_i``
+    and complex Gaussian probes ``phi, psi`` of shape ``(d, 2)`` from a fixed
+    seed, ``a = U^H phi`` and ``b = U psi`` give ``r_j = <a|G_j psi> - sum_i
+    T_ij <G_i phi|b> = phi^H (U G_j - M_j U) psi`` for every j and probe
+    pair.  Returns ``max(max_j |r_j| / sqrt(d), |||U||_F**2 / d - 1|)``;
+    ``|r_j|`` is about ``2 ||U G_j - M_j U||_F``, so T rotated by ``theta``
+    in one plane reads about ``2 theta`` at every n.  Sound: the G_j generate
+    the full matrix algebra, so by Schur's lemma ``U G_j = M_j U`` for all j
+    only for ``U = c V``, V a lift of T, the Frobenius term pins ``|c| = 1``,
+    and a nonzero ``U G_j - M_j U`` meets probes drawn independently of it in
+    zero only on a null set.  O(d**2) for the mat-vecs, blocked ``np.vecdot``
+    like every sum here, so the BLAS thread count moves no bit.
     """
     trans = _as_transform(t)
     size = gens.extended_size
@@ -363,30 +330,13 @@ def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
     mat = np.zeros((size, size))
     mat[0, 0] = trans.det_sign
     mat[size - trans.size:, size - trans.size:] = trans.mat  # all of mat for a 2n+1 transform
-    acts = gens.actions
-    groups = _xmask_groups(gens)
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    step = _block_rows(16 * size * d)
-    stack = np.empty((size, min(step, d), d), dtype=complex)
-    worst = [_frobenius_defect(u)]
-    for start in range(0, d, step):
-        stop = min(start + step, d)
-        part = stack[:, :stop - start]
-        # row r of G_i U is phase_i[perm[r]] times row perm[r] of U
-        for perm, members in groups:
-            src = perm[start:stop]
-            rows = u[src]
-            for i in members:
-                np.multiply(rows, acts[i].phase[src, None], out=part[i])
-        # M_j U for every j at once: T^T mixes the stack, a real product on its float view
-        mixed = (mat.T @ part.view(float).reshape(size, -1)).view(complex)
-        mixed = mixed.reshape(part.shape)
-        # column c of U G_j is phase_j[c] times column perm[c] of U
-        for perm, members in groups:
-            cols = u[start:stop, perm]
-            for j in members:
-                mixed[j] -= cols * acts[j].phase
-        worst.append(np.max(np.abs(mixed)))
-        del mixed  # so that the next block's product does not hold two
-    return float(np.max(worst))  # by numpy, which keeps a NaN
+    phi, psi = np.random.default_rng(0).standard_normal((2, d, 4)).view(complex)  # fixed seed
+    a = _vecdots(u.T[:, None, :], phi.T)  # (U^H phi)[k, p]: column k of U against probe p
+    b = _vecdots(psi.T.conj(), u[:, None, :])  # (U psi)[r, q]
+    # one (2, 2) block of probe pairs per extended index
+    left = _vecdots(a.T[:, None, :], [pauli.apply(act, psi).T[None] for act in gens.actions])
+    right = _vecdots([pauli.apply(act, phi).T[:, None, :] for act in gens.actions], b.T)
+    probe = left - np.add.reduce(mat[:, :, None, None] * right[:, None], axis=0)
+    return float(np.max([_frobenius_defect(u), np.max(np.abs(probe)) / math.sqrt(d)]))

@@ -239,6 +239,15 @@ def _dot_block(length: int) -> int:
     return next(b for b in range(min(length, _DOT_BLOCK), 0, -1) if length % b == 0)
 
 
+def _vecdots(x, y) -> np.ndarray:
+    """``sum_k conj(x[..., k]) y[..., k]``, broadcast: ``np.vecdot`` over :func:`_dot_block`s."""
+    x, y = np.asarray(x), np.asarray(y)
+    block = _dot_block(x.shape[-1])
+    split = (x.shape[-1] // block, block)
+    return np.add.reduce(np.vecdot(x.reshape(x.shape[:-1] + split),
+                                   y.reshape(y.shape[:-1] + split)), axis=-1)
+
+
 def _vectors(psi, gens: GeneratorSet) -> np.ndarray:
     """``psi`` as a complex array of shape ``(..., 2**n)``, or :class:`DimensionMismatchError`."""
     psi = np.asarray(psi, dtype=complex)
@@ -268,13 +277,9 @@ def _halves(psi: np.ndarray, pair: pauli.Pairing) -> tuple[np.ndarray, np.ndarra
 
 
 def _pair_sums(flat: np.ndarray, gens: GeneratorSet, out: np.ndarray) -> None:
-    """``out[k, j] = Re <v_k|G_j (x) 1|v_k>`` for the rows ``v_k`` of ``flat``.
-
-    ``flat`` has shape ``(m, L)`` with ``L`` a multiple of ``d``; ``out`` has
-    shape ``(m, 2n+1)``.  The pairing loop of :func:`vector_expectations`.
-    Each suffix sum is ``np.vecdot`` over blocks of :func:`_dot_block`
-    entries, the blocks added by ``np.add.reduce``.
-    """
+    """``out[k, j] = Re <v_k|G_j (x) 1|v_k>`` for the rows ``v_k`` of ``flat``, ``(m, L)``
+    with ``L`` a multiple of ``d``: the pairing loop of :func:`vector_expectations`,
+    each suffix sum ``np.vecdot`` over :func:`_dot_block`s added by ``np.add.reduce``."""
     for pair in gens.pairings:
         lo, hi = _halves(flat, pair)
         size, prefix = pair.signs.shape[-1], lo.shape[-2]
@@ -287,6 +292,40 @@ def _pair_sums(flat: np.ndarray, gens: GeneratorSet, out: np.ndarray) -> None:
         if pair.pivot is not None:
             s += pair.eps * s.conj()
         out[:, pair.rows] = (pair.phase * s).real
+
+
+def _clifford_apply(coeffs: np.ndarray, v: np.ndarray, gens: GeneratorSet) -> np.ndarray:
+    """``A v``, ``A = sum_j coeffs[..., j] G_j`` (extended order), for ``v`` of shape ``(..., d, p)``.
+
+    Leading axes broadcast; the strings act on ``v`` as ``G_j (x) 1``.  For
+    ``c`` in the lo half, ``i**p X**x Z**z`` sends amplitude ``c ^ x`` to ``c``
+    times ``i**p eps s(c)``, ``s(c) = (-1)**popcount(c & z)``, and ``c`` to
+    ``c ^ x`` times ``i**p s(c)``: each group of :attr:`GeneratorSet.pairings`
+    adds one diagonal over ``a`` times the other half.  O((n+1) d p) per row.
+    """
+    coeffs = np.asarray(coeffs)
+    lead = np.broadcast_shapes(coeffs.shape[:-1], v.shape[:-2])
+    flat = v.reshape(v.shape[:-2] + (-1,))
+    out = np.zeros(lead + flat.shape[-1:], dtype=complex)
+    for pair in gens.pairings:
+        lo, hi = _halves(flat, pair)
+        terms = coeffs[..., pair.rows, None] * (pair.phase[:, None] * pair.signs[pair.which])
+        grid = (lo.shape[-2], pair.signs.shape[-1] // lo.shape[-2], -1)
+
+        def times(weights, half):  # the sum over the group's strings, times a half of v
+            diag = np.add.reduce(weights, axis=-2)
+            return diag.reshape(diag.shape[:-1] + grid[:2] + (1,)) * half.reshape(
+                half.shape[:-2] + grid)
+
+        if pair.pivot is None:  # a diagonal group: lo and hi are the whole of v
+            out.reshape(lead + grid)[...] += times(terms, lo)
+            continue
+        split = out.reshape(lead + (grid[0], 2, -1))
+        split[..., 0, :].reshape(lead + grid)[...] += times(terms * pair.eps[:, None], hi)
+        hi_out = split[..., 1, :]
+        rows = slice(None) if pair.partner is None else pair.partner
+        hi_out[..., rows, :] += times(terms, lo).reshape(hi_out.shape)
+    return out.reshape(lead + v.shape[-2:])
 
 
 def vector_expectations(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
@@ -307,8 +346,7 @@ def vector_expectations(psi: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     gathered.  O(d) per vector and X mask.  Each suffix sum is a
     ``np.vecdot`` over blocks of at most ``_DOT_BLOCK`` = 8192 entries,
     below the 10000 from which OpenBLAS splits a dot across its threads,
-    and the blocks and the sign sums are added by ``np.add.reduce``; so the
-    bits do not depend on the BLAS thread count.
+    added by ``np.add.reduce``; so the bits do not depend on BLAS threads.
     """
     psi = _vectors(psi, gens)
     d = psi.shape[-1]
@@ -326,16 +364,12 @@ def factor_expectations(w: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     ``w`` has shape ``(..., d, r)`` and holds nonzero factors (one whose
     squared norm is 0 or not finite raises :class:`DomainError`); the
     result replaces its last two axes by one of length 2n+1 in extended
-    order.
-    ``Tr(G_j W W^H) = sum_c <w_c|G_j|w_c>`` over the columns ``w_c``, and
+    order.  ``Tr(G_j W W^H) = sum_c <w_c|G_j|w_c>`` over the columns, and
     ``W`` read row-major is a vector on n + log2(r) qubits on which the
-    strings act as ``G_j (x) 1``.  So the pairing of
-    :func:`vector_expectations` serves unchanged, its suffix sum running
-    over the r columns too, and each row is divided by its squared norm
-    ``Tr(W W^H)``.  O(K d r) per factor, no ``d x d`` product, the sums
-    taken a chunk of factors at a time as there, by blocked dots: a
-    ``d x d`` factor at n = 8 has suffix sums of up to 32768 entries, four
-    dots of 8192 each, and its bits do not depend on the BLAS thread count.
+    strings act as ``G_j (x) 1``, so the pairing of
+    :func:`vector_expectations` serves unchanged, its suffix sums (up to
+    32768 entries at n = 8, four blocked dots) running over the r columns
+    too; each row is divided by ``Tr(W W^H)``.  O(K d r) per factor.
     """
     w = np.asarray(w, dtype=complex)
     if w.ndim < 2 or w.shape[-2] != 2**gens.n or w.shape[-1] < 1:
@@ -527,48 +561,47 @@ def _psd_shortfall(mats: np.ndarray, shift: float, scale: float = 1.0) -> float:
     return float(np.max(shortfalls))
 
 
-# Largest entry of ``A(Av) - |g|**2 v`` that :func:`_bloch_shortfall` accepts
-# as rounding.  On verify's projected Hilbert-Schmidt states, with two complex
-# Gaussian probes, it measured at most 1.8e-15 (100000 states at n = 1, over
-# 20 probe pairs), falling to 1.2e-17 at n = 10.
+# Largest entry of ``A(Av) - |g|**2 v`` that :func:`_bloch_shortfall` accepts as
+# rounding: on Hilbert-Schmidt states, by the string kernel, at most 9.2e-16 at
+# n = 1, 2 (20000 states, 5 probe pairs), falling to 4.9e-20 at n = 10.
 _SQUARE_ROUNDING = 1e-12
 
 
-def _bloch_shortfall(proj: np.ndarray, g: np.ndarray, probes: np.ndarray) -> float:
-    """``max(0, -lambda_min)`` over the projections ``proj = (1/d)(1 + A)``, ``A = sum_j g_j G_j``.
+def _bloch_shortfall(g: np.ndarray, av: np.ndarray, probes: np.ndarray,
+                     gens: GeneratorSet) -> float:
+    """``max(0, -lambda_min)`` over the projections ``(1/d)(1 + A)``, ``A = sum_j g_j G_j``.
 
-    ``proj`` has shape ``(m, d, d)`` and holds Hermitian matrices, ``g`` the
-    ``(m, 2n+1)`` rows they were rendered from, and ``probes`` has shape
-    ``(d, p)``.  Anti-commuting involutions give ``A**2 = |g|**2 * 1``, so
-    ``proj`` has eigenvalues ``(1 +- |g|)/d`` and shortfall
-    ``f = max(0, (|g| - 1)/d)``.  A state whose probes satisfy
-    ``A(Av) = |g|**2 v`` within ``_SQUARE_ROUNDING`` takes ``f``: two batched
-    mat-vecs, ``Av = d (proj v) - v``, O(d**2) per state and no
-    factorization.  Every other state goes to :func:`_psd_shortfall`
-    unchanged, which factors it by Cholesky and sizes a violation by
-    ``eigvalsh``.
+    ``g`` holds ``(m, 2n+1)`` rows, the probes ``v`` have shape ``(d, p)``, and
+    ``av`` is ``A v`` from :func:`_clifford_apply`, which this applies once
+    more.  ``A**2 = |g|**2 * 1`` gives the eigenvalues ``(1 +- |g|)/d`` and the
+    shortfall ``f = max(0, (|g| - 1)/d)``, taken by a row whose probes satisfy
+    ``A(Av) = |g|**2 v`` within ``_SQUARE_ROUNDING``: O(K d p), nothing
+    rendered or factored.  Only the other rows are rendered
+    (:func:`matrix_from_expectations`) for :func:`_psd_shortfall`'s Cholesky
+    and ``eigvalsh``; a NaN probe residual gives NaN.
 
-    No real violation takes the first path.  If the true shortfall ``s``
-    exceeds ``f`` by ``delta``, ``A`` has the eigenvalue ``-(1 + d s)`` with
-    some unit eigenvector ``x``, while ``|g| <= 1 + d f``, so
-    ``||(A**2 - |g|**2) x|| >= (1 + d s)**2 - (1 + d f)**2 >= 2 d delta``.  A
-    shortfall above ``tol_psd`` thus makes ``||A**2 - |g|**2 * 1||`` at least
-    ``2 d tol_psd``.  A probe ``v`` of complex Gaussian entries, drawn
-    independently of ``proj``, has ``|x^H v| <= r`` with probability at most
-    ``r**2 / 2``, and its largest residual entry is at least
-    ``2 sqrt(d) tol_psd |x^H v|``; so it stays within the bound with
-    probability at most ``(_SQUARE_ROUNDING / tol_psd)**2 / (8 d)``,
-    ``1.25e-7 / d`` at the default ``PSD``, and a miss needs every probe to.  The probe residual is
-    never reported, so the BLAS rounding of the mat-vecs reaches no report.
+    Sound: if the true shortfall ``s`` exceeds ``f`` by ``delta``, ``A`` has
+    the eigenvalue ``-(1 + d s)`` at a unit ``x``, and ``|g| <= 1 + d f``, so
+    ``||(A**2 - |g|**2) x|| >= 2 d delta``: ``2 d tol_psd`` for a violation.
+    A complex Gaussian probe drawn independently of ``g`` has
+    ``|x^H v| <= r`` with probability at most ``r**2 / 2`` and a largest
+    residual entry of at least ``2 sqrt(d) tol_psd |x^H v|``, so it passes
+    with probability at most ``(_SQUARE_ROUNDING / tol_psd)**2 / (8 d)``,
+    ``1.25e-7 / d`` at the default ``PSD``, and a miss needs every probe to.
+    ``A`` is the operator the kernel applies: a kernel that loses a string
+    breaks the identity, and its rows are rendered by the tables instead.
     """
-    d = proj.shape[-1]
-    av = d * (proj @ probes) - probes
-    a2v = d * (proj @ av) - av
+    d = probes.shape[0]
+    a2v = _clifford_apply(g, av, gens)
     norm_sq = (g * g).sum(axis=1)
     residual = np.abs(a2v - norm_sq[:, None, None] * probes).max(axis=(1, 2))
+    if np.isnan(residual).any():
+        return np.nan
     bloch = residual <= _SQUARE_ROUNDING
     shortfall = ((np.sqrt(norm_sq[bloch]) - 1.0) / d).max(initial=0.0)
-    return float(np.maximum(shortfall, _psd_shortfall(proj[~bloch], 0.0)))
+    if not bloch.all():
+        shortfall = max(shortfall, _psd_shortfall(matrix_from_expectations(g[~bloch], gens), 0.0))
+    return float(shortfall)
 
 
 _ENSEMBLES = ("pure-haar", "mixed-hs")
@@ -577,31 +610,21 @@ _ENSEMBLES = ("pure-haar", "mixed-hs")
 def _hs_factors(d: int, count: int, seed):
     """Yield ``count`` Hilbert-Schmidt factors ``(d, d)``, :func:`_block_rows` at a time.
 
-    A Wishart matrix ``W W^H`` of a square complex Gaussian ``W`` is
-    ``L L^H`` for a lower-triangular Bartlett factor ``L``: its strict lower
-    triangle is Gaussian like ``W`` and ``|L_ii|**2 ~ chi2_{2(d-i)}``
-    (Goodman, Ann. Math. Statist. 34, 152), so ``L L^H / Tr`` is a
-    Hilbert-Schmidt state.  Each ``d x d`` block ``Z_k`` of complex normals
-    (real and imaginary parts consecutive standard normals) gives two such
-    factors: factor ``2k`` is its strict lower triangle with
-    ``chi2_{2(d-i)}`` diagonals, factor ``2k + 1`` its strict upper
-    triangle with ``chi2_{2(i+1)}`` diagonals, which is the lower factor in
-    reversed basis order (``J A J`` is Wishart again).  So a state
-    takes ``d**2`` normals (``d`` of them, on the block's diagonal, unused)
-    and ``d`` gammas, about one real number per real degree of freedom,
-    where ``W`` took ``2 d**2`` normals.
-
-    Each chunk pairs its own factors, so the factors are the same for every
-    even chunk size; a chunk of odd length gives its last factor a block of
-    its own, of which it keeps the lower triangle.  The chunk size,
-    ``_block_rows(16 d**2)``, is a power of two set by ``d`` alone; it is 1
-    from n = 9 on, where each factor takes a whole block, ``2 d**2`` normals
-    as ``W`` did.  Each chunk is a new array, whose blocks are drawn by
-    ``standard_normal`` into its last entries and spread over it by masked
-    multiplies (:func:`_bartlett_fill`), so nothing the size of a chunk is
-    allocated beside it.  The diagonals, ``sqrt(2 standard_gamma)``, one row
-    per factor, come from a jumped copy of the generator.  ``seed`` passes
-    :func:`_check_seed` at the first ``next``.
+    ``W W^H`` of a square complex Gaussian ``W`` is ``L L^H`` for a Bartlett
+    factor ``L``: its strict lower triangle Gaussian like ``W``, and
+    ``|L_ii|**2 ~ chi2_{2(d-i)}`` (Goodman, Ann. Math. Statist. 34, 152).  Each
+    ``d x d`` block of complex normals (real and imaginary parts consecutive)
+    gives two: factor ``2k`` is its strict lower triangle with ``chi2_{2(d-i)}``
+    diagonals, factor ``2k + 1`` its strict upper one with ``chi2_{2(i+1)}``
+    diagonals, the lower factor in reversed basis order.  So a state takes
+    ``d**2`` normals and ``d`` gammas, where ``W`` took ``2 d**2`` normals.
+    Each chunk pairs its own factors, so they do not depend on an even chunk
+    size; an odd chunk's last factor keeps the lower triangle of its own
+    block.  The chunk size, ``_block_rows(16 d**2)``, is set by ``d`` alone and
+    is 1 from n = 9 on.  Each chunk is a new array, filled in place by
+    :func:`_bartlett_fill`; the diagonals, ``sqrt(2 standard_gamma)``, come
+    from a jumped copy of the generator.  ``seed`` passes :func:`_check_seed`
+    at the first ``next``.
     """
     rng = np.random.default_rng(_check_seed(seed))
     diagonals = np.random.Generator(rng.bit_generator.jumped())
@@ -615,13 +638,12 @@ def _hs_factors(d: int, count: int, seed):
 def _bartlett_fill(chunk: np.ndarray, rng, diagonals) -> np.ndarray:
     """Fill ``chunk`` with Bartlett factors (:func:`_hs_factors`) and return it.
 
-    Its ``ceil(rows/2)`` blocks are drawn into its last entries.  Block ``j``
+    Its ``ceil(rows/2)`` blocks are drawn into its last entries; block ``j``
     gives its strict lower triangle to entry ``2j`` and its strict upper one
-    to entry ``2j + 1``, where that exists.  Runs of blocks are spread in
-    order, each as long as its targets end before its first block, so no
-    write reaches a block still to be read; a run of one may keep a triangle
-    in place, after the block is read.  Both triangles are masked by a
-    multiply, so the zeros carry the same signs whatever the runs.
+    to entry ``2j + 1``, if any.  Runs of blocks are spread in order, each
+    ending its targets before its first block (a run of one may keep a
+    triangle in place), and masked by a multiply, so the zeros carry the same
+    signs whatever the runs.
     """
     rows, d = chunk.shape[:2]
     first = rows // 2
@@ -647,13 +669,12 @@ def _masked(blocks: np.ndarray, mask: np.ndarray, targets: np.ndarray) -> None:
     np.multiply(source, mask, out=source if np.may_share_memory(source, targets) else targets)
 
 
-def _hs_peak_bytes(n: int, count: int) -> int:
-    """Bytes a ``mixed-hs`` batch of ``count`` states holds at its peak: the returned
-    stack plus two :func:`_block_rows` chunks, one chunk's factors and their
-    conjugate, while its ``L L^H`` is written into the stack (tracemalloc
-    within 4 KiB of it at n = 3 to 9)."""
+def _hs_peak_bytes(n: int, count: int) -> float:
+    """Bytes a ``mixed-hs`` batch of ``count`` states holds at its peak: the stack, one
+    chunk of factors and the conjugates of their square blocks and two-block rows,
+    1.75 chunks (tracemalloc: within 5 KiB at n = 9, 10; 1.4-1.6 chunks at n = 3..8)."""
     size = 16 * 4**n
-    return (count + 2 * min(count, _block_rows(size))) * size
+    return (count + 1.75 * min(count, _block_rows(size))) * size
 
 
 def _check_seed(seed):
@@ -693,11 +714,11 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     ``pure-haar`` draws Haar-random pure states; ``mixed-hs`` draws from
     the Hilbert-Schmidt measure (``L L^H`` over its trace, for the Bartlett
     factors ``L`` of :func:`_hs_factors`, two per ``d x d`` Gaussian block).
-    For ``mixed-hs`` each chunk of factors writes its ``L L^H`` into the
-    returned array, where it is divided by its trace.  The bits
-    do not depend on the chunk size, and beside the returned array the peak
-    holds two chunks (:func:`_hs_peak_bytes`).
-    Deterministic given the seed, which passes :func:`_check_seed`.
+    For ``mixed-hs`` each chunk writes its ``L L^H``, four half-size products on
+    the triangles' block split, into the returned array and divides it by its
+    trace.  The bits do not depend on the chunk size; beside the returned array
+    the peak holds 1.75 chunks (:func:`_hs_peak_bytes`).  Deterministic given
+    the seed, which passes :func:`_check_seed`.
     """
     if ensemble not in _ENSEMBLES:
         raise DomainError(f"unknown ensemble {ensemble!r}; choose from {_ENSEMBLES}")
@@ -709,10 +730,18 @@ def random_state_batch(n: int, count: int, seed, ensemble: str = "mixed-hs") -> 
     d = 2**n
     out = np.empty((count, d, d), dtype=complex)
     start = 0
+    lo, hi = slice(None, d // 2), slice(d // 2, None)
     for factor in _hs_factors(d, count, seed):
         rho = out[start:start + len(factor)]
-        np.matmul(factor, factor.conj().swapaxes(-1, -2), out=rho)
-        del factor  # dead once multiplied, so the next chunk is drawn beside the stack alone
+        # four half-size products where L L^H took eight: a lower L = [[A, 0], [B, C]]
+        # (even) gives [[A A^H, (B A^H)^H], [B A^H, [B C][B C]^H]], an upper one the mirror
+        for one, two, f, w in ((lo, hi, factor[0::2], rho[0::2]), (hi, lo, factor[1::2], rho[1::2])):
+            herm = f[:, one, one].conj().swapaxes(-1, -2)
+            np.matmul(f[:, one, one], herm, out=w[:, one, one])
+            np.matmul(f[:, two, one], herm, out=w[:, two, one])
+            w[:, one, two] = w[:, two, one].conj().swapaxes(-1, -2)
+            np.matmul(f[:, two], f[:, two].conj().swapaxes(-1, -2), out=w[:, two, two])
+        del factor, f, herm  # dead once multiplied, so the next chunk is drawn beside the stack alone
         rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
         start += len(rho)
     return out

@@ -11,7 +11,7 @@ TRACE = 1e-10          # |Tr(rho) - 1| accepted (then renormalized)
 PSD = 1e-9             # eigenvalues >= -PSD count as positive semidefinite
 RECONSTRUCTION = 1e-8  # entrywise error for expansion / projection round trips
 ORTHOGONALITY = 1e-10  # max |T T^t - 1| entry for orthogonal-matrix inputs
-LIFT = 1e-8            # conjugation residual allowed for lifted unitaries
+LIFT_ROUNDING = 1000   # rotor-lift allows LIFT_ROUNDING * (2n+1) * eps of probe residual
 OPTIMIZATION = 1e-6    # gap tolerance for numeric minimization
 CONCAVITY = 1e-12      # allowed positive excursion of the analytic curvature
 DENSE_GUARD = 14       # largest qubit count for dense 2**n x 2**n work

@@ -11,7 +11,7 @@ import pytest
 
 from cliffcert import (DensityMatrix, __version__, cli, extended_expectations, jordan_wigner,
                        matrix_from_expectations, pauli, random_state_batch, reduce_to_axis,
-                       rotors, uncertainty)
+                       rotors, states, uncertainty)
 from cliffcert.cli import main
 from cliffcert.errors import CapacityError
 from cliffcert.tolerances import OPTIMIZATION, PSD
@@ -214,7 +214,8 @@ class TestNaNFaults:
         (cli, "lift", ..., ["rotor-lift", "rotor-reflection"]),
         (cli, "realize", (0, 0), ["ball-realization"]),
         (rotors, "_vector_rotor", ..., ["reduction-constructive"]),
-        (cli, "matrix_from_expectations", (-1, 0, 0), PROJECTION_CHECKS),
+        # the string kernel that applies A to the probes; the trace reads no probe
+        (cli, "_clifford_apply", (-1, 0, 0), PROJECTION_CHECKS[:2]),
         (cli, "factor_expectations", -1, PROJECTION_CHECKS + ["expectation-ball"]),
         (cli, "bias_entropy_d2", 500, ["concavity-sign", "concavity-curvature-fd"]),
     ], ids=["lift", "realize", "vector-rotor", "render", "factor", "curvature"])
@@ -551,23 +552,23 @@ def forbid_sampling(monkeypatch):
 
 class TestVerifyMemory:
     def test_n13_at_default_samples_is_refused(self, monkeypatch, capsys):
-        # the rotor suite's 4 Hilbert-Schmidt states at n = 13 and two one-state
-        # chunks, 6 x 8192**2 x 16 bytes, are 6 GiB against the 4 GiB budget;
-        # three one-state projection slices are 3 GiB
+        # the rotor suite's 4 Hilbert-Schmidt states at n = 13 and 1.75 one-state
+        # chunks, 5.75 x 8192**2 x 16 bytes, are 5.75 GiB against the 4 GiB budget;
+        # 2.75 one-state projection slices are 2.75 GiB
         forbid_sampling(monkeypatch)
         assert main(["verify", "--n", "13"]) == 1
         assert "rotor suite" in capsys.readouterr().err
 
     def test_n11_at_default_samples_fits_by_arithmetic(self, monkeypatch):
-        # three one-state slices at n = 11, 3 x 2048**2 x 16 bytes = 192 MiB, and the
-        # rotor suite's 4 states and 2 chunks, 384 MiB; at n = 12, 0.75 and 1.5 GiB
+        # 2.75 one-state slices at n = 11, 2.75 x 2048**2 x 16 bytes = 176 MiB, and the
+        # rotor suite's 4 states and 1.75 chunks, 368 MiB; at n = 12, 0.69 and 1.44 GiB
         forbid_sampling(monkeypatch)
         for n in (11, 12):
             cli._check_projection_memory(n, 200, 1)
 
     def test_chunks_in_flight_count(self, monkeypatch, capsys):
-        # one 256-state chunk at n = 3 holds three 256-state slices,
-        # 3 x 256 x 64 x 16 bytes: 0.75 MiB, two 1.5 MiB, against 1 MiB
+        # one 256-state chunk at n = 3 is counted as 2.75 256-state slices,
+        # 2.75 x 256 x 64 x 16 bytes: 0.69 MiB, two 1.38 MiB, against 1 MiB
         monkeypatch.setattr(cli, "MEMORY_BUDGET", 2**20)
         # two chunks in flight whatever the machine's CPU count
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -614,7 +615,8 @@ class TestVerifyMemory:
 
 class TestProjectionSuite:
     def test_chunk_holds_at_most_two_stacks(self):
-        # 256 states at n = 6: the states and their draw, then the projection alone
+        # 256 states at n = 6: a slice of factors at a time (3.3 MiB traced), where
+        # the whole stack of states and their draw would take 32 MiB
         stack = 256 * 64**2 * 16
         gens = jordan_wigner(6)
         gens.actions  # cached tables, built before the trace
@@ -629,9 +631,9 @@ class TestProjectionSuite:
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_chunk_holds_a_few_slices(self, n):
-        # 256 states: at most three slices of 2 MiB of factors (the next factors
-        # beside the last projection; 2.26 traced at n = 7, 2.51 at n = 8), nothing
-        # the size of the chunk
+        # 256 states: at most 2.75 slices of 2 MiB of factors (a slice and the
+        # squares of its norms; 1.63 traced at n = 7 and 8), nothing the size of
+        # the chunk and no rendered projection
         gens = jordan_wigner(n)
         gens.actions, gens.pairings  # cached tables, built before the trace
         slice_bytes = cli._block_rows(16 * 4**n) * 16 * 4**n
@@ -659,13 +661,13 @@ class TestProjectionSuite:
         # chunk's seed, up to rounding; at n = 6 and 7 they span several slices
         gens = jordan_wigner(n)
         seen = []
-        real = cli.matrix_from_expectations
+        real = cli.factor_expectations
 
-        def record(g, gens):
-            seen.append(g)
-            return real(g, gens)
+        def record(w, gens):
+            seen.append(real(w, gens))
+            return seen[-1]
 
-        monkeypatch.setattr(cli, "matrix_from_expectations", record)
+        monkeypatch.setattr(cli, "factor_expectations", record)
         cli._suite_projection(gens, np.random.SeedSequence(n), 40, PSD, 1)
         seed = np.random.SeedSequence(n).spawn(1)[0]
         want = extended_expectations(random_state_batch(n, 40, seed), gens)
@@ -674,16 +676,16 @@ class TestProjectionSuite:
         assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_idempotency_sees_a_dropped_generator(self, monkeypatch, capsys):
-        # a renderer that drops G_2 renders its own output back the same way, so
-        # only the expectations of the projection reveal it
-        real = cli.matrix_from_expectations
+        # a kernel that drops G_2 gives vectors that are no eigenvectors of A_c, so
+        # their expectations, measured by another kernel, miss g
+        real = cli._clifford_apply
 
-        def without_g2(g, gens):
-            g = np.array(g, dtype=float)
-            g[..., 2] = 0.0
-            return real(g, gens)
+        def without_g2(coeffs, v, gens):
+            coeffs = np.array(coeffs, dtype=float)
+            coeffs[..., 2] = 0.0
+            return real(coeffs, v, gens)
 
-        monkeypatch.setattr(cli, "matrix_from_expectations", without_g2)
+        monkeypatch.setattr(cli, "_clifford_apply", without_g2)
         code, doc = run_json(capsys, ["verify", "--n", "2", "--samples", "40"])
         check = next(c for c in doc["results"] if c["name"] == "projection-idempotent")
         assert code == 1 and not check["passed"]
@@ -759,36 +761,48 @@ class TestProjectionPositivity:
             assert doc["residuals"]["projection-positivity"] == 0.0
 
     def test_state_outside_the_ball_is_sized_by_its_norm(self, monkeypatch, capsys):
-        # one state of the chunk moved to |g| = 1.5 and rendered in Bloch form: the
-        # probes certify A**2 = 2.25 * 1, so its least eigenvalue (1 - 1.5)/d is
-        # read from |g| and no eigensolver runs
+        # one state of the chunk moved to |g| = 1.5: the probes certify
+        # A**2 = 2.25 * 1, so its least eigenvalue (1 - 1.5)/d is read from |g|,
+        # and nothing is rendered, factored or sized by an eigensolver
         eigvalsh = np.linalg.eigvalsh
         self.forbid(monkeypatch, "cholesky", "eigvalsh")
-        real_factor, real_render = cli.factor_expectations, cli.matrix_from_expectations
-        chunks = []
+        real_factor = cli.factor_expectations
+        moved = []
 
         def outside(w, gens):
             g = real_factor(w, gens)
             g[len(g) // 2] *= 1.5 / np.linalg.norm(g[len(g) // 2])
+            moved.append(g[len(g) // 2].copy())
             return g
 
-        def render(g, gens):
-            chunks.append(real_render(g, gens))
-            return chunks[-1]
+        def no_render(*args):
+            raise AssertionError("a projection was rendered")
 
         monkeypatch.setattr(cli, "factor_expectations", outside)
-        monkeypatch.setattr(cli, "matrix_from_expectations", render)
+        monkeypatch.setattr(states, "matrix_from_expectations", no_render)
         code, doc = run_json(capsys, ["verify", "--n", "3", "--samples", "40"])
         check = next(c for c in doc["results"] if c["name"] == "projection-positivity")
         assert code == 1 and not check["passed"]
-        assert len(chunks) == 1
+        assert len(moved) == 1
         assert abs(check["residual"] - (1.5 - 1.0) / 8) <= 1e-15
-        assert abs(check["residual"] + eigvalsh(chunks[0])[:, 0].min()) <= 1e-15
+        rendered = matrix_from_expectations(moved[0], jordan_wigner(3))
+        assert abs(check["residual"] + eigvalsh(rendered)[0]) <= 1e-15
+
+    @staticmethod
+    def off_the_identity(monkeypatch):
+        """Move the second application of A to one state's probes 1e-6 off, so that
+        ``A(Av) = |g|**2 v`` fails for that state alone, far above the rounding bound."""
+        real = states._clifford_apply
+
+        def perturbed(coeffs, v, gens):
+            out = real(coeffs, v, gens)
+            out[len(out) // 2] += 1e-6
+            return out
+
+        monkeypatch.setattr(states, "_clifford_apply", perturbed)
 
     def test_perturbed_state_is_factored_and_passes(self, monkeypatch, capsys):
-        # a positive perturbation (1e-6/d) x x^H of one state, x the uniform unit
-        # vector, breaks A**2 = |g|**2 * 1 far above the rounding bound, so that
-        # state alone is factored, and it passes
+        # the perturbed state alone is rendered, factored by Cholesky, and passes
         cholesky = np.linalg.cholesky
         factored = []
 
@@ -798,39 +812,30 @@ class TestProjectionPositivity:
 
         self.forbid(monkeypatch, "eigvalsh")
         monkeypatch.setattr(np.linalg, "cholesky", record)
-        real = cli.matrix_from_expectations
-
-        def perturbed(g, gens):
-            out = real(g, gens)
-            d = out.shape[-1]
-            out[len(out) // 2] += 1e-6 / d**2
-            return out
-
-        monkeypatch.setattr(cli, "matrix_from_expectations", perturbed)
+        self.off_the_identity(monkeypatch)
         code, doc = run_json(capsys, ["verify", "--n", "3", "--samples", "40"])
         check = next(c for c in doc["results"] if c["name"] == "projection-positivity")
         assert check["passed"] and check["residual"] == 0.0
         assert factored == [1]
 
     def test_indefinite_matrix_is_sized_by_eigvalsh(self, monkeypatch, capsys):
-        # a trace-one Hermitian matrix with eigenvalues (-0.25, 0.25, 0.4, 0.6)
+        # the state off the identity rendered as a trace-one Hermitian matrix with
+        # eigenvalues (-0.25, 0.25, 0.4, 0.6)
         u, _ = np.linalg.qr(np.arange(16.0).reshape(4, 4) ** 1.5 + 1j * np.eye(4))
         bad = (u * [-0.25, 0.25, 0.4, 0.6]) @ u.conj().T
-        real = cli.matrix_from_expectations
-        chunks = []
+        rendered = []
 
-        def with_bad(g, gens):
-            out = real(g, gens)
-            if out.ndim == 3:  # a projection chunk, not the rotor suite's single state
-                out[len(out) // 2] = bad
-                chunks.append(out)
-            return out
+        def render(g, gens):
+            rendered.append(len(g))
+            return np.array([bad] * len(g))
 
-        monkeypatch.setattr(cli, "matrix_from_expectations", with_bad)
+        self.off_the_identity(monkeypatch)
+        monkeypatch.setattr(states, "matrix_from_expectations", render)
         code, doc = run_json(capsys, ["verify", "--n", "2", "--samples", "40"])
         check = next(c for c in doc["results"] if c["name"] == "projection-positivity")
         assert code == 1 and not check["passed"]
-        assert check["residual"] == -np.linalg.eigvalsh(chunks[0])[:, 0].min()
+        assert rendered == [1]
+        assert check["residual"] == -np.linalg.eigvalsh(bad[None])[:, 0].min()
         assert check["residual"] == pytest.approx(0.25, abs=1e-14)
 
 

@@ -28,8 +28,8 @@ from cliffcert import (
     to_label,
 )
 from cliffcert.pauli import action, apply, compose, expect, pairings, scatter, symplectic_inner
-from cliffcert.rotors import _rotor_direct
 from cliffcert.tolerances import DENSE_GUARD
+from test_rotors import rotor_direct  # the Kronecker-rendered rotor oracle
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -311,7 +311,7 @@ class TestActionKernel:
             oracle = to_dense(mul(gens.gamma0, gens.gammas[0]))
         for j, k, theta in fact.angles:
             if theta != 0.0:
-                oracle = oracle @ _rotor_direct(gens, j - shift, k - shift, theta)
+                oracle = oracle @ rotor_direct(gens, j - shift, k - shift, theta)
         u = lift(t, gens)
         overlap = np.vdot(oracle, u)
         phase = overlap / abs(overlap)

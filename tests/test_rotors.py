@@ -32,8 +32,16 @@ from cliffcert import (
     rotation_matrix,
     to_dense,
 )
-from cliffcert import rotors, states
-from cliffcert.rotors import _rotor_direct
+from cliffcert import rotors
+from cliffcert.tolerances import DENSE_GUARD, LIFT_ROUNDING
+
+
+def rotor_direct(gens, j, k, theta):
+    """cos(theta/2) 1 + sin(theta/2) G_k G_j on extended indices, Kronecker-rendered:
+    the reference that plane_rotor and lift are held to."""
+    gj, gk = to_dense(gens.extended(j)), to_dense(gens.extended(k))
+    return math.cos(theta / 2.0) * np.eye(gj.shape[0], dtype=complex) + math.sin(
+        theta / 2.0) * (gk @ gj)
 
 
 def random_orthogonal(rng, size, det_sign=None):
@@ -163,7 +171,7 @@ class TestPlaneRotor:
         theta = 0.9
         for k in range(1, 5):
             kernel = plane_rotor(gens, 0, k, theta)
-            direct = _rotor_direct(gens, 0, k, theta)
+            direct = rotor_direct(gens, 0, k, theta)
             for i in range(5):
                 d = to_dense(gens.extended(i))
                 a = kernel @ d @ kernel.conj().T
@@ -183,7 +191,7 @@ class TestPlaneRotor:
         monkeypatch.setattr(rotors.pauli, "mul", forbidden)
         monkeypatch.setattr(rotors.pauli, "action", forbidden)
         for j, k in ((0, 3), (2, 6), (5, 1), (6, 0)):
-            direct = _rotor_direct(gens, j, k, 0.7)
+            direct = rotor_direct(gens, j, k, 0.7)
             assert np.max(np.abs(plane_rotor(gens, j, k, 0.7) - direct)) <= 1e-15
             assert np.max(np.abs(plane_rotor(gens, j, k, 0.7, row) - row @ direct)) <= 1e-15
 
@@ -291,7 +299,7 @@ class TestLift:
             oracle = to_dense(gens.gamma0 * gens.gammas[0])
         for j, k, theta in fact.angles:
             if theta != 0.0:
-                oracle = oracle @ _rotor_direct(gens, j - extra, k - extra, theta)
+                oracle = oracle @ rotor_direct(gens, j - extra, k - extra, theta)
         u = lift(t, gens)
         overlap = np.vdot(oracle, u)
         assert np.max(np.abs(u - overlap / abs(overlap) * oracle)) <= 1e-12
@@ -385,32 +393,43 @@ class TestResiduals:
         assert conjugation_residual(np.zeros_like(u), t, gens) == 1.0
         assert conjugation_residual(1.001 * u, t, gens) == pytest.approx(2.001e-3, rel=1e-9)
 
-    def test_row_blocks_give_the_value_of_one_whole_block(self, monkeypatch):
-        # at n = 9 a 2 MiB block holds 13 rows of the 19 stacked products
-        gens = jordan_wigner(9)
-        rng = np.random.default_rng(19)
-        t = random_orthogonal(rng, 19, det_sign=1)
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_a_plane_rotated_by_1e_9_fails_rotor_lift(self, n):
+        # the bilinear probe reads a defect at its own scale, about 2e-9 at every n; the
+        # entrywise form read 1.8e-10 to 7e-10, falling with d, against a bound of 1e-8
+        gens = jordan_wigner(n)
+        size = 2 * n + 1
+        bound = LIFT_ROUNDING * size * np.finfo(float).eps
+        rng = np.random.default_rng(90 + n)
+        t = random_orthogonal(rng, size, det_sign=1)
         u = lift(t, gens)
-        u[5, 300] += 1e-6  # a defect in one block, so that the value is not rounding
-        assert states._block_rows(16 * 19 * 2**9) == 13
-        blocked = conjugation_residual(u, t, gens)
-        monkeypatch.setattr(rotors, "_block_rows", lambda size: states._block_rows(size, 2**40))
-        assert conjugation_residual(u, t, gens) == blocked
-        assert blocked > 1e-7
+        assert conjugation_residual(u, t, gens) <= bound / 100
+        planes = [(1, 2), (1, size), tuple(sorted(rng.choice(size, 2, replace=False) + 1))]
+        for j, k in planes:
+            residual = conjugation_residual(u, t @ rotation_matrix(size, j, k, 1e-9), gens)
+            assert residual > max(bound, 5e-10), (j, k)
 
-    def test_holds_a_few_blocks_and_no_dense_product(self):
-        # a 2 MiB stack of row blocks, its mixed copy and their temporaries
-        # (5.0 MiB traced); a d x d product beside its factors takes 12 MiB at n = 9
+    def test_lift_bound_is_tighter_than_the_absolute_one(self):
+        # 1000 (2n+1) eps: 6.7e-13 at n = 1, 6.4e-12 at n = 14; the absolute bound was 1e-8
+        for n in range(1, DENSE_GUARD + 1):
+            assert LIFT_ROUNDING * (2 * n + 1) * np.finfo(float).eps < 1e-8 / 1000
+
+    def test_probes_are_fixed_and_hold_no_array_of_the_size_of_u(self):
+        # the Frobenius term's squares, two float d x d arrays (U's size, 4 MiB at
+        # n = 9), then two (d, 2) probes, their images and the gathered G_j psi,
+        # G_i phi (76 KiB traced beyond U's size); the row-block sweep traced 5.0 MiB
         gens = jordan_wigner(9)
         t = random_orthogonal(np.random.default_rng(4), 18, det_sign=-1)
         u = lift(t, gens)
+        u[5, 300] += 1e-6  # a defect, so that the value is not rounding
+        first = conjugation_residual(u, t, gens)
         tracemalloc.start()
         try:
-            conjugation_residual(u, t, gens)
+            assert conjugation_residual(u, t, gens) == first > 1e-7
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * states._BLOCK_BYTES
+        assert peak <= u.nbytes + 2**18
 
 
 class TestFlips:

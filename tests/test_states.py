@@ -731,9 +731,26 @@ def bartlett_factors(seed, count, d, paired=True):
 
 
 def whole_hs_batch(n, count, seed):
-    """The Hilbert-Schmidt batch built on whole (count, d, d) arrays, kept as the oracle."""
-    factors = bartlett_factors(seed, count, 2**n)
-    w = factors @ factors.conj().swapaxes(-1, -2)
+    """The Hilbert-Schmidt batch built on whole (count, d, d) arrays, kept as the oracle:
+    ``L L^H`` on the 2 x 2 block split, ``L = [[A, 0], [B, C]]`` for the lower (even)
+    factors and ``[[A, B], [0, C]]`` for the upper (odd) ones."""
+    d = 2**n
+    h = d // 2
+    factors = bartlett_factors(seed, count, d)
+    w = np.empty_like(factors)
+
+    def herm(m):
+        return m.conj().swapaxes(-1, -2)
+
+    low, up = factors[0::2], factors[1::2]
+    a, b, top = low[:, :h, :h], low[:, h:, :h], w[0::2]
+    top[:, :h, :h], top[:, h:, :h] = a @ herm(a), b @ herm(a)
+    top[:, :h, h:] = herm(top[:, h:, :h])
+    top[:, h:, h:] = low[:, h:] @ herm(low[:, h:])
+    b, c, bottom = up[:, :h, h:], up[:, h:, h:], w[1::2]
+    bottom[:, h:, h:], bottom[:, :h, h:] = c @ herm(c), b @ herm(c)
+    bottom[:, h:, :h] = herm(bottom[:, :h, h:])
+    bottom[:, :h, :h] = up[:, :h] @ herm(up[:, :h])
     return w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
 
 
@@ -785,6 +802,20 @@ class TestSampling:
         for count in (5, chunk, 2 * chunk + 5):
             assert np.array_equal(random_state_batch(n, count, 3), whole_hs_batch(n, count, 3))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 9])
+    def test_mixed_hs_block_products_agree_with_the_whole_product(self, n):
+        # the four half-size products of the triangular split against the full matmul of
+        # each factor, lower and upper; at n = 9 every chunk is one lower factor
+        d = 2**n
+        factors = bartlett_factors(np.random.SeedSequence(n).spawn(1)[0], 6, d,
+                                   paired=n < 9)
+        full = factors @ factors.conj().swapaxes(-1, -2)
+        full /= np.trace(full, axis1=1, axis2=2).real[:, None, None]
+        got = random_state_batch(n, 6, np.random.SeedSequence(n).spawn(1)[0])
+        assert np.max(np.abs(got - full)) <= 1e-15 / d
+        h = d // 2  # the off-diagonal block is written as the other's conjugate transpose
+        assert np.array_equal(got[:, :h, h:], got[:, h:, :h].conj().swapaxes(-1, -2))
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_mixed_hs_purity_and_expectations_have_the_exact_means(self, n):
         # on the Hilbert-Schmidt measure E Tr rho**2 = 2d/(d**2 + 1), and every
@@ -828,8 +859,8 @@ class TestSampling:
                 assert got.tobytes() == whole_hs_batch(n, count, 5).tobytes(), (n, count)
 
     def test_mixed_hs_draws_no_whole_float_stack(self):
-        # the stack plus two 32-state chunks, 1.25 stacks; a whole float
-        # draw of the real or imaginary parts would add half a stack
+        # the stack plus 1.75 32-state chunks, 1.22 stacks (1.18 traced); a whole
+        # float draw of the real or imaginary parts would add half a stack
         stack = 256 * 64**2 * 16
         tracemalloc.start()
         try:
@@ -841,9 +872,10 @@ class TestSampling:
         assert peak <= states._hs_peak_bytes(6, 256) + 2**16
 
     def test_mixed_hs_holds_three_block_chunks_beside_the_stack(self):
-        # 20 states at n = 8: the stack plus two 2-state chunks, the factors and
-        # their conjugate (24 MiB); a third chunk, the product formed beside the
-        # stack, peaked at 26 MiB, and a floor of 16 states a chunk at 52 MiB
+        # 20 states at n = 8: the stack plus a 2-state chunk of factors and the
+        # conjugates of their square blocks and two-block rows (22.8 MiB traced
+        # of the 23.5 MiB model); the whole product with a conjugated chunk
+        # peaked at 24 MiB, a third chunk at 26 MiB, a floor of 16 states at 52 MiB
         random_state_batch(1, 1, 3)  # numpy's first-call allocations, made before the trace
         tracemalloc.start()
         try:
@@ -851,8 +883,8 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 4**8 * 16 + 2**16
-        assert states._hs_peak_bytes(8, 20) == 24 * 4**8 * 16
+        assert peak <= 23.5 * 4**8 * 16 + 2**16
+        assert states._hs_peak_bytes(8, 20) == 23.5 * 4**8 * 16
 
     @pytest.mark.parametrize("seed", [True, False, -1, 1.5, "1", None, np.float64(2.0),
                                       np.random.default_rng(1)])

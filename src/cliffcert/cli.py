@@ -39,7 +39,7 @@ from . import __version__, pauli, rotors
 from .clifford import jordan_wigner
 from .errors import CliffcertError, check_budget
 from .pauli import PauliString
-from .rotors import _flip, _frobenius_defect, conjugation_residual, euler_decompose, lift, recompose
+from .rotors import conjugation_residual, euler_decompose, lift, recompose
 from .states import (
     _VECTOR_CHUNK_BYTES,
     GVector,
@@ -63,9 +63,9 @@ from .uncertainty import (_check_order, bias_entropy, bias_entropy_d1, bias_entr
 THREADS_ENV = "CLIFFCERT_THREADS"
 _CHUNK = 256
 # Complex slices of Hilbert-Schmidt factors that one projection chunk holds at
-# its peak: a slice and the squares of its norms; no projection is rendered
-# (tracemalloc: 2.55-2.67 at n = 3, 4, 1.26-1.64 at n = 5..8, 2.01 at n = 9, 10).
-_PROJECTION_SLICES = 2.75
+# its peak: a slice, its norms by blocked dots, the probe work; no projection is
+# rendered (tracemalloc: 2.07 at n = 3, 1.13-1.64 at n = 4..8, 1.07-1.10 at n = 9..11).
+_PROJECTION_SLICES = 2.25
 # Bytes that one projection chunk's seed, size and results hold (tracemalloc
 # over 20000 chunks: 656 on one thread, 2201 with a pool, which submits every
 # chunk at once).
@@ -311,15 +311,9 @@ def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
         lift_res.append(conjugation_residual(lift(t, gens), t, gens))
 
     rng = np.random.default_rng(s_refl)
-    g0 = gens.actions[0]
-    pseudo_res = []
-    for _ in range(count):
-        t = _random_orthogonal(rng, 2 * gens.n, det_sign=-1)
-        u = lift(t, gens)
-        # U G_0 U^H = -G_0 for a unitary U, in the form U G_0 + G_0 U = 0 with ||U||_F**2 = d
-        anti = pauli.apply(g0, u, "right")
-        anti += pauli.apply(g0, u, "left")
-        pseudo_res += [np.max(np.abs(anti)), _frobenius_defect(u)]
+    # diag(det T, T) = diag(-1, T) holds U G_0 U^H = -G_0
+    pseudo_res = [conjugation_residual(lift(t, gens), t, gens) for t in (
+        _random_orthogonal(rng, 2 * gens.n, det_sign=-1) for _ in range(count))]
 
     rng = np.random.default_rng(s_euler)
     euler_res = []
@@ -329,27 +323,25 @@ def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
         euler_res.append(np.max(np.abs(recompose(euler_decompose(t)) - t)))
 
     constr_res = []
-    f1 = _flip(gens, 1)
     for k, mat in enumerate(random_state_batch(gens.n, count, s_constr, "mixed-hs")):
-        # every second state has g_1 < 0, so both branches of the rotor run; the
-        # conjugation by F_1 = G_0 G_1 that gives it negates g_0 and g_1 and keeps
-        # the Hilbert-Schmidt measure
-        if (extended_expectations(mat, gens)[1] < 0.0) != (k % 2 == 1):
-            mat = -pauli.apply(f1, pauli.apply(f1, mat, "left"), "right")
-        # U lands g on +sqrt(ell) e_1 for either sign of g_1; measured relative to sqrt(ell)
+        # every second state has g_1 < 0, so both branches of the rotor run: a drawn state
+        # of the other sign stands for its conjugate by F_1 = G_0 G_1, which keeps the
+        # Hilbert-Schmidt measure and negates g_0 and g_1, exactly
         g = extended_expectations(mat, gens)
+        if (g[1] < 0.0) != (k % 2 == 1):
+            g[:2] = -g[:2]
         ell = float(np.dot(g, g))
-        scale = math.sqrt(ell) if ell > rotors._NEGLIGIBLE else 1.0
-        if ell > rotors._NEGLIGIBLE:
-            u = rotors._vector_rotor(gens, g / scale)
-            g = extended_expectations(u @ mat @ u.conj().T, gens)
-        g[1] -= math.sqrt(ell)
-        constr_res.append(np.max(np.abs(g)) / scale)
+        if ell > rotors._NEGLIGIBLE:  # U lands g on +sqrt(ell) e_1 for either sign of g_1
+            u = rotors._vector_rotor(gens, g / math.sqrt(ell))
+            constr_res.append(rotors._reduction_residual(u, g, gens))
+        else:
+            constr_res.append(np.max(np.abs(g)))
 
+    rounding = LIFT_ROUNDING * size * sys.float_info.epsilon
     return [
-        _check("rotor-lift", lift_res, LIFT_ROUNDING * size * sys.float_info.epsilon,
+        _check("rotor-lift", lift_res, rounding,
                f"conjugation residual over {count} special-orthogonal lifts"),
-        _check("rotor-reflection", pseudo_res, 1e-10,
+        _check("rotor-reflection", pseudo_res, rounding,
                "pseudoscalar sign under det=-1 generator lifts"),
         _check("euler-roundtrip", euler_res, 1e-10, ""),
         _check("reduction-constructive", constr_res, RECONSTRUCTION,

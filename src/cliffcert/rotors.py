@@ -48,7 +48,7 @@ from . import pauli
 from .clifford import GeneratorSet
 from .errors import (DimensionMismatchError, DomainError, OrientationError, check_budget,
                      check_integer)
-from .states import DensityMatrix, _squared_norms, _vecdots, extended_expectations
+from .states import DensityMatrix, _vecdots, extended_expectations
 from .tolerances import MEMORY_BUDGET, ORTHOGONALITY
 
 _TWO_PI = 2.0 * math.pi
@@ -118,31 +118,34 @@ def euler_decompose(t) -> EulerFactorization:
     """
     trans = _as_transform(t)
     size = trans.size
-    w = trans.mat.copy()
+    w = trans.mat.tolist()  # rows of Python floats: each rotation rounds as numpy's would
     if trans.det_sign < 0:
-        w[0, :] = -w[0, :]
+        w[0] = [-a for a in w[0]]
     angles = []
-    for j in range(1, size):
-        for k in range(j + 1, size + 1):
-            theta = math.atan2(w[k - 1, j - 1], w[j - 1, j - 1])
+    for j in range(size - 1):
+        for k in range(j + 1, size):
+            theta = math.atan2(w[k][j], w[j][j])
             if theta != 0.0:
                 c, s = math.cos(theta), math.sin(theta)
-                rj = c * w[j - 1] + s * w[k - 1]
-                rk = -s * w[j - 1] + c * w[k - 1]
-                w[j - 1], w[k - 1] = rj, rk
-            angles.append((j, k, theta % _TWO_PI))
-    if not np.max(np.abs(w - np.eye(size))) <= 1e-8:
+                w[j], w[k] = ([c * a + s * b for a, b in zip(w[j], w[k])],
+                              [-s * a + c * b for a, b in zip(w[j], w[k])])
+            angles.append((j + 1, k + 1, theta % _TWO_PI))
+    if not np.max(np.abs(np.array(w) - np.eye(size))) <= 1e-8:
         raise DomainError("angle extraction failed to reduce the matrix")
     return EulerFactorization(size, trans.det_sign, tuple(angles))
 
 
 def recompose(fact: EulerFactorization) -> np.ndarray:
-    """Multiply the factorization back out (reflection first, then rotations)."""
-    out = np.eye(fact.size)
-    out[0, 0] = fact.reflection_flag
+    """Multiply the factorization back out (reflection first, then rotations), each
+    ``R_jk`` on the only columns it mixes, j and k, as Python floats: O(N) per angle."""
+    cols = np.eye(fact.size).tolist()  # symmetric: its rows are its columns
+    cols[0][0] = float(fact.reflection_flag)
     for j, k, theta in fact.angles:
-        out = out @ rotation_matrix(fact.size, j, k, theta)
-    return out
+        c, s = math.cos(theta), math.sin(theta)
+        a, b = cols[j - 1], cols[k - 1]
+        cols[j - 1], cols[k - 1] = ([c * x + s * y for x, y in zip(a, b)],
+                                    [c * y - s * x for x, y in zip(a, b)])
+    return np.array(cols).T
 
 
 def plane_rotor(gens: GeneratorSet, j: int, k: int, theta: float,
@@ -301,10 +304,39 @@ def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatri
     return rho_hat, u, ell
 
 
-def _frobenius_defect(u: np.ndarray) -> float:
-    """``|||U||_F**2 / d - 1|``: zero for a unitary, and for ``c`` times one only at ``|c| = 1``;
-    summed in a fixed order, so the BLAS thread count moves no bit."""
-    return abs(float(_squared_norms(u)) / u.shape[0] - 1.0)
+def _frobenius_defect(u: np.ndarray, target: float = 1.0) -> float:
+    """``|||U||_F**2 / d - target|`` by blocked dots (:func:`_vecdots`), so no copy of U and no
+    BLAS thread count moves a bit; at ``target`` 1, 0 for ``c`` times a unitary only at |c| = 1."""
+    flat = np.ascontiguousarray(u).reshape(-1).view(float)
+    return abs(float(_vecdots(flat, flat)) / u.shape[0] - target)
+
+
+def _reduction_residual(u: np.ndarray, g: np.ndarray, gens: GeneratorSet) -> float:
+    """Error of ``U rho U^H``'s expectation vector against ``sqrt(ell) e_1`` relative to
+    ``sqrt(ell)``, for a state with vector ``g``, ``ell = |g|**2 > 0``: O(K d + d**2), no product.
+
+    ``U`` should be :func:`_vector_rotor`'s ``P A_m`` for ``g / sqrt(ell)``, the pivot ``P = G_p``
+    by its rule (p = 0 for ``g_1 < 0``, else 1).  ``u_i = Tr(S_i^H U) / d`` on the strings
+    ``S_i = P G_i`` is read from composed tables.  Distinct strings are trace-orthogonal, so
+    the span term ``|||U||_F**2/d - sum |u_i|**2|`` is U's weight off them, 0 only when
+    ``U = P A_u``.  Then ``U^H G_j U = s_j A_u^H G_j A_u`` (``s_p = 1``, else -1), whose grade-1
+    part is ``g'_j = s_j [(2 |u_j|**2 - sum_a |u_a|**2) g_j + 2 Re(conj(u_j) sum_{a != j} u_a
+    g_a)]``; its other terms pair (a, b) with (b, a) into ``2i Im(u_a conj(u_b)) <G_b G_j G_a>``,
+    a Pauli expectation of modulus at most 1, so ``bound = 2 sum_{a<b} |Im(u_a conj(u_b))|``.
+    Returns ``max((max_j |g'_j - sqrt(ell) delta_j1| + bound) / sqrt(ell), span term)``.
+    """
+    ell = float(np.dot(g, g))
+    p = 0 if g[1] < 0.0 else 1
+    coef = np.array([pauli.expect(pauli.compose(act, gens.actions[p]), u)
+                     for act in gens.actions]) / u.shape[0]
+    weights = coef.real**2 + coef.imag**2
+    total = np.add.reduce(weights)
+    rotated = (2.0 * weights - total) * g + 2.0 * (coef.conj() * (coef @ g - coef * g)).real
+    rotated[np.arange(len(g)) != p] *= -1.0
+    rotated[1] -= math.sqrt(ell)
+    bound = np.add.reduce(np.abs(np.outer(coef, coef.conj()).imag), axis=None)
+    return float(np.max([(np.max(np.abs(rotated)) + bound) / math.sqrt(ell),
+                         _frobenius_defect(u, total)]))
 
 
 def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:

@@ -371,7 +371,7 @@ def factor_expectations(w: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     32768 entries at n = 8, four blocked dots) running over the r columns
     too; each row is divided by ``Tr(W W^H)``.  O(K d r) per factor.
     """
-    w = np.asarray(w, dtype=complex)
+    w = np.ascontiguousarray(w, dtype=complex)
     if w.ndim < 2 or w.shape[-2] != 2**gens.n or w.shape[-1] < 1:
         raise DimensionMismatchError(
             f"factors of shape {w.shape} are not (..., {2**gens.n}, r) with r >= 1")
@@ -381,7 +381,8 @@ def factor_expectations(w: np.ndarray, gens: GeneratorSet) -> np.ndarray:
     step = _block_rows(16 * size, _VECTOR_CHUNK_BYTES)
     for start in range(0, len(flat), step):
         chunk = flat[start:start + step]
-        norms = _squared_norms(chunk[:, None, :])
+        floats = chunk.view(float)  # blocked dots of the floats: no copy of the chunk
+        norms = _vecdots(floats, floats)
         _refuse_null(norms, "factor", start)
         _pair_sums(chunk, gens, out[start:start + step])
         out[start:start + step] /= norms[:, None]

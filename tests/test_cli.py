@@ -85,17 +85,46 @@ class TestVerify:
         assert threaded["residuals"] == base["residuals"]
 
 
-def g1_pivot_rotor(gens, coeffs):
-    """``_vector_rotor`` with G_1 as the pivot for either sign of c_1: the flip of a
-    vector with c_1 < 0 is lost, so its state lands on -G_1."""
+def rotor_from(gens, coeffs, edit=None, pivot=None):
+    """``_vector_rotor`` rendered from its coefficients ``m`` after ``edit(m)``, with the
+    pivot ``G_pivot`` in place of its rule's G_1 (G_0 for c_1 < 0) when one is given."""
     sign = -1.0 if coeffs[1] < 0.0 else 1.0
     m = sign * coeffs
     m[1] += 1.0
     m /= math.sqrt(2.0 * m[1])
-    return pauli.apply(gens.actions[1], pauli.scatter(m, gens.actions), "left")
+    if edit is not None:
+        m = edit(m)
+    pivot = (1 if sign > 0.0 else 0) if pivot is None else pivot
+    return pauli.apply(gens.actions[pivot], pauli.scatter(m, gens.actions), "left")
 
+
+def g1_pivot_rotor(gens, coeffs):
+    """``_vector_rotor`` with G_1 as the pivot for either sign of c_1: the flip of a
+    vector with c_1 < 0 is lost, so its state lands on -G_1."""
+    return rotor_from(gens, coeffs, pivot=1)
+
+
+def with_m2(factor):
+    """An edit of the rotor's coefficients that multiplies m_2 by ``factor``."""
+    def edit(m):
+        m = m.astype(complex)
+        m[2] *= factor
+        return m
+
+    return edit
+
+
+# faults of the reduction rotor that reduction-constructive alone must fail: a whole-m
+# phase is none, since conjugation is blind to the global phase of U
+REDUCTION_FAULTS = {
+    "g1-for-g0": g1_pivot_rotor,
+    "m-over-sqrt2": lambda gens, c: rotor_from(gens, c, edit=lambda m: m / math.sqrt(2.0)),
+    "s2-negated": lambda gens, c: rotor_from(gens, c, edit=with_m2(-1.0)),
+    "m2-phased-1e-3": lambda gens, c: rotor_from(gens, c, edit=with_m2(np.exp(1e-3j))),
+}
 
 VECTOR_ROTOR = rotors._vector_rotor
+REDUCTION_RESIDUAL = rotors._reduction_residual
 
 
 def off_axis_rotor(gens, coeffs):
@@ -106,22 +135,26 @@ def off_axis_rotor(gens, coeffs):
 
 
 def reduced_by_the_suite(monkeypatch, n, samples):
-    """The rotor suite's checks, and each state it reduces with the rotor it builds for
-    it; the state is the last matrix the suite measured before it built the rotor."""
-    measured, reduced = [], []
+    """The rotor suite's checks, and for each state it reduces: the expectation vector g
+    it reduces, the rotor it checks, and a state whose vector g is.  That state is the
+    drawn one, conjugated by F_1 = G_0 G_1 where the suite negated g_0 and g_1 instead."""
+    drawn, reduced = [], []
 
-    def measure(mat, gens):
-        measured.append(mat)
-        return extended_expectations(mat, gens)
+    def draw(*args):
+        drawn.extend(random_state_batch(*args))
+        return drawn
 
-    def rotor(gens, coeffs):
-        u = VECTOR_ROTOR(gens, coeffs)
-        reduced.append((measured[-1], u))
-        return u
+    def record(u, g, gens):
+        mat = drawn[len(reduced)]
+        if np.sign(extended_expectations(mat, gens)[1]) != np.sign(g[1]):
+            f1 = rotors._flip(gens, 1)
+            mat = -pauli.apply(f1, pauli.apply(f1, mat, "left"), "right")
+        reduced.append((mat, g.copy(), u))
+        return REDUCTION_RESIDUAL(u, g, gens)
 
     with monkeypatch.context() as m:
-        m.setattr(cli, "extended_expectations", measure)
-        m.setattr(rotors, "_vector_rotor", rotor)
+        m.setattr(cli, "random_state_batch", draw)
+        m.setattr(rotors, "_reduction_residual", record)
         checks = cli._suite_rotors(jordan_wigner(n), np.random.SeedSequence(n), samples)
     return checks, reduced
 
@@ -141,9 +174,18 @@ class TestRotorSuite:
         for n, samples in ((1, 50), (4, 300), (6, 50)):
             checks, reduced = reduced_by_the_suite(monkeypatch, n, samples)
             assert all(c["passed"] for c in checks)
-            gens = jordan_wigner(n)
-            signs = [float(np.sign(extended_expectations(mat, gens)[1])) for mat, _ in reduced]
+            signs = [float(np.sign(g[1])) for _, g, _ in reduced]
             assert signs == [1.0, -1.0] * (cli._spot_count(samples) // 2)
+
+    @pytest.mark.parametrize("fault", list(REDUCTION_FAULTS))
+    def test_reduction_faults_fail_only_the_reduction(self, fault, monkeypatch, capsys):
+        monkeypatch.setattr(rotors, "_vector_rotor", REDUCTION_FAULTS[fault])
+        for n in range(1, 9):
+            code, doc = run_json(capsys, ["verify", "--n", str(n), "--samples", "50",
+                                          "--seed", "1234"])
+            assert code == 1, n
+            assert [c["name"] for c in doc["results"] if not c["passed"]] == [
+                "reduction-constructive"], n
 
     def test_rotor_aimed_off_fails_only_the_reduction(self, monkeypatch, capsys):
         # compared as d x d entries of size 1/d, this rotor passed from n = 5 on
@@ -163,13 +205,14 @@ class TestRotorSuite:
         gens = jordan_wigner(n)
         checks, reduced = reduced_by_the_suite(monkeypatch, n, 200)
         assert all(c["passed"] for c in checks)
-        signs = {float(np.sign(extended_expectations(mat, gens)[1])) for mat, _ in reduced}
-        assert signs == {1.0, -1.0}
+        assert {float(np.sign(g[1])) for _, g, _ in reduced} == {1.0, -1.0}
         axis = np.zeros(2 * n + 1)
-        for mat, u in reduced:
-            # the drawn state, unnormalized: from_matrix would divide by a trace 1 ulp off
+        for mat, g, u in reduced:
+            # the state unnormalized: from_matrix would divide by a trace 1 ulp off; a state
+            # conjugated by F_1 is measured 1 ulp off the negated g
             rho_hat, u_lib, _ = reduce_to_axis(DensityMatrix(n, mat), gens)
-            assert u_lib.tobytes() == u.tobytes()
+            assert np.max(np.abs(u_lib - u)) <= 1e-15
+            assert np.max(np.abs(extended_expectations(mat, gens) - g)) <= 1e-16
             axis[1] = extended_expectations(u @ mat @ u.conj().T, gens)[1]
             assert np.max(np.abs(rho_hat.mat - matrix_from_expectations(axis, gens))) <= 1e-15
 
@@ -194,6 +237,16 @@ class TestRotorSuite:
             failed = {c["name"]: c["residual"] for c in checks if not c["passed"]}
             assert list(failed) == ["rotor-reflection"]
             assert failed["rotor-reflection"] >= 1.0
+
+    def test_reflection_lift_that_skips_the_flip_fails(self, monkeypatch):
+        # lift applies F_1 = G_0 G_1 to the vacuum column of a det -1 transform; without
+        # it U lifts no transform, and the probes read O(1) at every n
+        monkeypatch.setattr(rotors, "flip_unitary", lambda gens, j: np.eye(2**gens.n))
+        for n in range(2, 11):
+            checks = cli._suite_rotors(jordan_wigner(n), np.random.SeedSequence(n), 50)
+            failed = {c["name"]: c["residual"] for c in checks if not c["passed"]}
+            assert list(failed) == ["rotor-reflection"], n
+            assert failed["rotor-reflection"] >= 1.0, n
 
 
 def nan_at(real, index):
@@ -554,21 +607,21 @@ class TestVerifyMemory:
     def test_n13_at_default_samples_is_refused(self, monkeypatch, capsys):
         # the rotor suite's 4 Hilbert-Schmidt states at n = 13 and 1.75 one-state
         # chunks, 5.75 x 8192**2 x 16 bytes, are 5.75 GiB against the 4 GiB budget;
-        # 2.75 one-state projection slices are 2.75 GiB
+        # 2.25 one-state projection slices are 2.25 GiB
         forbid_sampling(monkeypatch)
         assert main(["verify", "--n", "13"]) == 1
         assert "rotor suite" in capsys.readouterr().err
 
     def test_n11_at_default_samples_fits_by_arithmetic(self, monkeypatch):
-        # 2.75 one-state slices at n = 11, 2.75 x 2048**2 x 16 bytes = 176 MiB, and the
-        # rotor suite's 4 states and 1.75 chunks, 368 MiB; at n = 12, 0.69 and 1.44 GiB
+        # 2.25 one-state slices at n = 11, 2.25 x 2048**2 x 16 bytes = 144 MiB, and the
+        # rotor suite's 4 states and 1.75 chunks, 368 MiB; at n = 12, 0.56 and 1.44 GiB
         forbid_sampling(monkeypatch)
         for n in (11, 12):
             cli._check_projection_memory(n, 200, 1)
 
     def test_chunks_in_flight_count(self, monkeypatch, capsys):
-        # one 256-state chunk at n = 3 is counted as 2.75 256-state slices,
-        # 2.75 x 256 x 64 x 16 bytes: 0.69 MiB, two 1.38 MiB, against 1 MiB
+        # one 256-state chunk at n = 3 is counted as 2.25 256-state slices,
+        # 2.25 x 256 x 64 x 16 bytes: 0.56 MiB, two 1.13 MiB, against 1 MiB
         monkeypatch.setattr(cli, "MEMORY_BUDGET", 2**20)
         # two chunks in flight whatever the machine's CPU count
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -631,9 +684,9 @@ class TestProjectionSuite:
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_chunk_holds_a_few_slices(self, n):
-        # 256 states: at most 2.75 slices of 2 MiB of factors (a slice and the
-        # squares of its norms; 1.63 traced at n = 7 and 8), nothing the size of
-        # the chunk and no rendered projection
+        # 256 states: at most 2.25 slices of 2 MiB of factors (a slice, its norms
+        # by blocked dots and the probe work; 1.63 traced at n = 7 and 8), nothing
+        # the size of the chunk and no rendered projection
         gens = jordan_wigner(n)
         gens.actions, gens.pairings  # cached tables, built before the trace
         slice_bytes = cli._block_rows(16 * 4**n) * 16 * 4**n
@@ -737,7 +790,8 @@ class TestThreadPool:
 
     def test_memory_check_counts_the_capped_pool(self, pool, monkeypatch):
         # three 256-state chunks at n = 3 fit the budget, four do not
-        monkeypatch.setattr(cli, "MEMORY_BUDGET", 3 * (256 * 8 + 3 * 256 * 16) * 64)
+        chunk = cli._PROJECTION_SLICES * 256 * 64 * 16
+        monkeypatch.setattr(cli, "MEMORY_BUDGET", 3.5 * chunk)
         cli._check_projection_memory(3, 4 * 256, 100_000)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         with pytest.raises(CapacityError):
@@ -883,8 +937,9 @@ class TestContract:
         assert lines[0] == f"cliffcert {__version__} :: verify"
         assert lines[1].split() == ["check", "passed", "residual"]
         status = {line.split()[0]: line.split()[1] for line in lines[2:-1]}
-        assert status.pop("rotor-lift") == "FAIL"
-        assert set(status.values()) == {"PASS"} and len(status) == 13
+        # rotor-reflection reads conjugation_residual of the det -1 lifts
+        assert status.pop("rotor-lift") == status.pop("rotor-reflection") == "FAIL"
+        assert set(status.values()) == {"PASS"} and len(status) == 12
         assert re.fullmatch(r"  wall time: \d+\.\d ms", lines[-1])
 
     @pytest.mark.parametrize("argv, header, count", [

@@ -19,10 +19,12 @@ from cliffcert import (
     conjugation_residual,
     euler_decompose,
     expand,
+    extended_expectations,
     flip_unitary,
     from_gvector,
     jordan_wigner,
     lift,
+    pauli,
     plane_rotor,
     project_bloch,
     random_state,
@@ -52,7 +54,44 @@ def random_orthogonal(rng, size, det_sign=None):
     return q
 
 
+def numpy_euler_angles(t):
+    """The Givens sweep of ``euler_decompose`` on numpy rows, and the product of
+    ``rotation_matrix`` factors that ``recompose`` once formed: oracles of the float sweeps."""
+    trans = OrthoTransform(t)
+    size = trans.size
+    w = trans.mat.copy()
+    if trans.det_sign < 0:
+        w[0, :] = -w[0, :]
+    angles = []
+    for j in range(1, size):
+        for k in range(j + 1, size + 1):
+            theta = math.atan2(w[k - 1, j - 1], w[j - 1, j - 1])
+            if theta != 0.0:
+                c, s = math.cos(theta), math.sin(theta)
+                rj = c * w[j - 1] + s * w[k - 1]
+                rk = -s * w[j - 1] + c * w[k - 1]
+                w[j - 1], w[k - 1] = rj, rk
+            angles.append((j, k, theta % (2.0 * math.pi)))
+    product = np.eye(size)
+    product[0, 0] = trans.det_sign
+    for j, k, theta in angles:
+        product = product @ rotation_matrix(size, j, k, theta)
+    return tuple(angles), product
+
+
 class TestEuler:
+    @pytest.mark.parametrize("size", [2, 5, 13, 17, 25])
+    def test_float_sweep_gives_the_numpy_sweeps_angles(self, size):
+        # a row of Python floats rounds each product and sum as numpy's elementwise ops do
+        rng = np.random.default_rng(size)
+        for det_sign in (1, -1, 1, -1):
+            t = random_orthogonal(rng, size, det_sign)
+            fact = euler_decompose(t)
+            angles, product = numpy_euler_angles(t)
+            assert fact.angles == angles
+            # the product's BLAS sums may fuse and add the zero entries: last bits only
+            assert np.max(np.abs(recompose(fact) - product)) <= 1e-15
+
     def test_rejects_non_orthogonal(self):
         with pytest.raises(DomainError):
             euler_decompose(np.array([[1.0, 0.1], [0.0, 1.0]]))
@@ -415,9 +454,10 @@ class TestResiduals:
             assert LIFT_ROUNDING * (2 * n + 1) * np.finfo(float).eps < 1e-8 / 1000
 
     def test_probes_are_fixed_and_hold_no_array_of_the_size_of_u(self):
-        # the Frobenius term's squares, two float d x d arrays (U's size, 4 MiB at
-        # n = 9), then two (d, 2) probes, their images and the gathered G_j psi,
-        # G_i phi (76 KiB traced beyond U's size); the row-block sweep traced 5.0 MiB
+        # two (d, 2) probes, their images and the gathered G_j psi, G_i phi, stacked
+        # (686 KiB traced at n = 9); the Frobenius term's blocked dots hold no copy of U,
+        # where its squares held two float d x d arrays (U's size, 4 MiB); the row-block
+        # sweep traced 5.0 MiB
         gens = jordan_wigner(9)
         t = random_orthogonal(np.random.default_rng(4), 18, det_sign=-1)
         u = lift(t, gens)
@@ -429,7 +469,7 @@ class TestResiduals:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= u.nbytes + 2**18
+        assert peak <= 2**20 < u.nbytes
 
 
 class TestFlips:
@@ -624,6 +664,60 @@ class TestReduceToAxis:
         assert np.max(np.abs(rho_hat.mat - target)) <= 1e-8
         proj = project_bloch(rho, gens)
         assert np.max(np.abs(u.conj().T @ rho_hat.mat @ u - proj.mat)) <= 1e-8
+
+
+class TestReductionResidual:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_agrees_with_the_dense_conjugation(self, n):
+        # the dense oracle U rho U^H, measured and compared with sqrt(ell) e_1 as the check
+        # compares, on both pivots (each state and its conjugate by F_1 = G_0 G_1): equal
+        # for real coefficients m on the strings P G_i, an upper bound for complex ones
+        gens = jordan_wigner(n)
+        f1 = rotors._flip(gens, 1)
+        rng = np.random.default_rng(70 + n)
+        phase = np.exp(1e-3j * (np.arange(2 * n + 1) == 2))  # m_2 alone turned by 1e-3
+        for drawn in random_state_batch(n, 3, seed=70 + n):
+            for mat in (drawn, -pauli.apply(f1, pauli.apply(f1, drawn, "left"), "right")):
+                g = extended_expectations(mat, gens)
+                ell = float(g @ g)
+                sign = -1.0 if g[1] < 0.0 else 1.0
+                m = sign * g / math.sqrt(ell)
+                m[1] += 1.0
+                m /= math.sqrt(2.0 * m[1])
+                other = rng.standard_normal(2 * n + 1)
+                pivot = gens.actions[1 if sign > 0.0 else 0]
+                # a global phase leaves U rho U^H as it is, but its rounding reaches the
+                # grade-3 bound: 1.2e-13 at n = 8
+                for coeffs, exact in ((m, True), (m / math.sqrt(2.0), True),
+                                      (other / np.linalg.norm(other), True),
+                                      (np.exp(1e-3j) * m, False), (phase * m, False)):
+                    u = pauli.apply(pivot, pauli.scatter(coeffs, gens.actions), "left")
+                    dense = extended_expectations(u @ mat @ u.conj().T, gens)
+                    dense[1] -= math.sqrt(ell)
+                    want = np.max(np.abs(dense)) / math.sqrt(ell)
+                    got = rotors._reduction_residual(u, g, gens)
+                    assert got >= want - 1e-13
+                    assert got <= want + 1e-13 or not exact
+                aimed = rotors._vector_rotor(gens, g / math.sqrt(ell))
+                assert rotors._reduction_residual(aimed, g, gens) <= 1e-13
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_weight_off_the_strings_is_read_by_the_span_term(self, n):
+        # G_2 is no string G_1 G_i or G_0 G_i for n >= 2: U + 1e-3 G_2 reads 1e-6 on the span
+        gens = jordan_wigner(n)
+        for mat in random_state_batch(n, 2, seed=n):
+            g = extended_expectations(mat, gens)
+            u = rotors._vector_rotor(gens, g / np.linalg.norm(g))
+            assert rotors._reduction_residual(u, g, gens) <= 1e-13
+            u += 1e-3 * pauli.scatter([1.0], [gens.actions[2]])
+            assert rotors._reduction_residual(u, g, gens) >= 1e-6 * (1.0 - 1e-9)
+
+    def test_nan_in_the_rotor_is_nan(self):
+        gens = jordan_wigner(3)
+        g = extended_expectations(random_state_batch(3, 1, seed=1)[0], gens)
+        u = rotors._vector_rotor(gens, g / np.linalg.norm(g))
+        u[3, 5] = np.nan
+        assert math.isnan(rotors._reduction_residual(u, g, gens))
 
 
 class TestCachedTables:

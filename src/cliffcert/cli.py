@@ -304,23 +304,17 @@ def _suite_rotors(gens, seed_seq, samples: int) -> list[dict]:
     count = _spot_count(samples)
     size = 2 * gens.n + 1
 
-    rng = np.random.default_rng(s_lift)
-    lift_res = []
-    for _ in range(count):
-        t = _random_orthogonal(rng, size, det_sign=1)
-        lift_res.append(conjugation_residual(lift(t, gens), t, gens))
+    def lifted(seed, dim, det_sign):
+        rng = np.random.default_rng(seed)
+        transforms = (_random_orthogonal(rng, dim, det_sign) for _ in range(count))
+        return [conjugation_residual(lift(t, gens), t, gens) for t in transforms]
 
-    rng = np.random.default_rng(s_refl)
-    # diag(det T, T) = diag(-1, T) holds U G_0 U^H = -G_0
-    pseudo_res = [conjugation_residual(lift(t, gens), t, gens) for t in (
-        _random_orthogonal(rng, 2 * gens.n, det_sign=-1) for _ in range(count))]
+    lift_res = lifted(s_lift, size, 1)
+    pseudo_res = lifted(s_refl, size - 1, -1)  # diag(det T, T) = diag(-1, T): U G_0 U^H = -G_0
 
     rng = np.random.default_rng(s_euler)
-    euler_res = []
-    for _ in range(count):
-        dim = int(rng.integers(2, size + 1))
-        t = _random_orthogonal(rng, dim)
-        euler_res.append(np.max(np.abs(recompose(euler_decompose(t)) - t)))
+    transforms = (_random_orthogonal(rng, int(rng.integers(2, size + 1))) for _ in range(count))
+    euler_res = [np.max(np.abs(recompose(euler_decompose(t)) - t)) for t in transforms]
 
     constr_res = []
     for k, mat in enumerate(random_state_batch(gens.n, count, s_constr, "mixed-hs")):

@@ -48,7 +48,7 @@ from . import pauli
 from .clifford import GeneratorSet
 from .errors import (DimensionMismatchError, DomainError, OrientationError, check_budget,
                      check_integer)
-from .states import DensityMatrix, _vecdots, extended_expectations
+from .states import DensityMatrix, _block_rows, _vecdots, extended_expectations
 from .tolerances import MEMORY_BUDGET, ORTHOGONALITY
 
 _TWO_PI = 2.0 * math.pi
@@ -140,6 +140,9 @@ def recompose(fact: EulerFactorization) -> np.ndarray:
     ``R_jk`` on the only columns it mixes, j and k, as Python floats: O(N) per angle."""
     cols = np.eye(fact.size).tolist()  # symmetric: its rows are its columns
     cols[0][0] = float(fact.reflection_flag)
+    for j, k, _ in fact.angles:  # the checks rotation_matrix makes, before any float work
+        if check_integer(j, "axis", 1, fact.size) == check_integer(k, "axis", 1, fact.size):
+            raise DomainError("plane rotation needs two distinct axes")
     for j, k, theta in fact.angles:
         c, s = math.cos(theta), math.sin(theta)
         a, b = cols[j - 1], cols[k - 1]
@@ -304,39 +307,40 @@ def reduce_to_axis(rho: DensityMatrix, gens: GeneratorSet) -> tuple[DensityMatri
     return rho_hat, u, ell
 
 
-def _frobenius_defect(u: np.ndarray, target: float = 1.0) -> float:
-    """``|||U||_F**2 / d - target|`` by blocked dots (:func:`_vecdots`), so no copy of U and no
-    BLAS thread count moves a bit; at ``target`` 1, 0 for ``c`` times a unitary only at |c| = 1."""
-    flat = np.ascontiguousarray(u).reshape(-1).view(float)
-    return abs(float(_vecdots(flat, flat)) / u.shape[0] - target)
-
-
 def _reduction_residual(u: np.ndarray, g: np.ndarray, gens: GeneratorSet) -> float:
-    """Error of ``U rho U^H``'s expectation vector against ``sqrt(ell) e_1`` relative to
-    ``sqrt(ell)``, for a state with vector ``g``, ``ell = |g|**2 > 0``: O(K d + d**2), no product.
-
-    ``U`` should be :func:`_vector_rotor`'s ``P A_m`` for ``g / sqrt(ell)``, the pivot ``P = G_p``
-    by its rule (p = 0 for ``g_1 < 0``, else 1).  ``u_i = Tr(S_i^H U) / d`` on the strings
-    ``S_i = P G_i`` is read from composed tables.  Distinct strings are trace-orthogonal, so
-    the span term ``|||U||_F**2/d - sum |u_i|**2|`` is U's weight off them, 0 only when
-    ``U = P A_u``.  Then ``U^H G_j U = s_j A_u^H G_j A_u`` (``s_p = 1``, else -1), whose grade-1
-    part is ``g'_j = s_j [(2 |u_j|**2 - sum_a |u_a|**2) g_j + 2 Re(conj(u_j) sum_{a != j} u_a
-    g_a)]``; its other terms pair (a, b) with (b, a) into ``2i Im(u_a conj(u_b)) <G_b G_j G_a>``,
-    a Pauli expectation of modulus at most 1, so ``bound = 2 sum_{a<b} |Im(u_a conj(u_b))|``.
-    Returns ``max((max_j |g'_j - sqrt(ell) delta_j1| + bound) / sqrt(ell), span term)``.
-    """
-    ell = float(np.dot(g, g))
+    """Bound on the error of ``U rho U^H``'s vector against ``sqrt(ell) e_1``, relative to
+    ``sqrt(ell)``, for a state with vector ``g``, ``ell = |g|**2 > 0``: O(K d + d**2).  ``U``
+    should be :func:`_vector_rotor`'s ``P A_m``, ``P = G_p`` by its rule (p = 0 for ``g_1 <
+    0``, else 1).  With ``u_i = Tr(S_i^H U) / d`` on the strings ``S_i = P G_i`` (composed tables),
+    ``U = V + R`` for ``V = P A_u``, and ``V^H G_j V = s_j A_u^H G_j A_u`` (``s_p = 1``, else -1)
+    has the grade-1 part ``g'_j = s_j [(2 |u_j|**2 - sum_a |u_a|**2) g_j + 2 Re(conj(u_j)
+    sum_{a != j} u_a g_a)]``.  Its other terms pair (a, b) with (b, a) into ``2i Im(u_a conj(u_b))
+    <G_b G_j G_a>``, a Pauli expectation of modulus at most 1: ``bound = 2 sum_{a<b} |Im(u_a
+    conj(u_b))|``.  R adds ``Tr((V^H G_j R + R^H G_j V + R^H G_j R) rho)``, at most ``r (2 s + r)``
+    for ``s = sum |u_a| >= ||V||`` and ``r >= ||R||`` by Schur's test (the geometric mean of R's
+    largest absolute row and column sums, eps for ``U + eps G_2``).  Returns the error bound
+    ``(max_j |g'_j - sqrt(ell) delta_j1| + bound + r (2 s + r)) / sqrt(ell)``."""
+    ell, d = float(np.dot(g, g)), u.shape[0]
     p = 0 if g[1] < 0.0 else 1
-    coef = np.array([pauli.expect(pauli.compose(act, gens.actions[p]), u)
-                     for act in gens.actions]) / u.shape[0]
+    strings = [pauli.compose(gens.actions[p], act) for act in gens.actions]  # S_i = P G_i
+    coef = np.array([np.add.reduce(u[st.perm, np.arange(d)] * st.phase.conj())
+                     for st in strings]) / d  # Tr(S_i^H U): S_i holds phase[c] at (perm c, c)
     weights = coef.real**2 + coef.imag**2
     total = np.add.reduce(weights)
     rotated = (2.0 * weights - total) * g + 2.0 * (coef.conj() * (coef @ g - coef * g)).real
     rotated[np.arange(len(g)) != p] *= -1.0
     rotated[1] -= math.sqrt(ell)
     bound = np.add.reduce(np.abs(np.outer(coef, coef.conj()).imag), axis=None)
-    return float(np.max([(np.max(np.abs(rotated)) + bound) / math.sqrt(ell),
-                         _frobenius_defect(u, total)]))
+    row_sums, col_sums = np.empty(d), np.zeros(d)
+    for rows in np.arange(d).reshape(-1, min(d, _block_rows(16 * d))):
+        block = u[rows[0]:rows[-1] + 1].copy()
+        for c, st in zip(coef, strings):  # less u_i S_i: row r holds phase[perm r] at perm r
+            block[rows - rows[0], st.perm[rows]] -= c * st.phase[st.perm[rows]]
+        block = np.abs(block)
+        row_sums[rows] = np.add.reduce(block, axis=1)
+        col_sums += np.add.reduce(block, axis=0)
+    r, s = math.sqrt(np.max(row_sums) * np.max(col_sums)), np.add.reduce(np.abs(coef))
+    return float((np.max(np.abs(rotated)) + bound + r * (2.0 * s + r)) / math.sqrt(ell))
 
 
 def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
@@ -371,4 +375,6 @@ def conjugation_residual(u: np.ndarray, t, gens: GeneratorSet) -> float:
     left = _vecdots(a.T[:, None, :], [pauli.apply(act, psi).T[None] for act in gens.actions])
     right = _vecdots([pauli.apply(act, phi).T[:, None, :] for act in gens.actions], b.T)
     probe = left - np.add.reduce(mat[:, :, None, None] * right[:, None], axis=0)
-    return float(np.max([_frobenius_defect(u), np.max(np.abs(probe)) / math.sqrt(d)]))
+    flat = np.ascontiguousarray(u).reshape(-1).view(float)  # ||U||_F**2 by blocked dots: no copy
+    defect = abs(float(_vecdots(flat, flat)) / d - 1.0)  # 0 for c times a unitary only at |c| = 1
+    return float(np.max([defect, np.max(np.abs(probe)) / math.sqrt(d)]))

@@ -13,6 +13,7 @@ from cliffcert import (
     DensityMatrix,
     DimensionMismatchError,
     DomainError,
+    EulerFactorization,
     GVector,
     OrientationError,
     OrthoTransform,
@@ -35,7 +36,7 @@ from cliffcert import (
     to_dense,
 )
 from cliffcert import rotors
-from cliffcert.tolerances import DENSE_GUARD, LIFT_ROUNDING
+from cliffcert.tolerances import DENSE_GUARD, LIFT_ROUNDING, RECONSTRUCTION
 
 
 def rotor_direct(gens, j, k, theta):
@@ -127,6 +128,14 @@ class TestEuler:
                 rotation_matrix(3, j, k, 0.1)
         got = rotation_matrix(3, np.int64(1), np.uint8(3), 0.1)
         assert got.tobytes() == rotation_matrix(3, 1, 3, 0.1).tobytes()
+
+    @pytest.mark.parametrize("j, k", [(0, 2), (3, 3), (1, 5), (1.0, 2), (2, True)])
+    def test_recompose_refuses_a_bad_angle(self, j, k):
+        # the float sweep once rotated the last column for axis 0, mixed one column with
+        # itself for j == k, and raised a bare IndexError or TypeError past the size
+        fact = EulerFactorization(4, 1, ((1, 2, 0.3), (j, k, 0.2)))
+        with pytest.raises(DomainError):
+            recompose(fact)
 
     @pytest.mark.parametrize("size", [2.5, 2.0, True, 1, "3"])
     def test_rotation_size_must_be_an_integer_of_at_least_2(self, size):
@@ -697,20 +706,27 @@ class TestReductionResidual:
                     want = np.max(np.abs(dense)) / math.sqrt(ell)
                     got = rotors._reduction_residual(u, g, gens)
                     assert got >= want - 1e-13
-                    assert got <= want + 1e-13 or not exact
+                    # the rounding of U off its strings reads r (2 s + r) / sqrt(ell):
+                    # 4.8e-15 / sqrt(ell) at most for n <= 8
+                    assert got <= want + 1e-14 / math.sqrt(ell) or not exact
                 aimed = rotors._vector_rotor(gens, g / math.sqrt(ell))
-                assert rotors._reduction_residual(aimed, g, gens) <= 1e-13
+                assert rotors._reduction_residual(aimed, g, gens) <= 1e-14 / math.sqrt(ell)
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_weight_off_the_strings_is_read_by_the_span_term(self, n):
-        # G_2 is no string G_1 G_i or G_0 G_i for n >= 2: U + 1e-3 G_2 reads 1e-6 on the span
+    def test_weight_off_the_strings_is_read_linearly(self, n):
+        # G_2 is no string G_1 G_i or G_0 G_i for n >= 2: U + eps G_2 has row and column
+        # sums eps off the strings, read as at least 2 eps (s >= |u| = 1, ell <= 1), so an
+        # off-span weight of 1e-5 fails RECONSTRUCTION as 1e-3 does
         gens = jordan_wigner(n)
         for mat in random_state_batch(n, 2, seed=n):
             g = extended_expectations(mat, gens)
             u = rotors._vector_rotor(gens, g / np.linalg.norm(g))
-            assert rotors._reduction_residual(u, g, gens) <= 1e-13
-            u += 1e-3 * pauli.scatter([1.0], [gens.actions[2]])
-            assert rotors._reduction_residual(u, g, gens) >= 1e-6 * (1.0 - 1e-9)
+            assert rotors._reduction_residual(u, g, gens) <= 1e-14 / np.linalg.norm(g)
+            for eps in (1e-5, 1e-3):
+                got = rotors._reduction_residual(
+                    u + eps * pauli.scatter([1.0], [gens.actions[2]]), g, gens)
+                assert got >= 2.0 * eps * (1.0 - 1e-9)
+                assert got > RECONSTRUCTION
 
     def test_nan_in_the_rotor_is_nan(self):
         gens = jordan_wigner(3)
